@@ -14,11 +14,14 @@ Ranks are the lexicographic permutation ranks, which fit 32 bits up to
 degree 12.  The cache is purely an optimization: a missing, mismatched or
 corrupt file is reported via CacheError and callers recompute; results must
 be identical either way.  Explicit generator sets are never cached (their
-contents are not captured by the header).
+contents are not captured by the header).  Files are written to a temporary
+name in the same directory and renamed into place, so processes sharing a
+cache directory never read a half-written file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -52,23 +55,30 @@ def save_ball(path: Path, ball: MetricBall) -> None:
         raise CacheError("explicit generator sets are not cacheable")
     if ball.center != identity(ball.gen.n):
         raise CacheError("only identity-centered balls are cacheable")
-    chunks = [
-        _HEADER.pack(
-            _MAGIC,
-            _VERSION,
-            _KIND_CODES[ball.gen.kind],
-            ball.gen.n,
-            ball.radius,
-            len(ball.spheres),
-        )
-    ]
-    for sph in ball.spheres:
-        ranks = sorted(rank(p) for p in sph)
-        chunks.append(_COUNT.pack(len(ranks)))
-        chunks.append(struct.pack(f"<{len(ranks)}I", *ranks))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(chunks))
+    # a per-process name, so concurrent writers never share a temporary file
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(
+                _HEADER.pack(
+                    _MAGIC,
+                    _VERSION,
+                    _KIND_CODES[ball.gen.kind],
+                    ball.gen.n,
+                    ball.radius,
+                    len(ball.spheres),
+                )
+            )
+            for sph in ball.spheres:
+                ranks = sorted(rank(p) for p in sph)
+                fh.write(_COUNT.pack(len(ranks)))
+                fh.write(struct.pack(f"<{len(ranks)}I", *ranks))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_ball(path: Path, gen: GeneratorSet, radius: int) -> MetricBall:

@@ -9,7 +9,9 @@ small-subgraph checks.
 Vertices are permutation tuples; edges join x to x*s for generators s.
 Left translation is an automorphism, so distances satisfy
 d(x, y) = d(e, inverse(x)*y) and every ball is a translate of a ball around
-the identity; the engine leans on this throughout.
+the identity; the engine leans on this throughout.  Balls, spheres and
+whole-graph sweeps all come from one breadth-first level expansion, which
+keeps only three levels in hand because the graph is undirected.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import islice
 from math import factorial
 
 from .errors import CapacityError, UnreachableError
@@ -31,7 +34,6 @@ from .perms import (
     identity,
     inverse,
     is_perm,
-    rank,
     transposition,
 )
 
@@ -50,11 +52,12 @@ KIND_NAMES = {
 
 @dataclass(frozen=True)
 class Budgets:
-    """Capacity knobs; exceeding one raises CapacityError instead of thrashing."""
+    """Capacity knobs; exceeding one raises CapacityError instead of thrashing:
+    vertices of a ball, degree of a whole-graph sweep (diameter, regularity,
+    local parameters) and estimated paths of a cycle search."""
 
     max_ball_size: int = 2_000_000
     whole_graph_max_n: int = 8
-    dense_visited_max_n: int = 8
     max_cycle_search: int = 20_000_000
 
 
@@ -178,6 +181,30 @@ class MetricBall:
         return frozenset().union(*self.spheres[: radius + 1])
 
 
+def _levels(start: Perm, gen: GeneratorSet):
+    """Breadth-first levels around ``start``, lazily, each as a dict whose
+    keys are the level's vertices in discovery order; ends at the last
+    nonempty level.
+
+    The graph is undirected, so every neighbor of a level-d vertex lies in
+    level d-1, d or d+1.  A candidate is therefore new iff it is in none of
+    those three levels, and only three levels are ever held."""
+    prev: dict[Perm, None] = {}
+    cur = {start: None}
+    while cur:
+        yield cur
+        nxt: dict[Perm, None] = {}
+        for v in cur:
+            for w in gen.neighbors(v):
+                if w not in prev and w not in nxt and w not in cur:
+                    nxt[w] = None
+        prev, cur = cur, nxt
+
+
+def _ball_budget_error(budgets: Budgets) -> CapacityError:
+    return CapacityError(f"ball exceeds budget of {budgets.max_ball_size} vertices")
+
+
 def ball(
     center: Perm,
     radius: int,
@@ -189,24 +216,13 @@ def ball(
         raise ValueError(f"radius must be >= 0, got {radius}")
     if len(center) != gen.n:
         raise ValueError(f"degree mismatch: center {len(center)}, graph {gen.n}")
-    spheres = [frozenset([center])]
-    visited = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = set()
-        for v in frontier:
-            for w in gen.neighbors(v):
-                if w not in visited and w not in nxt:
-                    nxt.add(w)
-        if not nxt:
-            break
-        if len(visited) + len(nxt) > budgets.max_ball_size:
-            raise CapacityError(
-                f"ball exceeds budget of {budgets.max_ball_size} vertices"
-            )
-        visited |= nxt
-        spheres.append(frozenset(nxt))
-        frontier = list(nxt)
+    spheres = []
+    size = 0
+    for level in islice(_levels(center, gen), radius + 1):
+        size += len(level)
+        if size > budgets.max_ball_size:
+            raise _ball_budget_error(budgets)
+        spheres.append(frozenset(level))
     return MetricBall(gen, center, radius, tuple(spheres))
 
 
@@ -218,14 +234,15 @@ def ball_of_identity(
 ) -> MetricBall:
     """Identity-centered ball, memoized per (generator set, radius).
 
-    Non-default budgets bypass the memo so a cached ball can never dodge a
-    tighter cap."""
-    if budgets != DEFAULT_BUDGETS:
-        return ball(identity(gen.n), radius, gen, budgets)
+    A memoized ball larger than ``budgets.max_ball_size`` raises exactly as
+    building it would (a ball's running size only grows), so the memo can
+    never dodge a tighter cap."""
     key = (gen, radius)
     got = _ball_memo.get(key)
     if got is None:
         got = _ball_memo[key] = ball(identity(gen.n), radius, gen, budgets)
+    elif got.size > budgets.max_ball_size:
+        raise _ball_budget_error(budgets)
     return got
 
 
@@ -479,13 +496,12 @@ def local_params(
     return c, a, b
 
 
-def local_params_all(
-    gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
-) -> dict[Perm, tuple[int, int, int]]:
-    """(c, a, b) for every non-identity vertex, from one whole-graph sweep."""
+def _classified_vertices(gen: GeneratorSet, budgets: Budgets):
+    """(d, y, (c, a, b)) for every non-identity vertex y, level by level in
+    breadth-first discovery order, where d is y's distance from the identity
+    and c, a, b count its neighbors at distance d-1, d and d+1."""
     levels = bfs_levels(gen, budgets)
     idx = {p: d for d, lvl in enumerate(levels) for p in lvl}
-    out = {}
     for d in range(1, len(levels)):
         for y in levels[d]:
             c = a = b = 0
@@ -497,57 +513,26 @@ def local_params_all(
                     a += 1
                 else:
                     b += 1
-            out[y] = (c, a, b)
-    return out
+            yield d, y, (c, a, b)
+
+
+def local_params_all(
+    gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
+) -> dict[Perm, tuple[int, int, int]]:
+    """(c, a, b) for every non-identity vertex, from one whole-graph sweep."""
+    return {y: cab for _, y, cab in _classified_vertices(gen, budgets)}
 
 
 def bfs_levels(
     gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
 ) -> list[list[Perm]]:
-    """Whole-graph breadth-first levels from the identity.
-
-    Uses a dense rank-indexed visited bitmap when the degree is small enough,
-    a hash set otherwise; both produce identical levels."""
-    n = gen.n
-    if n > budgets.whole_graph_max_n:
+    """Whole-graph breadth-first levels from the identity, each in discovery
+    order (by predecessor, then by generator)."""
+    if gen.n > budgets.whole_graph_max_n:
         raise CapacityError(
             f"whole-graph search capped at degree {budgets.whole_graph_max_n}"
         )
-    start = identity(n)
-    dense = n <= budgets.dense_visited_max_n
-    if dense:
-        seen_bits = bytearray(factorial(n))
-        seen_bits[rank(start)] = 1
-
-        def mark(p: Perm) -> bool:
-            i = rank(p)
-            if seen_bits[i]:
-                return False
-            seen_bits[i] = 1
-            return True
-
-    else:
-        seen = {start}
-
-        def mark(p: Perm) -> bool:
-            if p in seen:
-                return False
-            seen.add(p)
-            return True
-
-    levels = [[start]]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in gen.neighbors(v):
-                if mark(w):
-                    nxt.append(w)
-        if not nxt:
-            break
-        levels.append(nxt)
-        frontier = nxt
-    return levels
+    return [list(lvl) for lvl in _levels(identity(gen.n), gen)]
 
 
 def diameter(gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS) -> int:
@@ -584,36 +569,26 @@ def is_distance_regular(
     Left translations are automorphisms carrying any base vertex to the
     identity, so scanning all vertices against the identity covers every
     pair.  On failure the witness pair is returned."""
-    levels = bfs_levels(gen, budgets)
-    idx = {p: d for d, lvl in enumerate(levels) for p in lvl}
     b_arr: list[int] = [len(gen.gens)]
     c_arr: list[int] = []
-    for d in range(1, len(levels)):
-        ref: tuple[int, int] | None = None
-        ref_vertex: Perm | None = None
-        for y in levels[d]:
-            c = b = 0
-            for w in gen.neighbors(y):
-                dw = idx[w]
-                if dw == d - 1:
-                    c += 1
-                elif dw == d + 1:
-                    b += 1
-            if ref is None:
-                ref, ref_vertex = (c, b), y
-            elif (c, b) != ref:
-                witness = RegularityWitness(
-                    base=format_perm(identity(gen.n)),
-                    dist=d,
-                    first=format_perm(ref_vertex),
-                    first_params=ref,
-                    second=format_perm(y),
-                    second_params=(c, b),
-                )
-                return RegularityResult(False, witness)
-        c_arr.append(ref[0])
-        if d < len(levels) - 1:
-            b_arr.append(ref[1])
+    for d, y, (c, _, b) in _classified_vertices(gen, budgets):
+        if d > len(c_arr):
+            # the first vertex of each level sets that level's reference
+            ref, ref_vertex = (c, b), y
+            c_arr.append(c)
+            b_arr.append(b)
+        elif (c, b) != ref:
+            witness = RegularityWitness(
+                base=format_perm(identity(gen.n)),
+                dist=d,
+                first=format_perm(ref_vertex),
+                first_params=ref,
+                second=format_perm(y),
+                second_params=(c, b),
+            )
+            return RegularityResult(False, witness)
+    # the last level has no farther neighbors, so its b is not in the array
+    b_arr.pop()
     return RegularityResult(True, None, (tuple(b_arr), tuple(c_arr)))
 
 

@@ -329,7 +329,8 @@ class _TrialConfig:
     seed: int
     adversarial: bool
     exact_errors: bool
-    witness_other: Perm | None
+    # identity-centered region shared with the maximal-overlap witness
+    shared: tuple[Perm, ...] | None
     budgets: Budgets
 
 
@@ -342,11 +343,7 @@ def _run_trial(cfg: _TrialConfig, trial: int) -> TrialRecord:
         # draw patterns only from the shared region
         shift = unrank(n, rng.below(factorial(n)))
         source = shift
-        shared = sorted(
-            compose(shift, z)
-            for z in members
-            if compose(inverse(z), cfg.witness_other) in members
-        )
+        shared = sorted(compose(shift, z) for z in cfg.shared)
         if cfg.m > len(shared):
             raise ValueError(
                 f"adversarial pool has {len(shared)} patterns, need {cfg.m}"
@@ -410,12 +407,15 @@ def run_experiment(
     derived from (seed, trial); any worker count yields the same transcript."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    threshold = max_ball_intersection(gen, r, budgets).value
+    shared = None
+    if adversarial:
+        # the witness region holds exactly the overlap maximum
+        shared = tuple(ambiguity_witness(gen, r, budgets)[2])
+        threshold = len(shared)
+    else:
+        threshold = max_ball_intersection(gen, r, budgets).value
     if m is None:
         m = threshold + 1
-    witness_other = None
-    if adversarial:
-        _, witness_other, _ = ambiguity_witness(gen, r, budgets)
     cfg = _TrialConfig(
         gen=gen,
         r=r,
@@ -423,7 +423,7 @@ def run_experiment(
         seed=seed,
         adversarial=adversarial,
         exact_errors=exact_errors,
-        witness_other=witness_other,
+        shared=shared,
         budgets=budgets,
     )
     records = tuple(run_mapped(partial(_run_trial, cfg), range(trials), workers))

@@ -150,7 +150,7 @@ def suite_n_values(cfg: SuiteConfig) -> list[ClaimRow]:
 
 def suite_ns_tables(cfg: SuiteConfig) -> list[ClaimRow]:
     rows: list[ClaimRow] = []
-    ranges = {"T": (3, 6), "t": (3, 7), "st": (3, 7)}
+    ranges = {"T": (3, 6), "t": (3, 8), "st": (3, 7)}
     stmt = {
         "T": "per-distance two-error overlap maxima (all transpositions)",
         "t": "per-distance two-error overlap maxima (adjacent swaps)",

@@ -177,7 +177,6 @@ def _budgets(settings) -> Budgets:
     return Budgets(
         max_ball_size=settings["max_ball_size"],
         whole_graph_max_n=settings["max_bfs_n"],
-        dense_visited_max_n=min(8, settings["max_bfs_n"]),
     )
 
 

@@ -90,10 +90,23 @@ def bubble_star_sphere_overlaps(kind: str, n: int) -> dict[int, int | None]:
     """Per-distance overlap maxima for two-error balls in the adjacent-swap
     and prefix-swap graphs, with validity ranges:
 
-        adjacent ('t'):  s=1: 2(n-1) n>=3   s=2: 2(n-1) n>=3
-                         s=3: 2      n>=4   s=4: 4      n>=5
-        prefix  ('st'):  s=1: 2(n-1) n>=4   s=2: 2(n-1) n>=5
+        adjacent ('t'):  s=1: 2(n-1) n>=3   s=3: 4 for n=4,5;    6 for n>=6
+                         s=2: 2(n-1) n>=3   s=4: 4 for 5<=n<=7;  6 for n>=8
+        prefix  ('st'):  s=1: 2(n-1) n>=4   s=2: n+1    n>=5
                          s=3: 4      n>=4   s=4: 4      n>=5
+
+    Both graphs are bipartite, so z in B_2(e) and B_2(y) has d(e, z) +
+    d(z, y) of the parity of s = d(e, y).  't', s=3: z is a neighbor of e
+    or of y on a geodesic, so the overlap is des(y) + des(y^-1); des(y) <=
+    inv(y) = 3, with equality iff y is three disjoint adjacent swaps (so
+    n >= 6), and the reversal of three letters gives 2 + 2.  't', s=4: z is
+    a geodesic midpoint, a length-2 element below y in the weak order.
+    Their count depends only on the components of y's support, and every
+    such shape fits in S_8, so the maximum is constant from n = 8 on, where
+    four disjoint swaps give C(4, 2) = 6.  'st', s=2: e and y share one
+    neighbor x (the girth is 6); the overlap is e, y, x, the n-3 other
+    neighbors of x and the vertex opposite x on the hexagon (s_i s_j)^3 = e
+    through e, x, y.  Every entry is checked by brute force for n <= 9.
     """
     if kind not in ("t", "st"):
         raise ValueError(f"kind must be 't' or 'st', got {kind!r}")
@@ -103,12 +116,12 @@ def bubble_star_sphere_overlaps(kind: str, n: int) -> dict[int, int | None]:
         return {
             1: 2 * (n - 1),
             2: 2 * (n - 1),
-            3: 2 if n >= 4 else None,
-            4: 4 if n >= 5 else None,
+            3: None if n < 4 else 4 if n <= 5 else 6,
+            4: None if n < 5 else 4 if n <= 7 else 6,
         }
     return {
         1: 2 * (n - 1) if n >= 4 else None,
-        2: 2 * (n - 1) if n >= 5 else None,
+        2: n + 1 if n >= 5 else None,
         3: 4 if n >= 4 else None,
         4: 4 if n >= 5 else None,
     }

@@ -18,13 +18,19 @@ PAIRS = {
 
 
 def sym_adjacency(kind: str, n: int) -> dict:
-    pairs = PAIRS[kind](n)
+    return swap_adjacency(n, [[pair] for pair in PAIRS[kind](n)])
+
+
+def swap_adjacency(n: int, moves) -> dict:
+    """Graph on the permutations of range(n) where each move swaps every
+    position pair it lists."""
     adj = {}
     for p in permutations(range(n)):
         nbrs = []
-        for i, j in pairs:
+        for move in moves:
             q = list(p)
-            q[i], q[j] = q[j], q[i]
+            for i, j in move:
+                q[i], q[j] = q[j], q[i]
             nbrs.append(tuple(q))
         adj[p] = nbrs
     return adj

@@ -1,13 +1,17 @@
+from pathlib import Path
+
 import pytest
 
+from permrec import cayley
 from permrec.cache import ball_of_identity_cached, cache_path, load_ball, save_ball
 from permrec.cayley import (
+    Budgets,
     GeneratorSet,
     ball_of_identity,
     build_graph_report,
     clear_ball_memo,
 )
-from permrec.errors import CacheError
+from permrec.errors import CacheError, CapacityError
 
 
 @pytest.fixture(autouse=True)
@@ -60,6 +64,40 @@ class TestBinaryFormat:
         with pytest.raises(CacheError):
             load_ball(path, g, 2)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        g = GeneratorSet.adjacent(5)
+        original = ball_of_identity(g, 2)
+        path = cache_path(tmp_path, g, 2)
+        save_ball(path, original)
+        real_open = Path.open
+
+        class HalfThenFail:
+            """Writes half of the first chunk it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(bytes(data)[: len(data) // 2])
+                raise OSError("injected write failure")
+
+        def open_failing_writes(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return HalfThenFail(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(Path, "open", open_failing_writes)
+        with pytest.raises(OSError):
+            save_ball(path, original)
+        monkeypatch.undo()
+        assert load_ball(path, g, 2).spheres == original.spheres
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_explicit_sets_not_cacheable(self, tmp_path):
         from permrec.perms import transposition
 
@@ -93,6 +131,26 @@ class TestCachedAccess:
         ball_of_identity_cached(g, 2, tmp_path)
         with_cache = build_graph_report(g, 2).to_doc()
         assert with_cache == without
+
+    def test_loaded_ball_reused_under_other_budgets(self, tmp_path, monkeypatch):
+        g = GeneratorSet.adjacent(5)
+        ball_of_identity_cached(g, 2, tmp_path)
+        clear_ball_memo()
+        builds = []
+        real_ball = cayley.ball
+        monkeypatch.setattr(
+            cayley, "ball", lambda *a, **k: builds.append(a) or real_ball(*a, **k)
+        )
+        loaded = ball_of_identity_cached(g, 2, tmp_path, Budgets(whole_graph_max_n=7))
+        assert ball_of_identity(g, 2, Budgets(whole_graph_max_n=7)) is loaded
+        assert builds == []
+
+    def test_memo_hit_over_a_tight_cap_raises(self):
+        g = GeneratorSet.adjacent(5)
+        b = ball_of_identity(g, 2)
+        with pytest.raises(CapacityError):
+            ball_of_identity(g, 2, Budgets(max_ball_size=b.size - 1))
+        assert ball_of_identity(g, 2, Budgets(max_ball_size=b.size)) is b
 
     def test_stale_file_recomputed(self, tmp_path):
         g = GeneratorSet.adjacent(4)

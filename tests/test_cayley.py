@@ -268,6 +268,14 @@ class TestOverlapMaxima:
             assert max_ball_intersection_at(g, 2, 1).value == 2 * (n - 1)
             assert max_ball_intersection_at(g, 2, 2).value == 2 * (n - 1)
 
+    @pytest.mark.parametrize("kind", ["t", "st"])
+    def test_sphere_tables_match_brute_force_to_nine(self, kind):
+        for n in range(3, 10):
+            g = GeneratorSet.of_kind(kind, n)
+            for s, want in formulas.bubble_star_sphere_overlaps(kind, n).items():
+                if want is not None:
+                    assert max_ball_intersection_at(g, 2, s).value == want, (n, s)
+
     def test_absent_sphere_reports_none(self):
         g = GeneratorSet.all_transpositions(3)  # diameter 2
         sm = max_ball_intersection_at(g, 2, 4)
@@ -356,11 +364,34 @@ class TestWholeGraph:
         with pytest.raises(CapacityError):
             bfs_levels(GeneratorSet.adjacent(6), Budgets(whole_graph_max_n=5))
 
-    def test_dense_and_hashed_visited_agree(self):
-        g = GeneratorSet.prefix(5)
-        dense = bfs_levels(g, Budgets(dense_visited_max_n=8))
-        hashed = bfs_levels(g, Budgets(dense_visited_max_n=2))
-        assert [sorted(l) for l in dense] == [sorted(l) for l in hashed]
+    @pytest.mark.parametrize("kind", [*KINDS, "explicit"])
+    def test_levels_and_balls_match_oracle_distances(self, kind):
+        if kind == "explicit":
+            # adjacent swaps plus (0 1)(2 3): an odd cycle through that
+            # double swap puts some neighbors of a level in the same level
+            n = 4
+            moves = [[(0, 1)], [(1, 2)], [(2, 3)], [(0, 1), (2, 3)]]
+            g = GeneratorSet.explicit(
+                n, [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
+            )
+        else:
+            n = 5
+            moves = [[pair] for pair in oracles.PAIRS[kind](n)]
+            g = GeneratorSet.of_kind(kind, n)
+        adj = oracles.swap_adjacency(n, moves)
+        dist = oracles.bfs_dist(adj, identity(n))
+        levels = bfs_levels(g)
+        assert sum(len(lvl) for lvl in levels) == len(dist)
+        assert {p: d for d, lvl in enumerate(levels) for p in lvl} == dist
+        if kind == "explicit":
+            assert any(dist[w] == dist[p] for p in adj for w in adj[p])
+        b = ball(identity(n), len(levels) + 1, g)
+        assert b.spheres == tuple(frozenset(lvl) for lvl in levels)
+        center = (1, 3, 0, 2, 4)[:n]
+        around = oracles.bfs_dist(adj, center)
+        b = ball(center, 2, g)
+        for d in range(3):
+            assert b.spheres[d] == {p for p, dp in around.items() if dp == d}
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bipartite_by_parity(self, kind):

@@ -94,10 +94,11 @@ class TestSymmetricGroupForms:
             assert bubble_star_max_overlap(kind, n, 2) == 2 * (n - 1)
 
     def test_bubble_star_tables(self):
-        assert bubble_star_sphere_overlaps("t", 5) == {1: 8, 2: 8, 3: 2, 4: 4}
-        assert bubble_star_sphere_overlaps("t", 4) == {1: 6, 2: 6, 3: 2, 4: None}
+        assert bubble_star_sphere_overlaps("t", 5) == {1: 8, 2: 8, 3: 4, 4: 4}
+        assert bubble_star_sphere_overlaps("t", 4) == {1: 6, 2: 6, 3: 4, 4: None}
+        assert bubble_star_sphere_overlaps("t", 8) == {1: 14, 2: 14, 3: 6, 4: 6}
         assert bubble_star_sphere_overlaps("st", 4) == {1: 6, 2: None, 3: 4, 4: None}
-        assert bubble_star_sphere_overlaps("st", 5) == {1: 8, 2: 8, 3: 4, 4: 4}
+        assert bubble_star_sphere_overlaps("st", 5) == {1: 8, 2: 6, 3: 4, 4: 4}
 
     def test_kind_domain(self):
         with pytest.raises(ValueError):
