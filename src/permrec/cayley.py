@@ -6,20 +6,26 @@ spheres, balls, distances, ball-intersection maxima, triangle/common-
 neighbor parameters, local parameters, diameters, distance-regularity and
 small-subgraph checks.
 
-Vertices are permutation tuples; edges join x to x*s for generators s.
+Vertices are permutations; edges join x to x*s for generators s.
 Left translation is an automorphism, so distances satisfy
 d(x, y) = d(e, inverse(x)*y) and every ball is a translate of a ball around
 the identity; the engine leans on this throughout.  Balls, spheres and
 whole-graph sweeps all come from one breadth-first level expansion, which
 keeps only three levels in hand because the graph is undirected.
+
+Every public function takes and returns permutation tuples.  The
+breadth-first expansion and the overlap scans run on the packed form of
+``perms`` instead: the expansion converts each finished level to tuples,
+and a ball's packed member set (``MetricBall.packed``) is built once from
+its spheres.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice
+from itertools import chain, islice
 from math import factorial
 
 from .errors import CapacityError, UnreachableError
@@ -32,9 +38,13 @@ from .perms import (
     cycle_types,
     format_perm,
     identity,
-    inverse,
     is_perm,
+    left_inverse_table,
+    left_table,
+    pack,
+    translated,
     transposition,
+    unpack,
 )
 
 KIND_ALL = "T"
@@ -76,30 +86,26 @@ class GeneratorSet:
     kind: str
     n: int
     gens: tuple[Perm, ...]
-    # position pairs (i, j) when every generator is a single transposition;
-    # enables swap-based neighbor expansion
-    pairs: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
     @classmethod
     def all_transpositions(cls, n: int) -> "GeneratorSet":
         _check_graph_degree(n)
-        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        gens = tuple(transposition(n, i, j) for i, j in pairs)
-        return cls(KIND_ALL, n, gens, pairs)
+        gens = tuple(
+            transposition(n, i, j) for i in range(n) for j in range(i + 1, n)
+        )
+        return cls(KIND_ALL, n, gens)
 
     @classmethod
     def adjacent(cls, n: int) -> "GeneratorSet":
         _check_graph_degree(n)
-        pairs = tuple((i, i + 1) for i in range(n - 1))
-        gens = tuple(transposition(n, i, j) for i, j in pairs)
-        return cls(KIND_ADJACENT, n, gens, pairs)
+        gens = tuple(transposition(n, i, i + 1) for i in range(n - 1))
+        return cls(KIND_ADJACENT, n, gens)
 
     @classmethod
     def prefix(cls, n: int) -> "GeneratorSet":
         _check_graph_degree(n)
-        pairs = tuple((0, i) for i in range(1, n))
-        gens = tuple(transposition(n, i, j) for i, j in pairs)
-        return cls(KIND_PREFIX, n, gens, pairs)
+        gens = tuple(transposition(n, 0, i) for i in range(1, n))
+        return cls(KIND_PREFIX, n, gens)
 
     @classmethod
     def explicit(cls, n: int, gens) -> "GeneratorSet":
@@ -118,7 +124,7 @@ class GeneratorSet:
                 seen.append(g)
         if not seen:
             raise ValueError("empty generator set")
-        return cls(KIND_EXPLICIT, n, tuple(seen), None)
+        return cls(KIND_EXPLICIT, n, tuple(seen))
 
     @classmethod
     def of_kind(cls, kind: str, n: int) -> "GeneratorSet":
@@ -139,15 +145,14 @@ class GeneratorSet:
     def display_name(self) -> str:
         return KIND_NAMES[self.kind]
 
+    @cached_property
+    def packed(self) -> tuple[bytes, ...]:
+        """The generators in packed form, in the order of ``gens``."""
+        return tuple(map(pack, self.gens))
+
     def neighbors(self, p: Perm) -> list[Perm]:
-        if self.pairs is not None:
-            out = []
-            for i, j in self.pairs:
-                q = list(p)
-                q[i], q[j] = q[j], q[i]
-                out.append(tuple(q))
-            return out
-        return [compose(p, s) for s in self.gens]
+        """p*s for each generator s, in the order of ``gens``."""
+        return list(map(unpack, translated(self.packed, left_table(pack(p)))))
 
 
 def _check_graph_degree(n: int) -> None:
@@ -173,29 +178,36 @@ class MetricBall:
     def distance_index(self) -> dict[Perm, int]:
         return {p: d for d, sph in enumerate(self.spheres) for p in sph}
 
+    @cached_property
+    def packed(self) -> frozenset[bytes]:
+        """The members in packed form, built straight from the spheres."""
+        return self.packed_within(self.radius)
+
     @property
     def size(self) -> int:
         return sum(len(s) for s in self.spheres)
 
-    def members_within(self, radius: int) -> frozenset[Perm]:
-        return frozenset().union(*self.spheres[: radius + 1])
+    def packed_within(self, radius: int) -> frozenset[bytes]:
+        """Packed members at distance at most ``radius`` from the center."""
+        return frozenset(map(pack, chain.from_iterable(self.spheres[: radius + 1])))
 
 
 def _levels(start: Perm, gen: GeneratorSet):
     """Breadth-first levels around ``start``, lazily, each as a dict whose
-    keys are the level's vertices in discovery order; ends at the last
-    nonempty level.
+    keys are the level's packed vertices in discovery order (by
+    predecessor, then by generator); ends at the last nonempty level.
 
     The graph is undirected, so every neighbor of a level-d vertex lies in
     level d-1, d or d+1.  A candidate is therefore new iff it is in none of
     those three levels, and only three levels are ever held."""
-    prev: dict[Perm, None] = {}
-    cur = {start: None}
+    gens = gen.packed
+    prev: dict[bytes, None] = {}
+    cur = {pack(start): None}
     while cur:
         yield cur
-        nxt: dict[Perm, None] = {}
+        nxt: dict[bytes, None] = {}
         for v in cur:
-            for w in gen.neighbors(v):
+            for w in translated(gens, left_table(v)):
                 if w not in prev and w not in nxt and w not in cur:
                     nxt[w] = None
         prev, cur = cur, nxt
@@ -222,7 +234,7 @@ def ball(
         size += len(level)
         if size > budgets.max_ball_size:
             raise _ball_budget_error(budgets)
-        spheres.append(frozenset(level))
+        spheres.append(frozenset(map(unpack, level)))
     return MetricBall(gen, center, radius, tuple(spheres))
 
 
@@ -394,13 +406,9 @@ class IntersectionMax:
         return {sm.s: sm.witnesses for sm in self.per_s if sm.value == self.value}
 
 
-def _overlap_count(members: frozenset[Perm], y: Perm) -> int:
-    # z lies in both balls iff z is a member and inverse(z)*y is a member
-    total = 0
-    for z in members:
-        if compose(inverse(z), y) in members:
-            total += 1
-    return total
+def _overlap_count(members: frozenset[bytes], y: bytes) -> int:
+    # |B ∩ yB| = |{z in B : y^-1 z in B}|; the ball B is closed under inversion
+    return len(members.intersection(translated(members, left_inverse_table(y))))
 
 
 def ball_overlap(
@@ -410,7 +418,7 @@ def ball_overlap(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> int:
     """|B_r(e) ∩ B_r(other)| without materializing the second ball."""
-    return _overlap_count(ball_of_identity(gen, r, budgets).members, other)
+    return _overlap_count(ball_of_identity(gen, r, budgets).packed, pack(other))
 
 
 def max_ball_intersection_at(
@@ -434,7 +442,7 @@ def max_ball_intersection_at(
     if not 1 <= s <= 2 * r:
         raise ValueError(f"need 1 <= s <= 2r, got s={s}, r={r}")
     if gen.kind == KIND_ALL:
-        members = ball_of_identity(gen, r, budgets).members
+        members = ball_of_identity(gen, r, budgets).packed
         cands = [
             (str(ct), class_representative(ct))
             for ct in cycle_types(gen.n)
@@ -442,13 +450,13 @@ def max_ball_intersection_at(
         ]
     else:
         big = ball_of_identity(gen, 2 * r, budgets)
-        members = big.members_within(r)
+        members = big.packed_within(r)
         sph = big.spheres[s] if s < len(big.spheres) else frozenset()
         cands = [(format_perm(y), y) for y in sorted(sph)]
     if not cands:
         return SphereMax(s, None, ())
     counts = run_mapped(
-        partial(_overlap_count, members), [y for _, y in cands], workers
+        partial(_overlap_count, members), [pack(y) for _, y in cands], workers
     )
     best = max(counts)
     wits = tuple(label for (label, _), c in zip(cands, counts) if c == best)
@@ -532,7 +540,7 @@ def bfs_levels(
         raise CapacityError(
             f"whole-graph search capped at degree {budgets.whole_graph_max_n}"
         )
-    return [list(lvl) for lvl in _levels(identity(gen.n), gen)]
+    return [list(map(unpack, lvl)) for lvl in _levels(identity(gen.n), gen)]
 
 
 def diameter(gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS) -> int:

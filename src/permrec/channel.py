@@ -10,6 +10,10 @@ an exact-r mode is available since any policy staying inside the ball keeps
 the reconstruction guarantee.  All randomness flows through seeded
 splitmix64 streams (one per draw / per trial), so transcripts replay
 bit-exactly on any platform.
+
+Patterns, sources and candidates are permutation tuples at every public
+boundary; the ball intersections run on the packed form of ``perms`` and
+sort before converting back, so no output depends on set iteration order.
 """
 
 from __future__ import annotations
@@ -32,8 +36,12 @@ from .perms import (
     compose,
     format_perm,
     identity,
-    inverse,
+    left_inverse_table,
+    left_table,
+    pack,
     parse_perm,
+    translated,
+    unpack,
     unrank,
 )
 from .rng import SplitMix64, derive_seed
@@ -106,8 +114,8 @@ def generate_patterns(
             seen.add(y)
             out.append(y)
     if len(out) < m:
-        members = ball_of_identity(spec.gen, spec.max_errors, budgets).members
-        ball_list = sorted(compose(x, w) for w in members)
+        members = ball_of_identity(spec.gen, spec.max_errors, budgets).packed
+        ball_list = list(map(unpack, sorted(translated(members, left_table(pack(x))))))
         if m > len(ball_list):
             raise ValueError(
                 f"requested {m} distinct patterns but the ball has only "
@@ -148,22 +156,22 @@ def reconstruct(
 
     Only one ball is materialized (they all have equal size, so the first
     pattern serves); the rest of the intersection is distance filtering via
-    membership in the identity ball.  An empty intersection is the
-    first-class 'inconsistent' status, not an error."""
+    membership in the identity ball: z lies in B_r(y) iff y^-1 z does in
+    B_r(e).  An empty intersection is the first-class 'inconsistent'
+    status, not an error."""
     patterns = list(patterns)
     if not patterns:
         raise ValueError("need at least one pattern")
     if any(len(p) != gen.n for p in patterns):
         raise ValueError("pattern degree mismatch")
-    members = ball_of_identity(gen, r, budgets).members
-    first = patterns[0]
-    rest = [inverse(y) for y in patterns[1:]]
-    candidates = []
-    for w in members:
-        z = compose(first, w)
-        if all(compose(yinv, z) in members for yinv in rest):
-            candidates.append(z)
-    candidates = tuple(sorted(set(candidates)))
+    members = ball_of_identity(gen, r, budgets).packed
+    first, *rest = map(pack, patterns)
+    found = _survivors(
+        translated(members, left_table(first)),
+        [left_inverse_table(y) for y in rest],
+        members,
+    )
+    candidates = tuple(map(unpack, sorted(found)))
     if len(candidates) == 1:
         status = STATUS_UNIQUE
     elif candidates:
@@ -173,23 +181,30 @@ def reconstruct(
     return ReconstructionResult(candidates, status, len(patterns))
 
 
-def _subset_is_unique(
-    members: frozenset[Perm], patterns: list[Perm], source: Perm
-) -> bool:
-    """True if the patterns pin down a single candidate (which must then be
-    the source).  Fast path for sharpness sweeps: intersect two translated
-    balls, then filter survivors with early abort."""
-    y1, y2 = patterns[0], patterns[1] if len(patterns) > 1 else patterns[0]
-    ball1 = {compose(y1, w) for w in members}
-    ball2 = {compose(y2, w) for w in members}
-    pool = ball1 & ball2
-    rest = [inverse(y) for y in patterns[2:]]
+def _survivors(pool, tables, members: frozenset[bytes]):
+    """The packed z of ``pool`` that every table in ``tables`` maps into
+    ``members``, lazily and in pool order.  With the tables of the inverse
+    patterns, these are the z inside every pattern's ball."""
     for z in pool:
-        if z == source:
-            continue
-        if all(compose(yinv, z) in members for yinv in rest):
-            return False
-    return True
+        for t in tables:
+            if z.translate(t) not in members:
+                break
+        else:
+            yield z
+
+
+def _subset_is_unique(
+    members: frozenset[bytes], patterns: list[bytes], source: bytes
+) -> bool:
+    """True if the packed patterns pin down a single candidate (which must
+    then be the source).  Fast path for sharpness sweeps: intersect two
+    translated balls, then filter survivors with early abort."""
+    y1, y2 = patterns[0], patterns[1] if len(patterns) > 1 else patterns[0]
+    pool = set(translated(members, left_table(y1)))
+    pool.intersection_update(translated(members, left_table(y2)))
+    pool.discard(source)
+    rest = [left_inverse_table(y) for y in patterns[2:]]
+    return next(_survivors(pool, rest, members), None) is None
 
 
 def ambiguity_witness(
@@ -209,9 +224,9 @@ def ambiguity_witness(
         other = class_representative(parse_cycle_type(label))
     else:
         other = parse_perm(label)
-    members = ball_of_identity(gen, r, budgets).members
-    shared = sorted(z for z in members if compose(inverse(z), other) in members)
-    return identity(gen.n), other, shared
+    members = ball_of_identity(gen, r, budgets).packed
+    shared = _survivors(members, [left_inverse_table(pack(other))], members)
+    return identity(gen.n), other, list(map(unpack, sorted(shared)))
 
 
 def exhaustive_threshold_check(
@@ -222,8 +237,8 @@ def exhaustive_threshold_check(
     """Try every subset of threshold size from the identity ball and count
     how many fail to reconstruct uniquely (the guarantee says none do)."""
     threshold = max_ball_intersection(gen, r, budgets).value + 1
-    members = ball_of_identity(gen, r, budgets).members
-    source = identity(gen.n)
+    members = ball_of_identity(gen, r, budgets).packed
+    source = pack(identity(gen.n))
     failures = 0
     for subset in combinations(sorted(members), threshold):
         if not _subset_is_unique(members, list(subset), source):
@@ -240,9 +255,9 @@ def sampled_threshold_check(
 ) -> int:
     """Same as :func:`exhaustive_threshold_check` on seeded random subsets."""
     threshold = max_ball_intersection(gen, r, budgets).value + 1
-    members = ball_of_identity(gen, r, budgets).members
+    members = ball_of_identity(gen, r, budgets).packed
     ball_list = sorted(members)
-    source = identity(gen.n)
+    source = pack(identity(gen.n))
     rng = SplitMix64(seed)
     failures = 0
     for _ in range(samples):
@@ -337,7 +352,7 @@ class _TrialConfig:
 def _run_trial(cfg: _TrialConfig, trial: int) -> TrialRecord:
     rng = SplitMix64(derive_seed(cfg.seed, trial))
     n = cfg.gen.n
-    members = ball_of_identity(cfg.gen, cfg.r, cfg.budgets).members
+    members = ball_of_identity(cfg.gen, cfg.r, cfg.budgets).packed
     if cfg.adversarial:
         # translate the maximal-overlap witness pair by a random element and
         # draw patterns only from the shared region
@@ -375,13 +390,13 @@ def _run_trial(cfg: _TrialConfig, trial: int) -> TrialRecord:
     )
 
 
-def _min_prefix_for_unique(members: frozenset[Perm], patterns: list[Perm]) -> int:
-    cands = {compose(patterns[0], w) for w in members}
+def _min_prefix_for_unique(members: frozenset[bytes], patterns: list[Perm]) -> int:
+    first, *rest = map(pack, patterns)
+    cands = set(translated(members, left_table(first)))
     if len(cands) == 1:
         return 1
-    for i, y in enumerate(patterns[1:], start=2):
-        yinv = inverse(y)
-        cands = {z for z in cands if compose(yinv, z) in members}
+    for i, y in enumerate(rest, start=2):
+        cands = set(_survivors(cands, [left_inverse_table(y)], members))
         if len(cands) == 1:
             return i
     return len(patterns)
@@ -400,11 +415,12 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Seeded reconstruction trials.
 
-    Each trial draws a random source, generates m distinct patterns (default
-    one more than the measured overlap maximum) and reconstructs.  In
-    adversarial mode the patterns come only from a maximal shared region, so
-    m at the overlap maximum demonstrates ambiguity.  Per-trial streams are
-    derived from (seed, trial); any worker count yields the same transcript."""
+    Each trial draws a random source, generates m distinct patterns and
+    reconstructs; m defaults to one more than the measured overlap maximum.
+    In adversarial mode the patterns come only from a maximal shared region,
+    which holds exactly the overlap maximum, so m defaults to that maximum
+    and every trial demonstrates ambiguity.  Per-trial streams are derived
+    from (seed, trial); any worker count yields the same transcript."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     shared = None
@@ -415,7 +431,7 @@ def run_experiment(
     else:
         threshold = max_ball_intersection(gen, r, budgets).value
     if m is None:
-        m = threshold + 1
+        m = threshold if adversarial else threshold + 1
     cfg = _TrialConfig(
         gen=gen,
         r=r,

@@ -115,7 +115,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m", type=int, default=None,
-                   help="patterns per trial (default: overlap max + 1)")
+                   help="patterns per trial (default: overlap max + 1, or the "
+                        "overlap max with --adversarial)")
     p.add_argument("--adversarial", action="store_true",
                    help="draw patterns only from a maximal shared region")
     p.add_argument("--exact-errors", action="store_true",

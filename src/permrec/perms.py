@@ -14,6 +14,22 @@ one-line array:
 
 Cycle types are the multiset of disjoint-cycle lengths (fixed points count
 as 1-cycles) and index the conjugacy classes of the symmetric group.
+
+Inside the metric engine (``cayley``, ``channel``) permutations are held in
+a packed form: the bytes object with byte i equal to p(i), made by
+:func:`pack` and read back by :func:`unpack`.  Composition then runs as one
+``bytes.translate`` call, and a bytes object caches its hash.  Two tables
+do all of it, for packed p and z of degree n:
+
+* ``left_table(p) = p + PAD[n]``, and z translated by it is
+  ``compose(p, z)``;
+* ``left_inverse_table(p) = bytes.maketrans(p, IDENT[n])``, and z
+  translated by it is ``compose(inverse(p), z)``.
+
+:func:`translated` applies a table to many packed permutations at once.
+Sorting packed permutations of one degree orders them as their tuples, so
+sorted output is the same in either form.  Only the engine's inner loops
+use the packed form; every public function takes and returns tuples.
 """
 
 from __future__ import annotations
@@ -80,6 +96,37 @@ def inverse(p: Perm) -> Perm:
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
+
+
+# Packed form (see the module docstring).  PAD[n] completes a packed
+# permutation of degree n to a 256-byte translation table that fixes every
+# byte from n on; IDENT[n] is the packed identity.
+PAD = tuple(bytes(range(n, 256)) for n in range(MAX_DEGREE + 1))
+IDENT = tuple(bytes(range(n)) for n in range(MAX_DEGREE + 1))
+
+
+def pack(p: Perm) -> bytes:
+    return bytes(p)
+
+
+def unpack(p: bytes) -> Perm:
+    return tuple(p)
+
+
+def left_table(p: bytes) -> bytes:
+    """Table that maps packed z to packed ``compose(p, z)``."""
+    return p + PAD[len(p)]
+
+
+def left_inverse_table(p: bytes) -> bytes:
+    """Table that maps packed z to packed ``compose(inverse(p), z)``."""
+    return bytes.maketrans(p, IDENT[len(p)])
+
+
+def translated(packed, table: bytes):
+    """Iterator over the packed permutations in ``packed`` translated by
+    ``table``, in order."""
+    return map(bytes.translate, packed, itertools.repeat(table))
 
 
 def transposition(n: int, i: int, j: int) -> Perm:

@@ -79,10 +79,11 @@ class TestGeneratorSet:
         assert sum(len(l) for l in levels) == factorial(n)
 
     def test_neighbors_match_generic_composition(self):
-        for kind in KINDS:
-            g = GeneratorSet.of_kind(kind, 5)
-            p = parse_perm("[3,5,1,4,2]")
-            assert sorted(g.neighbors(p)) == sorted(compose(p, s) for s in g.gens)
+        cases = [(GeneratorSet.of_kind(kind, 5), parse_perm("[3,5,1,4,2]")) for kind in KINDS]
+        # an involution that is no transposition: (0 1)(2 3)
+        cases.append((GeneratorSet.explicit(4, [(1, 0, 3, 2), (0, 2, 1, 3)]), parse_perm("[3,1,4,2]")))
+        for g, p in cases:
+            assert g.neighbors(p) == [compose(p, s) for s in g.gens]
 
 
 class TestBall:

@@ -4,12 +4,16 @@ Every command runs in-process through ``cli.main``; its JSON stdout is
 validated against the command's schema in ``docs/schemas``.  A fixed list
 of commands is also pinned byte for byte, with any trial transcript they
 write, against goldens in ``tests/golden/cli`` (regenerate them with ``python tests/test_cli.py``,
-and only when an output change is intended).
+and only when an output change is intended), both in-process and in fresh
+interpreters under two hash seeds (``python tests/test_cli.py DIR`` writes
+the outputs to DIR instead).
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +31,8 @@ FILES = {
     "unique.txt": "[1,2,3,4]\n[2,1,3,4]\n[1,3,2,4]\n[1,2,4,3]\n",
     "ambiguous.txt": "# two patterns one swap from the identity\n[2,1,3,4]\n[1,2,4,3]\n",
     "square.edges": "0 1\n1 2\n2 3\n3 0\n",
+    # the region two T n=7 r=2 balls at maximal overlap share
+    "threshold.txt": (GOLDEN.parent / "patterns_T7_r2_threshold.txt").read_text(),
 }
 
 # name -> argv; {dir} is replaced by the directory holding FILES
@@ -34,6 +40,8 @@ GOLDEN_CASES = {
     "report_T": ["report", "--graph", "T", "--n", "5", "6", "--r", "2"],
     "report_t": ["report", "--graph", "t", "--n", "5", "6", "--r", "2"],
     "report_st": ["report", "--graph", "st", "--n", "5", "6", "--r", "2"],
+    "report_t7": ["report", "--graph", "t", "--n", "7", "--r", "2"],
+    "report_st7": ["report", "--graph", "st", "--n", "7", "--r", "2"],
     "verify": [
         "verify", "--suite", "diameters", "--suite", "classes",
         "--suite", "local-params", "--suite", "distance-regularity",
@@ -44,9 +52,16 @@ GOLDEN_CASES = {
     "reconstruct_ambiguous": [
         "reconstruct", "--graph", "t", "--r", "1", "--patterns", "{dir}/ambiguous.txt",
     ],
+    "reconstruct_T7_threshold": [
+        "reconstruct", "--graph", "T", "--r", "2", "--patterns", "{dir}/threshold.txt",
+    ],
     "simulate_honest": [
         "simulate", "--graph", "t", "--n", "5", "--r", "2", "--trials", "6",
         "--seed", "11", "--transcript", "{dir}/trials.jsonl",
+    ],
+    "simulate_T7_honest": [
+        "simulate", "--graph", "T", "--n", "7", "--r", "2", "--trials", "4",
+        "--seed", "5", "--transcript", "{dir}/trials.jsonl",
     ],
     "simulate_adversarial": [
         "simulate", "--graph", "st", "--n", "5", "--r", "2", "--trials", "6",
@@ -117,23 +132,59 @@ def test_stdout_is_byte_identical_to_golden(name, files):
         assert transcript.read_text() == (GOLDEN / f"{name}.jsonl").read_text()
 
 
+@pytest.mark.parametrize("kind, n", [("st", "5"), ("t", "6")])
+def test_adversarial_m_defaults_to_the_pool(kind, n, files):
+    argv = ["simulate", "--graph", kind, "--n", n, "--r", "2", "--trials", "4",
+            "--seed", "3", "--adversarial"]
+    code, out = run_cli(argv, files)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["ambiguous"] == summary["trials"] == 4
+    assert summary["m"] == summary["threshold"]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_goldens_hold_under_any_hash_seed(hash_seed, tmp_path):
+    # str and bytes hashes are salted per process, so output that followed
+    # the iteration order of a set of them would differ between these runs
+    paths = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(paths)}
+    subprocess.run(
+        [sys.executable, __file__, str(tmp_path)],
+        env=env, check=True, capture_output=True, timeout=600,
+    )
+    for name in GOLDEN_CASES:
+        for suffix in (".json", ".jsonl"):
+            want, got = GOLDEN / f"{name}{suffix}", tmp_path / f"{name}{suffix}"
+            assert got.exists() == want.exists(), got.name
+            if want.exists():
+                assert got.read_bytes() == want.read_bytes(), got.name
+
+
 def test_verify_defaults_pass(files):
     for extra in ([], ["--max-n", "7"]):
         code, out = run_cli(["verify", *extra], files)
         assert code == 0, [r for r in json.loads(out)["rows"] if r["verdict"] == "fail"]
 
 
-if __name__ == "__main__":
-    # regenerate the goldens from the package on sys.path
+def write_outputs(out_dir: Path) -> None:
+    """Run every golden case and write its stdout, and any transcript, to
+    ``<name>.json`` and ``<name>.jsonl`` in out_dir."""
     import tempfile
 
-    GOLDEN.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, argv in GOLDEN_CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             write_files(Path(tmp))
             code, out = run_cli(argv, Path(tmp))
-            (GOLDEN / f"{name}.json").write_text(out)
+            (out_dir / f"{name}.json").write_text(out)
             transcript = Path(tmp) / "trials.jsonl"
             if transcript.exists():
-                (GOLDEN / f"{name}.jsonl").write_text(transcript.read_text())
+                (out_dir / f"{name}.jsonl").write_text(transcript.read_text())
         print(f"{name}: exit {code}, {len(out)} bytes", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    # regenerate the goldens from the package on sys.path, or write the
+    # outputs to the directory given as the only argument
+    write_outputs(Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN)

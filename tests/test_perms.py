@@ -16,14 +16,19 @@ from permrec.perms import (
     format_perm,
     identity,
     inverse,
+    left_inverse_table,
+    left_table,
     min_transposition_distance,
     minimal_factorization_count,
+    pack,
     parity,
     parse_cycle_type,
     parse_perm,
     rank,
     swap_positions,
+    translated,
     transposition,
+    unpack,
     unrank,
 )
 
@@ -36,6 +41,13 @@ def perms_of(n):
 
 any_perm = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(tuple(range(n))).map(tuple)
+)
+
+# a permutation of degree 1..12 and a list of others of the same degree
+perm_and_others = st.integers(min_value=1, max_value=perms.MAX_DEGREE).flatmap(
+    lambda n: st.tuples(
+        perms_of(n).map(tuple), st.lists(perms_of(n).map(tuple), max_size=8)
+    )
 )
 
 
@@ -70,6 +82,25 @@ class TestCompose:
     @given(any_perm)
     def test_parity_consistent_with_cycles(self, p):
         assert parity(p) == (len(p) - cycle_type(p).cycle_count) % 2
+
+
+class TestPacked:
+    @given(perm_and_others)
+    def test_left_table_composes(self, case):
+        p, qs = case
+        got = translated([pack(q) for q in qs], left_table(pack(p)))
+        assert [unpack(z) for z in got] == [compose(p, q) for q in qs]
+
+    @given(perm_and_others)
+    def test_left_inverse_table_composes_with_the_inverse(self, case):
+        p, qs = case
+        got = translated([pack(q) for q in qs], left_inverse_table(pack(p)))
+        assert [unpack(z) for z in got] == [compose(inverse(p), q) for q in qs]
+
+    @given(perm_and_others)
+    def test_sorted_order_matches_tuples(self, case):
+        p, qs = case
+        assert [unpack(z) for z in sorted(map(pack, [p, *qs]))] == sorted([p, *qs])
 
 
 class TestCycleType:
