@@ -25,6 +25,7 @@ from .cayley import (
     local_params,
     max_ball_intersection,
     max_ball_intersection_at,
+    overlap_of_identity,
     sphere,
 )
 from .channel import (

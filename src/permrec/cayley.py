@@ -15,9 +15,17 @@ keeps only three levels in hand because the graph is undirected.
 
 Every public function takes and returns permutation tuples.  The
 breadth-first expansion and the overlap scans run on the packed form of
-``perms`` instead: the expansion converts each finished level to tuples,
-and a ball's packed member set (``MetricBall.packed``) is built once from
-its spheres.
+``perms`` instead.  Balls are packed first: a ``MetricBall`` holds its
+spheres as frozensets of packed vertices, exactly as the expansion left
+them, and builds the tuple views (``spheres``, ``members``,
+``distance_index``) only when something asks for them.  The hot paths
+(reconstruction, overlap scans, the disk cache) never do.
+
+The overlap maximum comes in two forms.  :func:`max_ball_intersection` is
+the scan itself and is never memoized: the brute-force oracles call it, and
+timing it must time a scan.  :func:`overlap_of_identity` is to it what
+:func:`ball_of_identity` is to :func:`ball`: the same answer, memoized per
+(generator set, radius), and the form the decoder and the reports use.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, islice
+from itertools import islice
 from math import factorial
 
 from .errors import CapacityError, UnreachableError
@@ -163,12 +171,19 @@ def _check_graph_degree(n: int) -> None:
 @dataclass(frozen=True)
 class MetricBall:
     """Explicit ball: all vertices within ``radius`` of ``center``, split
-    into spheres by exact distance."""
+    into spheres by exact distance.
+
+    ``packed_spheres`` holds the spheres in packed form; the tuple views
+    are built from it on first use."""
 
     gen: GeneratorSet
     center: Perm
     radius: int
-    spheres: tuple[frozenset[Perm], ...]
+    packed_spheres: tuple[frozenset[bytes], ...]
+
+    @cached_property
+    def spheres(self) -> tuple[frozenset[Perm], ...]:
+        return tuple(frozenset(map(unpack, sph)) for sph in self.packed_spheres)
 
     @cached_property
     def members(self) -> frozenset[Perm]:
@@ -180,16 +195,16 @@ class MetricBall:
 
     @cached_property
     def packed(self) -> frozenset[bytes]:
-        """The members in packed form, built straight from the spheres."""
+        """The packed members."""
         return self.packed_within(self.radius)
 
     @property
     def size(self) -> int:
-        return sum(len(s) for s in self.spheres)
+        return sum(map(len, self.packed_spheres))
 
     def packed_within(self, radius: int) -> frozenset[bytes]:
         """Packed members at distance at most ``radius`` from the center."""
-        return frozenset(map(pack, chain.from_iterable(self.spheres[: radius + 1])))
+        return frozenset().union(*self.packed_spheres[: radius + 1])
 
 
 def _levels(start: Perm, gen: GeneratorSet):
@@ -234,7 +249,7 @@ def ball(
         size += len(level)
         if size > budgets.max_ball_size:
             raise _ball_budget_error(budgets)
-        spheres.append(frozenset(map(unpack, level)))
+        spheres.append(frozenset(level))
     return MetricBall(gen, center, radius, tuple(spheres))
 
 
@@ -266,15 +281,17 @@ def prime_identity_ball(b: MetricBall) -> None:
 
 
 def clear_ball_memo() -> None:
+    """Forget every memoized ball and overlap maximum."""
     _ball_memo.clear()
+    _overlap_memo.clear()
 
 
 def sphere(
     gen: GeneratorSet, s: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> frozenset[Perm]:
     """S_s(e): vertices at distance exactly s from the identity."""
-    b = ball_of_identity(gen, s, budgets)
-    return b.spheres[s] if s < len(b.spheres) else frozenset()
+    spheres = ball_of_identity(gen, s, budgets).packed_spheres
+    return frozenset(map(unpack, spheres[s])) if s < len(spheres) else frozenset()
 
 
 def distance(
@@ -444,20 +461,18 @@ def max_ball_intersection_at(
     if gen.kind == KIND_ALL:
         members = ball_of_identity(gen, r, budgets).packed
         cands = [
-            (str(ct), class_representative(ct))
+            (str(ct), pack(class_representative(ct)))
             for ct in cycle_types(gen.n)
             if ct.min_transpositions == s
         ]
     else:
         big = ball_of_identity(gen, 2 * r, budgets)
         members = big.packed_within(r)
-        sph = big.spheres[s] if s < len(big.spheres) else frozenset()
-        cands = [(format_perm(y), y) for y in sorted(sph)]
+        sph = big.packed_spheres[s] if s < len(big.packed_spheres) else ()
+        cands = [(format_perm(unpack(y)), y) for y in sorted(sph)]
     if not cands:
         return SphereMax(s, None, ())
-    counts = run_mapped(
-        partial(_overlap_count, members), [pack(y) for _, y in cands], workers
-    )
+    counts = run_mapped(partial(_overlap_count, members), [y for _, y in cands], workers)
     best = max(counts)
     wits = tuple(label for (label, _), c in zip(cands, counts) if c == best)
     return SphereMax(s, best, wits)
@@ -482,6 +497,48 @@ def max_ball_intersection(
     if not values:
         raise ValueError("no vertex pairs at any distance in 1..2r")
     return IntersectionMax(r, max(values), per_s)
+
+
+def scanned_radius(gen: GeneratorSet, r: int) -> int:
+    """Radius of the identity ball an overlap scan at radius r reads: r for
+    the all-transpositions family, whose candidates are class
+    representatives, and 2r for the others, whose candidates are vertices
+    of the ball's outer spheres."""
+    return r if gen.kind == KIND_ALL else 2 * r
+
+
+# (generator set, radius) -> (overlap maximum, size of the ball it scanned)
+_overlap_memo: dict[tuple[GeneratorSet, int], tuple[IntersectionMax, int]] = {}
+
+
+def overlap_of_identity(
+    gen: GeneratorSet,
+    r: int,
+    budgets: Budgets = DEFAULT_BUDGETS,
+    workers: int = 1,
+) -> IntersectionMax:
+    """:func:`max_ball_intersection`, memoized per (generator set, radius).
+
+    A hit raises ``CapacityError`` exactly when the scan would have: when
+    the ball the scan reads (see :func:`scanned_radius`) is larger than
+    ``budgets.max_ball_size``."""
+    key = (gen, r)
+    got = _overlap_memo.get(key)
+    if got is None:
+        best = max_ball_intersection(gen, r, budgets, workers)
+        size = ball_of_identity(gen, scanned_radius(gen, r), budgets).size
+        _overlap_memo[key] = (best, size)
+        return best
+    best, size = got
+    if size > budgets.max_ball_size:
+        raise _ball_budget_error(budgets)
+    return best
+
+
+def prime_overlap(gen: GeneratorSet, best: IntersectionMax, scanned_size: int) -> None:
+    """Install an externally loaded overlap maximum into the memo, with the
+    size of the ball its scan read."""
+    _overlap_memo[(gen, best.radius)] = (best, scanned_size)
 
 
 def local_params(
@@ -748,7 +805,7 @@ def build_graph_report(
 ) -> GraphReport:
     lam, mu = lambda_mu(gen)
     per_radius = tuple(
-        max_ball_intersection(gen, rr, budgets, workers) for rr in range(1, r + 1)
+        overlap_of_identity(gen, rr, budgets, workers) for rr in range(1, r + 1)
     )
     notes: list[str] = []
     diam: int | None = None

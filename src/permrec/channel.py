@@ -11,6 +11,10 @@ the reconstruction guarantee.  All randomness flows through seeded
 splitmix64 streams (one per draw / per trial), so transcripts replay
 bit-exactly on any platform.
 
+The overlap maximum, which fixes the default pattern count and the
+adversarial pool, comes from ``cayley.overlap_of_identity``, so one process
+scans it at most once per (generator set, radius).
+
 Patterns, sources and candidates are permutation tuples at every public
 boundary; the ball intersections run on the packed form of ``perms`` and
 sort before converting back, so no output depends on set iteration order.
@@ -28,7 +32,7 @@ from .cayley import (
     DEFAULT_BUDGETS,
     GeneratorSet,
     ball_of_identity,
-    max_ball_intersection,
+    overlap_of_identity,
 )
 from .parallel import run_mapped
 from .perms import (
@@ -215,7 +219,7 @@ def ambiguity_witness(
     """A pair of centers attaining the overlap maximum plus the full shared
     pattern set: feeding those patterns to the reconstructor leaves both
     centers as candidates, so the threshold cannot be lowered."""
-    best = max_ball_intersection(gen, r, budgets)
+    best = overlap_of_identity(gen, r, budgets)
     s = best.best_s[0]
     label = best.witnesses[s][0]
     if gen.kind == "T":
@@ -236,7 +240,7 @@ def exhaustive_threshold_check(
 ) -> int:
     """Try every subset of threshold size from the identity ball and count
     how many fail to reconstruct uniquely (the guarantee says none do)."""
-    threshold = max_ball_intersection(gen, r, budgets).value + 1
+    threshold = overlap_of_identity(gen, r, budgets).value + 1
     members = ball_of_identity(gen, r, budgets).packed
     source = pack(identity(gen.n))
     failures = 0
@@ -254,7 +258,7 @@ def sampled_threshold_check(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> int:
     """Same as :func:`exhaustive_threshold_check` on seeded random subsets."""
-    threshold = max_ball_intersection(gen, r, budgets).value + 1
+    threshold = overlap_of_identity(gen, r, budgets).value + 1
     members = ball_of_identity(gen, r, budgets).packed
     ball_list = sorted(members)
     source = pack(identity(gen.n))
@@ -429,7 +433,7 @@ def run_experiment(
         shared = tuple(ambiguity_witness(gen, r, budgets)[2])
         threshold = len(shared)
     else:
-        threshold = max_ball_intersection(gen, r, budgets).value
+        threshold = overlap_of_identity(gen, r, budgets).value
     if m is None:
         m = threshold if adversarial else threshold + 1
     cfg = _TrialConfig(

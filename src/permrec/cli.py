@@ -26,9 +26,8 @@ from .cayley import (
     GeneratorSet,
     GraphReport,
     build_graph_report,
-    max_ball_intersection,
 )
-from .cache import ball_of_identity_cached
+from .cache import ball_of_identity_cached, overlap_of_identity_cached
 from .channel import reconstruct, run_experiment
 from .claims import CSV_COLUMNS, SuiteConfig, conjecture_probe, run_suites
 from .errors import CapacityError, UnreachableError
@@ -212,9 +211,16 @@ def _pretty_table(rows: list[dict], columns) -> None:
         print("  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(columns, widths)))
 
 
-def _warm_cache(settings, gen, radius, budgets):
+def _warm_ball(settings, gen, radius, budgets):
     if settings["cache_dir"] is not None:
         ball_of_identity_cached(gen, radius, settings["cache_dir"], budgets)
+
+
+def _warm_overlap(settings, gen, r, budgets):
+    if settings["cache_dir"] is not None:
+        overlap_of_identity_cached(
+            gen, r, settings["cache_dir"], budgets, settings["workers"]
+        )
 
 
 def _cmd_report(args, settings) -> int:
@@ -224,9 +230,8 @@ def _cmd_report(args, settings) -> int:
     reports = []
     for n in args.n:
         gen = GeneratorSet.of_kind(args.graph, n)
-        if gen.kind != "T":
-            _warm_cache(settings, gen, 2 * args.r, budgets)
-        _warm_cache(settings, gen, args.r, budgets)
+        for rr in range(1, args.r + 1):
+            _warm_overlap(settings, gen, rr, budgets)
         report = build_graph_report(
             gen, args.r, budgets, settings["workers"],
             with_diameter=not args.no_diameter,
@@ -303,7 +308,7 @@ def _cmd_reconstruct(args, settings) -> int:
     budgets = _budgets(settings)
     patterns = _read_patterns(args.patterns)
     gen = GeneratorSet.of_kind(args.graph, len(patterns[0]))
-    _warm_cache(settings, gen, args.r, budgets)
+    _warm_ball(settings, gen, args.r, budgets)
     result = reconstruct(patterns, args.r, gen, budgets)
     doc = _envelope("reconstruct", settings, {"result": result.to_doc()})
     if settings["format"] == "json":
@@ -331,9 +336,8 @@ _SUMMARY_COLUMNS = (
 def _cmd_simulate(args, settings) -> int:
     budgets = _budgets(settings)
     gen = GeneratorSet.of_kind(args.graph, args.n)
-    if gen.kind != "T":
-        _warm_cache(settings, gen, 2 * args.r, budgets)
-    _warm_cache(settings, gen, args.r, budgets)
+    _warm_ball(settings, gen, args.r, budgets)
+    _warm_overlap(settings, gen, args.r, budgets)
     summary = run_experiment(
         gen, args.r, args.trials, args.seed,
         m=args.m,

@@ -6,7 +6,9 @@ of commands is also pinned byte for byte, with any trial transcript they
 write, against goldens in ``tests/golden/cli`` (regenerate them with ``python tests/test_cli.py``,
 and only when an output change is intended), both in-process and in fresh
 interpreters under two hash seeds (``python tests/test_cli.py DIR`` writes
-the outputs to DIR instead).
+the outputs to DIR instead).  The report, reconstruct and simulate goldens
+must also hold with ``--cache-dir``, on an empty cache directory and then
+on the one that run filled, except for the echoed directory.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from permrec import cli
+from permrec import cayley, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "docs" / "schemas"
@@ -70,6 +72,12 @@ GOLDEN_CASES = {
     ],
 }
 
+# the golden cases whose commands read or fill a cache directory
+CACHED_CASES = tuple(
+    name for name, argv in GOLDEN_CASES.items()
+    if argv[0] in ("report", "reconstruct", "simulate")
+)
+
 # command -> (argv, expected exit code) for the schema checks
 SCHEMA_CASES = {
     "report": (GOLDEN_CASES["report_t"], 0),
@@ -94,6 +102,15 @@ def run_cli(argv, directory: Path) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+def run_cli_cached(argv, directory: Path, cache_dir: Path) -> tuple[int, str]:
+    """run_cli with ``--cache-dir`` from a cleared memo, so every ball and
+    overlap maximum comes from cache_dir or is computed and written there;
+    the echoed directory is put back to the default, null."""
+    cayley.clear_ball_memo()
+    code, out = run_cli([*argv, "--cache-dir", str(cache_dir)], directory)
+    return code, out.replace(f'"cache_dir": {json.dumps(str(cache_dir))}', '"cache_dir": null')
 
 
 @pytest.fixture
@@ -132,6 +149,36 @@ def test_stdout_is_byte_identical_to_golden(name, files):
         assert transcript.read_text() == (GOLDEN / f"{name}.jsonl").read_text()
 
 
+@pytest.mark.parametrize("name", CACHED_CASES)
+def test_cached_stdout_is_byte_identical_to_golden(name, files, monkeypatch):
+    cache_dir = files / "cache"
+    transcript = files / "trials.jsonl"
+    for run in ("empty", "filled"):
+        if run == "filled":
+            # every ball and overlap maximum now comes from the files
+            assert any(cache_dir.iterdir())
+            monkeypatch.setattr(cayley, "ball", None)
+            monkeypatch.setattr(cayley, "max_ball_intersection", None)
+        transcript.unlink(missing_ok=True)
+        _, out = run_cli_cached(GOLDEN_CASES[name], files, cache_dir)
+        assert out == (GOLDEN / f"{name}.json").read_text(), run
+        if transcript.exists():
+            assert transcript.read_text() == (GOLDEN / f"{name}.jsonl").read_text(), run
+
+
+def test_simulate_cap_fails_on_cold_and_warm_cache(files):
+    argv = ["simulate", "--graph", "t", "--n", "6", "--r", "2", "--trials", "2", "--seed", "1"]
+    cayley.clear_ball_memo()
+    cap = cayley.ball_of_identity(cayley.GeneratorSet.adjacent(6), 4).size - 1
+    capped = [*argv, "--max-ball-size", str(cap)]
+    cache_dir = files / "cache"
+    assert run_cli_cached(capped, files, cache_dir)[0] == 1
+    assert run_cli_cached(argv, files, cache_dir)[0] == 0
+    assert run_cli_cached(capped, files, cache_dir)[0] == 1
+    cayley.clear_ball_memo()
+    assert run_cli(capped, files)[0] == 1
+
+
 @pytest.mark.parametrize("kind, n", [("st", "5"), ("t", "6")])
 def test_adversarial_m_defaults_to_the_pool(kind, n, files):
     argv = ["simulate", "--graph", kind, "--n", n, "--r", "2", "--trials", "4",
@@ -153,12 +200,15 @@ def test_goldens_hold_under_any_hash_seed(hash_seed, tmp_path):
         [sys.executable, __file__, str(tmp_path)],
         env=env, check=True, capture_output=True, timeout=600,
     )
-    for name in GOLDEN_CASES:
-        for suffix in (".json", ".jsonl"):
-            want, got = GOLDEN / f"{name}{suffix}", tmp_path / f"{name}{suffix}"
-            assert got.exists() == want.exists(), got.name
-            if want.exists():
-                assert got.read_bytes() == want.read_bytes(), got.name
+    runs = [(tmp_path, GOLDEN_CASES)]
+    runs += [(tmp_path / run, CACHED_CASES) for run in ("cold", "warm")]
+    for out_dir, names in runs:
+        for name in names:
+            for suffix in (".json", ".jsonl"):
+                want, got = GOLDEN / f"{name}{suffix}", out_dir / f"{name}{suffix}"
+                assert got.exists() == want.exists(), got
+                if want.exists():
+                    assert got.read_bytes() == want.read_bytes(), got
 
 
 def test_verify_defaults_pass(files):
@@ -167,24 +217,40 @@ def test_verify_defaults_pass(files):
         assert code == 0, [r for r in json.loads(out)["rows"] if r["verdict"] == "fail"]
 
 
-def write_outputs(out_dir: Path) -> None:
+def write_outputs(out_dir: Path, cached: bool = False) -> None:
     """Run every golden case and write its stdout, and any transcript, to
-    ``<name>.json`` and ``<name>.jsonl`` in out_dir."""
+    ``<name>.json`` and ``<name>.jsonl`` in out_dir.  With ``cached``, also
+    run each of CACHED_CASES with ``--cache-dir``, on an empty cache
+    directory and then on the filled one, and write those outputs, the
+    echoed directory put back to null, to out_dir/cold and out_dir/warm."""
     import tempfile
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    def save(target: Path, name: str, out: str, tmp: Path) -> None:
+        target.mkdir(parents=True, exist_ok=True)
+        (target / f"{name}.json").write_text(out)
+        transcript = tmp / "trials.jsonl"
+        if transcript.exists():
+            (target / f"{name}.jsonl").write_text(transcript.read_text())
+            transcript.unlink()
+
     for name, argv in GOLDEN_CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
-            write_files(Path(tmp))
-            code, out = run_cli(argv, Path(tmp))
-            (out_dir / f"{name}.json").write_text(out)
-            transcript = Path(tmp) / "trials.jsonl"
-            if transcript.exists():
-                (out_dir / f"{name}.jsonl").write_text(transcript.read_text())
+            tmp = Path(tmp)
+            write_files(tmp)
+            code, out = run_cli(argv, tmp)
+            save(out_dir, name, out, tmp)
+            if cached and name in CACHED_CASES:
+                for run in ("cold", "warm"):
+                    code, out = run_cli_cached(argv, tmp, tmp / "cache")
+                    save(out_dir / run, name, out, tmp)
         print(f"{name}: exit {code}, {len(out)} bytes", file=sys.stderr)
 
 
 if __name__ == "__main__":
     # regenerate the goldens from the package on sys.path, or write the
-    # outputs to the directory given as the only argument
-    write_outputs(Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN)
+    # outputs, plain and with a cache directory, to the directory given as
+    # the only argument
+    if len(sys.argv) > 1:
+        write_outputs(Path(sys.argv[1]), cached=True)
+    else:
+        write_outputs(GOLDEN)
