@@ -296,19 +296,18 @@ def overlap_of_identity_cached(
     r: int,
     cache_dir: Path | str | None,
     budgets: Budgets = DEFAULT_BUDGETS,
-    workers: int = 1,
 ) -> IntersectionMax:
     """Disk-backed :func:`cayley.overlap_of_identity`, the same way
     :func:`ball_of_identity_cached` backs the identity ball: a usable file
     is loaded and primed into the memo, otherwise the maximum is computed
     and the file (re)written."""
     if cache_dir is None or gen.kind not in _KIND_CODES:
-        return overlap_of_identity(gen, r, budgets, workers)
+        return overlap_of_identity(gen, r, budgets)
     path = overlap_path(Path(cache_dir), gen, r)
     try:
         best, size = load_overlap(path, gen, r)
     except CacheError:
-        best = overlap_of_identity(gen, r, budgets, workers)
+        best = overlap_of_identity(gen, r, budgets)
         size = ball_of_identity(gen, scanned_radius(gen, r), budgets).size
         save_overlap(path, gen, best, size)
         return best

@@ -515,7 +515,6 @@ def overlap_of_identity(
     gen: GeneratorSet,
     r: int,
     budgets: Budgets = DEFAULT_BUDGETS,
-    workers: int = 1,
 ) -> IntersectionMax:
     """:func:`max_ball_intersection`, memoized per (generator set, radius).
 
@@ -525,7 +524,7 @@ def overlap_of_identity(
     key = (gen, r)
     got = _overlap_memo.get(key)
     if got is None:
-        best = max_ball_intersection(gen, r, budgets, workers)
+        best = max_ball_intersection(gen, r, budgets)
         size = ball_of_identity(gen, scanned_radius(gen, r), budgets).size
         _overlap_memo[key] = (best, size)
         return best
@@ -800,13 +799,10 @@ def build_graph_report(
     gen: GeneratorSet,
     r: int,
     budgets: Budgets = DEFAULT_BUDGETS,
-    workers: int = 1,
     with_diameter: bool = True,
 ) -> GraphReport:
     lam, mu = lambda_mu(gen)
-    per_radius = tuple(
-        overlap_of_identity(gen, rr, budgets, workers) for rr in range(1, r + 1)
-    )
+    per_radius = tuple(overlap_of_identity(gen, rr, budgets) for rr in range(1, r + 1))
     notes: list[str] = []
     diam: int | None = None
     if with_diameter:

@@ -22,8 +22,7 @@ sort before converting back, so no output depends on set iteration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
@@ -34,7 +33,6 @@ from .cayley import (
     ball_of_identity,
     overlap_of_identity,
 )
-from .parallel import run_mapped
 from .perms import (
     Perm,
     compose,
@@ -59,14 +57,12 @@ STATUS_INCONSISTENT = "inconsistent"
 class ChannelSpec:
     """Distortion channel: generator set, error budget, seeded randomness.
 
-    ``distinct`` controls pattern generation (reject repeats or allow them);
     ``exact_errors`` switches the error count from uniform on 0..max_errors
     to always exactly max_errors."""
 
     gen: GeneratorSet
     max_errors: int
     seed: int
-    distinct: bool = True
     exact_errors: bool = False
 
     def __post_init__(self):
@@ -97,16 +93,15 @@ def generate_patterns(
     m: int,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> list[Perm]:
-    """m channel outputs for source x, all within distance max_errors.
+    """m distinct channel outputs for source x, all within distance
+    max_errors.
 
-    Under the distinct policy, repeated draws are rejected; if rejection
-    stalls (tiny balls), the full ball is enumerated and deterministically
-    shuffled so progress is guaranteed.  Asking for more distinct patterns
-    than the ball holds is an error."""
+    Repeated draws are rejected; if rejection stalls (tiny balls), the full
+    ball is enumerated and deterministically shuffled so progress is
+    guaranteed.  Asking for more distinct patterns than the ball holds is
+    an error."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if not spec.distinct:
-        return [distort(x, spec, i) for i in range(m)]
     out: list[Perm] = []
     seen: set[Perm] = set()
     draw = 0
@@ -340,60 +335,6 @@ class ExperimentSummary:
         }
 
 
-@dataclass(frozen=True)
-class _TrialConfig:
-    gen: GeneratorSet
-    r: int
-    m: int
-    seed: int
-    adversarial: bool
-    exact_errors: bool
-    # identity-centered region shared with the maximal-overlap witness
-    shared: tuple[Perm, ...] | None
-    budgets: Budgets
-
-
-def _run_trial(cfg: _TrialConfig, trial: int) -> TrialRecord:
-    rng = SplitMix64(derive_seed(cfg.seed, trial))
-    n = cfg.gen.n
-    members = ball_of_identity(cfg.gen, cfg.r, cfg.budgets).packed
-    if cfg.adversarial:
-        # translate the maximal-overlap witness pair by a random element and
-        # draw patterns only from the shared region
-        shift = unrank(n, rng.below(factorial(n)))
-        source = shift
-        shared = sorted(compose(shift, z) for z in cfg.shared)
-        if cfg.m > len(shared):
-            raise ValueError(
-                f"adversarial pool has {len(shared)} patterns, need {cfg.m}"
-            )
-        patterns = _sample_distinct(rng, shared, cfg.m)
-    else:
-        source = unrank(n, rng.below(factorial(n)))
-        spec = ChannelSpec(
-            cfg.gen,
-            cfg.r,
-            derive_seed(cfg.seed, (trial << 1) + 1),
-            distinct=True,
-            exact_errors=cfg.exact_errors,
-        )
-        patterns = generate_patterns(source, spec, cfg.m, cfg.budgets)
-    result = reconstruct(patterns, cfg.r, cfg.gen, cfg.budgets)
-    if not cfg.adversarial and source not in result.candidates:
-        raise AssertionError("honest source fell outside the candidate set")
-    min_unique = None
-    if result.status == STATUS_UNIQUE:
-        min_unique = _min_prefix_for_unique(members, patterns)
-    return TrialRecord(
-        trial=trial,
-        source=source,
-        patterns=tuple(patterns),
-        status=result.status,
-        candidate_count=len(result.candidates),
-        min_unique_m=min_unique,
-    )
-
-
 def _min_prefix_for_unique(members: frozenset[bytes], patterns: list[Perm]) -> int:
     first, *rest = map(pack, patterns)
     cands = set(translated(members, left_table(first)))
@@ -414,7 +355,6 @@ def run_experiment(
     m: int | None = None,
     adversarial: bool = False,
     exact_errors: bool = False,
-    workers: int = 1,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ExperimentSummary:
     """Seeded reconstruction trials.
@@ -424,29 +364,50 @@ def run_experiment(
     In adversarial mode the patterns come only from a maximal shared region,
     which holds exactly the overlap maximum, so m defaults to that maximum
     and every trial demonstrates ambiguity.  Per-trial streams are derived
-    from (seed, trial); any worker count yields the same transcript."""
+    from (seed, trial), so a transcript depends only on its arguments."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     shared = None
     if adversarial:
-        # the witness region holds exactly the overlap maximum
-        shared = tuple(ambiguity_witness(gen, r, budgets)[2])
+        # the identity-centered region shared with the maximal-overlap
+        # witness; it holds exactly the overlap maximum
+        shared = ambiguity_witness(gen, r, budgets)[2]
         threshold = len(shared)
     else:
         threshold = overlap_of_identity(gen, r, budgets).value
     if m is None:
         m = threshold if adversarial else threshold + 1
-    cfg = _TrialConfig(
-        gen=gen,
-        r=r,
-        m=m,
-        seed=seed,
-        adversarial=adversarial,
-        exact_errors=exact_errors,
-        shared=shared,
-        budgets=budgets,
-    )
-    records = tuple(run_mapped(partial(_run_trial, cfg), range(trials), workers))
+    if adversarial and m > threshold:
+        raise ValueError(f"adversarial pool has {threshold} patterns, need {m}")
+    members = ball_of_identity(gen, r, budgets).packed
+    records = []
+    for trial in range(trials):
+        rng = SplitMix64(derive_seed(seed, trial))
+        source = unrank(gen.n, rng.below(factorial(gen.n)))
+        if adversarial:
+            # translate the witness pair by the source and draw patterns
+            # only from the region their balls share
+            pool = sorted(compose(source, z) for z in shared)
+            patterns = _sample_distinct(rng, pool, m)
+        else:
+            spec = ChannelSpec(
+                gen, r, derive_seed(seed, (trial << 1) + 1), exact_errors=exact_errors
+            )
+            patterns = generate_patterns(source, spec, m, budgets)
+        result = reconstruct(patterns, r, gen, budgets)
+        if not adversarial and source not in result.candidates:
+            raise AssertionError("honest source fell outside the candidate set")
+        min_unique = None
+        if result.status == STATUS_UNIQUE:
+            min_unique = _min_prefix_for_unique(members, patterns)
+        records.append(TrialRecord(
+            trial=trial,
+            source=source,
+            patterns=tuple(patterns),
+            status=result.status,
+            candidate_count=len(result.candidates),
+            min_unique_m=min_unique,
+        ))
     unique = sum(1 for t in records if t.status == STATUS_UNIQUE)
     ambiguous = sum(1 for t in records if t.status == STATUS_AMBIGUOUS)
     inconsistent = trials - unique - ambiguous
@@ -465,5 +426,5 @@ def run_experiment(
         inconsistent=inconsistent,
         min_unique_m_max=max(mins) if mins else None,
         min_unique_m_mean=(sum(mins) / len(mins)) if mins else None,
-        records=records,
+        records=tuple(records),
     )

@@ -110,7 +110,6 @@ class SuiteConfig:
     min_n: int = 3
     max_n: int = 5
     budgets: Budgets = DEFAULT_BUDGETS
-    workers: int = 1
 
     def span(self, lo: int, hi: int) -> range:
         return range(max(lo, self.min_n), min(hi, self.max_n) + 1)
@@ -118,7 +117,7 @@ class SuiteConfig:
 
 def _measured_n_value(kind: str, n: int, r: int, cfg: SuiteConfig) -> int:
     g = GeneratorSet.of_kind(kind, n)
-    return max_ball_intersection(g, r, cfg.budgets, cfg.workers).value
+    return max_ball_intersection(g, r, cfg.budgets).value
 
 
 def suite_n_values(cfg: SuiteConfig) -> list[ClaimRow]:
@@ -173,9 +172,7 @@ def suite_ns_tables(cfg: SuiteConfig) -> list[ClaimRow]:
                     continue
                 def measure(cid=cid, inst=inst, kind=kind, n=n, s=s, expected=expected):
                     g = GeneratorSet.of_kind(kind, n)
-                    got = max_ball_intersection_at(
-                        g, 2, s, cfg.budgets, cfg.workers
-                    ).value
+                    got = max_ball_intersection_at(g, 2, s, cfg.budgets).value
                     return _row(
                         "ns-tables", cid, stmt[kind], inst, expected,
                         "absent" if got is None else got,
@@ -210,7 +207,7 @@ def suite_lambda_mu(cfg: SuiteConfig) -> list[ClaimRow]:
             def measure(cid=cid, inst=inst, kind=kind, n=n):
                 g = GeneratorSet.of_kind(kind, n)
                 lam, mu = lambda_mu(g)
-                measured = max_ball_intersection(g, 1, cfg.budgets, cfg.workers).value
+                measured = max_ball_intersection(g, 1, cfg.budgets).value
                 return _row(
                     "lambda-mu", cid, consistency, inst, max(lam + 2, mu), measured
                 )
@@ -456,8 +453,8 @@ def suite_small_graphs(cfg: SuiteConfig) -> list[ClaimRow]:
 def _sym_profile(kind: str, n: int, cfg: SuiteConfig):
     g = GeneratorSet.of_kind(kind, n)
     lam, mu = lambda_mu(g)
-    n1 = max_ball_intersection(g, 1, cfg.budgets, cfg.workers).value
-    res2 = max_ball_intersection(g, 2, cfg.budgets, cfg.workers)
+    n1 = max_ball_intersection(g, 1, cfg.budgets).value
+    res2 = max_ball_intersection(g, 2, cfg.budgets)
     per_s = {sm.s: sm.value for sm in res2.per_s}
     return g, lam, mu, n1, per_s
 
@@ -552,7 +549,6 @@ def conjecture_probe(
     n: int,
     r: int,
     budgets: Budgets = DEFAULT_BUDGETS,
-    workers: int = 1,
 ) -> dict:
     """Experimental probe of the r-error overlap maximum on the
     all-transpositions graph.
@@ -570,14 +566,14 @@ def conjecture_probe(
     if n < 2 * r + 1:
         raise ValueError(f"probe needs n >= 2r+1, got n={n}, r={r}")
     g = GeneratorSet.all_transpositions(n)
-    result = max_ball_intersection(g, r, budgets, workers)
+    result = max_ball_intersection(g, r, budgets)
     counts = [0] * n
     counts[0] = n - 3
     counts[2] = 1
     three_cycle = CycleType(tuple(counts))
     three_cycle_value = ball_overlap(g, r, class_representative(three_cycle), budgets)
-    reading_printed = max_ball_intersection_at(g, 2, 2, budgets, workers).value
-    reading_same_radius = max_ball_intersection_at(g, r, 2, budgets, workers).value
+    reading_printed = max_ball_intersection_at(g, 2, 2, budgets).value
+    reading_same_radius = max_ball_intersection_at(g, r, 2, budgets).value
     return {
         "label": "probe",
         "n": n,

@@ -45,9 +45,10 @@ EX_FAIL = 1
 EX_AMBIGUOUS = 2
 EX_USAGE = 64
 
+_FORMATS = ("json", "csv", "pretty")
+
 _SETTING_DEFAULTS = {
     "format": "json",
-    "workers": 1,
     "cache_dir": None,
     "max_ball_size": 2_000_000,
     "max_bfs_n": 8,
@@ -65,14 +66,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("json", "csv", "pretty"), default=None,
+    shared.add_argument("--format", choices=_FORMATS, default=None,
                         help="output format (default json)")
     shared.add_argument("--config", type=Path, default=None,
                         help="JSON settings file (defaults < file < flags)")
     shared.add_argument("--cache-dir", type=Path, default=None,
-                        help="directory for binary sphere/ball caches")
-    shared.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (results identical at any count)")
+                        help="directory for cached balls and overlap maxima")
     shared.add_argument("--max-ball-size", type=int, default=None,
                         help="largest ball the engine may materialize")
     shared.add_argument("--max-bfs-n", type=int, default=None,
@@ -159,18 +158,28 @@ def _load_settings(args) -> dict:
         unknown = set(raw) - set(_SETTING_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        _check_config_values(raw)
         settings.update(raw)
-    for key in ("format", "workers", "cache_dir", "max_ball_size", "max_bfs_n"):
+    for key in _SETTING_DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
     if settings["cache_dir"] is not None:
         settings["cache_dir"] = str(settings["cache_dir"])
-    if settings["workers"] < 1:
-        raise UsageError("workers must be >= 1")
     if settings["max_ball_size"] < 1 or settings["max_bfs_n"] < 2:
         raise UsageError("budgets must be positive")
     return settings
+
+
+def _check_config_values(raw: dict) -> None:
+    """Hold config-file values to the types the matching flags parse to."""
+    if raw.get("format", "json") not in _FORMATS:
+        raise UsageError(f"config format must be one of {', '.join(_FORMATS)}")
+    for key in ("max_ball_size", "max_bfs_n"):
+        if type(raw.get(key, 1)) is not int:
+            raise UsageError(f"config {key} must be an integer")
+    if not isinstance(raw.get("cache_dir"), (str, type(None))):
+        raise UsageError("config cache_dir must be a string or null")
 
 
 def _budgets(settings) -> Budgets:
@@ -211,16 +220,15 @@ def _pretty_table(rows: list[dict], columns) -> None:
         print("  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(columns, widths)))
 
 
-def _warm_ball(settings, gen, radius, budgets):
-    if settings["cache_dir"] is not None:
-        ball_of_identity_cached(gen, radius, settings["cache_dir"], budgets)
-
-
-def _warm_overlap(settings, gen, r, budgets):
-    if settings["cache_dir"] is not None:
-        overlap_of_identity_cached(
-            gen, r, settings["cache_dir"], budgets, settings["workers"]
-        )
+def _warm(settings, cached, gen, radius, budgets):
+    """Fill the memo through ``cached`` (a ball or an overlap maximum) from
+    the cache directory, computing and writing the file if it is unusable."""
+    if settings["cache_dir"] is None:
+        return
+    try:
+        cached(gen, radius, settings["cache_dir"], budgets)
+    except OSError as exc:
+        raise UsageError(f"cannot use cache directory: {exc}")
 
 
 def _cmd_report(args, settings) -> int:
@@ -231,10 +239,9 @@ def _cmd_report(args, settings) -> int:
     for n in args.n:
         gen = GeneratorSet.of_kind(args.graph, n)
         for rr in range(1, args.r + 1):
-            _warm_overlap(settings, gen, rr, budgets)
+            _warm(settings, overlap_of_identity_cached, gen, rr, budgets)
         report = build_graph_report(
-            gen, args.r, budgets, settings["workers"],
-            with_diameter=not args.no_diameter,
+            gen, args.r, budgets, with_diameter=not args.no_diameter
         )
         reports.append(report.to_doc())
     doc = _envelope("report", settings, {"reports": reports})
@@ -260,7 +267,6 @@ def _cmd_verify(args, settings) -> int:
         min_n=args.min_n,
         max_n=args.max_n,
         budgets=_budgets(settings),
-        workers=settings["workers"],
     )
     try:
         rows = run_suites(suites, cfg)
@@ -308,7 +314,7 @@ def _cmd_reconstruct(args, settings) -> int:
     budgets = _budgets(settings)
     patterns = _read_patterns(args.patterns)
     gen = GeneratorSet.of_kind(args.graph, len(patterns[0]))
-    _warm_ball(settings, gen, args.r, budgets)
+    _warm(settings, ball_of_identity_cached, gen, args.r, budgets)
     result = reconstruct(patterns, args.r, gen, budgets)
     doc = _envelope("reconstruct", settings, {"result": result.to_doc()})
     if settings["format"] == "json":
@@ -336,20 +342,22 @@ _SUMMARY_COLUMNS = (
 def _cmd_simulate(args, settings) -> int:
     budgets = _budgets(settings)
     gen = GeneratorSet.of_kind(args.graph, args.n)
-    _warm_ball(settings, gen, args.r, budgets)
-    _warm_overlap(settings, gen, args.r, budgets)
+    _warm(settings, ball_of_identity_cached, gen, args.r, budgets)
+    _warm(settings, overlap_of_identity_cached, gen, args.r, budgets)
     summary = run_experiment(
         gen, args.r, args.trials, args.seed,
         m=args.m,
         adversarial=args.adversarial,
         exact_errors=args.exact_errors,
-        workers=settings["workers"],
         budgets=budgets,
     )
     if args.transcript is not None:
-        with open(args.transcript, "w") as fh:
-            for record in summary.records:
-                fh.write(json.dumps(record.to_doc(), sort_keys=True) + "\n")
+        try:
+            with open(args.transcript, "w") as fh:
+                for record in summary.records:
+                    fh.write(json.dumps(record.to_doc(), sort_keys=True) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write transcript file: {exc}")
     doc = _envelope("simulate", settings, {"summary": summary.to_doc()})
     if settings["format"] == "json":
         _emit_json(doc)
@@ -412,7 +420,7 @@ def _cmd_classes(args, settings) -> int:
 def _cmd_probe(args, settings) -> int:
     budgets = _budgets(settings)
     try:
-        probe = conjecture_probe(args.n, args.r, budgets, settings["workers"])
+        probe = conjecture_probe(args.n, args.r, budgets)
     except ValueError as exc:
         raise UsageError(str(exc))
     doc = _envelope("probe-conjecture", settings, {"probe": probe})

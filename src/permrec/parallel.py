@@ -1,7 +1,9 @@
 """Deterministic work distribution.
 
-Results are assembled in input order, so any worker count yields identical
-output; ``workers <= 1`` runs inline.
+Its only caller is the overlap scan, ``cayley.max_ball_intersection_at``,
+kept so the benchmark can report its information-only
+``parallel.speedup_2w``.  Results are assembled in input order, so any
+worker count yields identical output; ``workers <= 1`` runs inline.
 """
 
 from __future__ import annotations

@@ -64,13 +64,6 @@ def is_perm(seq) -> bool:
     return True
 
 
-def check_perm(p: Perm) -> Perm:
-    if not is_perm(p):
-        raise ValueError(f"not a permutation of 0..{len(p) - 1}: {p!r}")
-    _check_degree(len(p))
-    return p
-
-
 def _check_degree(n: int) -> None:
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {n}")
@@ -136,14 +129,6 @@ def transposition(n: int, i: int, j: int) -> Perm:
     p = list(range(n))
     p[i], p[j] = p[j], p[i]
     return tuple(p)
-
-
-def swap_positions(p: Perm, i: int, j: int) -> Perm:
-    """Right-multiply by the (i, j) position swap.  Equals
-    ``compose(p, transposition(n, i, j))`` but avoids building the factor."""
-    q = list(p)
-    q[i], q[j] = q[j], q[i]
-    return tuple(q)
 
 
 def cycles(p: Perm) -> list[list[int]]:

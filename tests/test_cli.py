@@ -113,6 +113,13 @@ def run_cli_cached(argv, directory: Path, cache_dir: Path) -> tuple[int, str]:
     return code, out.replace(f'"cache_dir": {json.dumps(str(cache_dir))}', '"cache_dir": null')
 
 
+def src_env(**extra) -> dict:
+    """The environment for a fresh interpreter that imports this checkout's
+    package first."""
+    paths = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(paths)}
+
+
 @pytest.fixture
 def files(tmp_path):
     write_files(tmp_path)
@@ -194,11 +201,9 @@ def test_adversarial_m_defaults_to_the_pool(kind, n, files):
 def test_goldens_hold_under_any_hash_seed(hash_seed, tmp_path):
     # str and bytes hashes are salted per process, so output that followed
     # the iteration order of a set of them would differ between these runs
-    paths = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(paths)}
     subprocess.run(
         [sys.executable, __file__, str(tmp_path)],
-        env=env, check=True, capture_output=True, timeout=600,
+        env=src_env(PYTHONHASHSEED=hash_seed), check=True, capture_output=True, timeout=600,
     )
     runs = [(tmp_path, GOLDEN_CASES)]
     runs += [(tmp_path / run, CACHED_CASES) for run in ("cold", "warm")]
@@ -209,6 +214,79 @@ def test_goldens_hold_under_any_hash_seed(hash_seed, tmp_path):
                 assert got.exists() == want.exists(), got
                 if want.exists():
                     assert got.read_bytes() == want.read_bytes(), got
+
+
+DEFAULT_CONFIG = {
+    "cache_dir": None, "format": "json", "max_ball_size": 2_000_000, "max_bfs_n": 8,
+}
+
+
+# (config file, extra flags, echoed settings that differ from the defaults,
+# or None when the run must stop with a usage error)
+CONFIG_CASES = {
+    "defaults": ({}, [], {}),
+    "file_over_defaults": (
+        {"max_ball_size": 500, "cache_dir": "c"}, [], {"max_ball_size": 500, "cache_dir": "c"},
+    ),
+    "flag_over_file": (
+        {"max_bfs_n": 7, "format": "csv"}, ["--max-bfs-n", "6", "--format", "json"],
+        {"max_bfs_n": 6},
+    ),
+    "format_unknown": ({"format": "xml"}, [], None),
+    "budget_string": ({"max_ball_size": "x"}, [], None),
+    "budget_null": ({"max_ball_size": None}, [], None),
+    "budget_bool": ({"max_ball_size": True}, [], None),
+    "budget_float": ({"max_bfs_n": 7.5}, [], None),
+    "cache_dir_number": ({"cache_dir": 5}, [], None),
+    "unknown_key": ({"workers": 1}, [], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_CASES))
+def test_config_file_values(name, files, capsys):
+    config, flags, changed = CONFIG_CASES[name]
+    (files / "config.json").write_text(json.dumps(config))
+    argv = ["factorizations", "--n", "3", "--config", "{dir}/config.json", *flags]
+    code, out = run_cli(argv, files)
+    err = capsys.readouterr().err
+    if changed is None:
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+    else:
+        assert code == 0, err
+        assert json.loads(out)["config"] == {**DEFAULT_CONFIG, **changed}
+
+
+def test_unwritable_transcript_is_a_usage_error(files, capsys):
+    transcript = files / "missing" / "trials.jsonl"
+    argv = ["simulate", "--graph", "t", "--n", "4", "--r", "1", "--trials", "2",
+            "--seed", "1", "--transcript", str(transcript)]
+    code, out = run_cli(argv, files)
+    err = capsys.readouterr().err
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert str(transcript) in err
+
+
+def test_cache_dir_that_is_a_file_is_a_usage_error(files, capsys):
+    not_a_dir = files / "unique.txt"
+    code, out = run_cli_cached(GOLDEN_CASES["reconstruct_unique"], files, not_a_dir)
+    err = capsys.readouterr().err
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert str(not_a_dir) in err
+
+
+@pytest.mark.parametrize("argv, want_code", [
+    (["--version"], 0),
+    (GOLDEN_CASES["reconstruct_ambiguous"], 2),
+    (["factorizations", "--n", "3", "--workers", "2"], 64),
+])
+def test_module_entry_point_exit_codes(argv, want_code, files):
+    argv = [a.replace("{dir}", str(files)) for a in argv]
+    done = subprocess.run([sys.executable, "-m", "permrec", *argv],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == want_code, done.stderr
 
 
 def test_verify_defaults_pass(files):

@@ -25,7 +25,6 @@ from permrec.perms import (
     parse_cycle_type,
     parse_perm,
     rank,
-    swap_positions,
     translated,
     transposition,
     unpack,
@@ -68,11 +67,6 @@ class TestCompose:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             compose(identity(3), identity(4))
-
-    def test_swap_positions_matches_compose(self):
-        p = parse_perm("[4,2,5,1,3]")
-        for i, j in itertools.combinations(range(5), 2):
-            assert swap_positions(p, i, j) == compose(p, transposition(5, i, j))
 
     @given(any_perm)
     def test_inverse_roundtrip(self, p):
