@@ -19,7 +19,6 @@ from .cayley import (
     diameter,
     distance,
     girth_cycle_check,
-    intersection_size,
     is_distance_regular,
     lambda_mu,
     local_params,

@@ -85,8 +85,9 @@ def overlap_path(root: Path, gen: GeneratorSet, radius: int) -> Path:
     return Path(root) / f"overlap_{gen.kind}_n{gen.n}_r{radius}.json"
 
 
-def _write_atomically(path: Path, chunks) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_atomically(path: Path, chunks) -> None:
+    """Write the chunks to a temporary file beside path, then rename it into
+    place, so a failed write leaves any previous file untouched."""
     # a per-process name, so concurrent writers never share a temporary file
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -130,7 +131,9 @@ def save_ball(path: Path, ball: MetricBall) -> None:
             yield _COUNT.pack(len(sph))
             yield b"".join(sorted(sph))
 
-    _write_atomically(Path(path), chunks())
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomically(path, chunks())
 
 
 def _all_permutations(data: bytes, n: int, count: int) -> bool:
@@ -225,7 +228,9 @@ def save_overlap(
         "scanned_ball_size": scanned_size,
         "per_s": [[sm.s, sm.value, list(sm.witnesses)] for sm in best.per_s],
     }
-    _write_atomically(Path(path), [json.dumps(doc).encode()])
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomically(path, [json.dumps(doc).encode()])
 
 
 @cache

@@ -9,17 +9,26 @@ small-subgraph checks.
 Vertices are permutations; edges join x to x*s for generators s.
 Left translation is an automorphism, so distances satisfy
 d(x, y) = d(e, inverse(x)*y) and every ball is a translate of a ball around
-the identity; the engine leans on this throughout.  Balls, spheres and
-whole-graph sweeps all come from one breadth-first level expansion, which
-keeps only three levels in hand because the graph is undirected.
+the identity; the engine leans on this throughout.  Every metric question
+is answered from one breadth-first level expansion around the identity,
+which keeps only three levels in hand because the graph is undirected:
+
+* balls and spheres keep the levels up to their radius;
+* :func:`distance` and :func:`local_params` walk to the level d that holds
+  the vertex and keep levels d-1 and d, which is all a vertex's (c, a, b)
+  needs.  They raise ``CapacityError`` exactly when ``ball(identity, d)``
+  would, that is when levels 0..d hold more than ``max_ball_size`` vertices;
+* the whole-graph queries (:func:`diameter`, :func:`local_params_all`,
+  :func:`is_distance_regular`) walk every level the same way, capped by
+  ``whole_graph_max_n``.  Only :func:`bfs_levels` keeps them all.
 
 Every public function takes and returns permutation tuples.  The
-breadth-first expansion and the overlap scans run on the packed form of
-``perms`` instead.  Balls are packed first: a ``MetricBall`` holds its
-spheres as frozensets of packed vertices, exactly as the expansion left
-them, and builds the tuple views (``spheres``, ``members``,
-``distance_index``) only when something asks for them.  The hot paths
-(reconstruction, overlap scans, the disk cache) never do.
+expansion and the overlap scans run on the packed form of ``perms``
+instead.  Balls are packed first: a ``MetricBall`` holds its spheres as
+frozensets of packed vertices, exactly as the expansion left them, and
+builds the tuple views (``spheres``, ``members``) only when something asks
+for them.  The hot paths (reconstruction, overlap scans, the disk cache)
+never do.
 
 The overlap maximum comes in two forms.  :func:`max_ball_intersection` is
 the scan itself and is never memoized: the brute-force oracles call it, and
@@ -190,10 +199,6 @@ class MetricBall:
         return frozenset().union(*self.spheres)
 
     @cached_property
-    def distance_index(self) -> dict[Perm, int]:
-        return {p: d for d, sph in enumerate(self.spheres) for p in sph}
-
-    @cached_property
     def packed(self) -> frozenset[bytes]:
         """The packed members."""
         return self.packed_within(self.radius)
@@ -300,56 +305,46 @@ def distance(
     gen: GeneratorSet,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> int:
-    """Exact graph distance by bidirectional breadth-first search."""
+    """Exact graph distance: the level of inverse(x)*y in the breadth-first
+    walk from the identity.  Raises ``CapacityError`` exactly when
+    ``ball(identity, d)`` would, d being the distance."""
     if len(x) != len(y) or len(x) != gen.n:
         raise ValueError("degree mismatch")
-    if x == y:
-        return 0
-    dist_a = {x: 0}
-    dist_b = {y: 0}
-    front_a, front_b = [x], [y]
-    depth_a = depth_b = 0
-    while front_a and front_b:
-        if len(dist_a) + len(dist_b) > 2 * budgets.max_ball_size:
-            raise CapacityError("distance search exceeds budget")
-        # expand the smaller frontier; generators are involutions so the
-        # backward search uses the same expansion
-        if len(front_a) <= len(front_b):
-            front_a, depth_a = _expand(front_a, dist_a, depth_a, gen)
-            hit = _meet(front_a, dist_b)
-            if hit is not None:
-                return depth_a + dist_b[hit]
-        else:
-            front_b, depth_b = _expand(front_b, dist_b, depth_b, gen)
-            hit = _meet(front_b, dist_a)
-            if hit is not None:
-                return depth_b + dist_a[hit]
-    raise UnreachableError(f"{format_perm(y)} not reachable from {format_perm(x)}")
+    return _walk_to(pack(y).translate(left_inverse_table(pack(x))), gen, budgets)[0]
 
 
-def _expand(frontier, dist, depth, gen):
-    nxt = []
-    for v in frontier:
-        for w in gen.neighbors(v):
-            if w not in dist:
-                dist[w] = depth + 1
-                nxt.append(w)
-    return nxt, depth + 1
+def _walk(gen: GeneratorSet):
+    """(d, level d-1, level d) for each breadth-first level around the
+    identity; level -1 is empty."""
+    prev: dict[bytes, None] = {}
+    for d, level in enumerate(_levels(identity(gen.n), gen)):
+        yield d, prev, level
+        prev = level
 
 
-def _meet(frontier, other_dist):
-    best = None
-    for v in frontier:
-        if v in other_dist and (best is None or other_dist[v] < other_dist[best]):
-            best = v
-    return best
+def _walk_to(y: bytes, gen: GeneratorSet, budgets: Budgets):
+    """(d, level d-1, level d) for the packed vertex y at distance d from the
+    identity, checking the running size as :func:`ball` does."""
+    size = 0
+    for d, prev, level in _walk(gen):
+        size += len(level)
+        if size > budgets.max_ball_size:
+            raise _ball_budget_error(budgets)
+        if y in level:
+            return d, prev, level
+    raise UnreachableError(f"{format_perm(unpack(y))} not reachable from the identity")
 
 
-def intersection_size(b1: MetricBall, b2: MetricBall) -> int:
-    """|members(b1) ∩ members(b2)| for balls over the same graph."""
-    if b1.gen != b2.gen:
-        raise ValueError("balls come from different graphs")
-    return len(b1.members & b2.members)
+def _split(v: bytes, gen: GeneratorSet, prev, level) -> tuple[int, int, int]:
+    """(c, a, b) for the packed vertex v of ``level``, with ``prev`` the level
+    before it: neighbors in prev, in level, and (all others) in the next."""
+    c = a = 0
+    for w in translated(gen.packed, left_table(v)):
+        if w in prev:
+            c += 1
+        elif w in level:
+            a += 1
+    return c, a, gen.k - c - a
 
 
 def lambda_mu(gen: GeneratorSet) -> tuple[int, int]:
@@ -371,24 +366,6 @@ def lambda_mu(gen: GeneratorSet) -> tuple[int, int]:
     lam = max((c for p, c in reps.items() if p in gen_set), default=0)
     mu = max((c for p, c in reps.items() if p not in gen_set), default=0)
     return lam, mu
-
-
-def spheres_by_products(
-    gen: GeneratorSet, up_to: int, budgets: Budgets = DEFAULT_BUDGETS
-) -> list[frozenset[Perm]]:
-    """Spheres built from generator-power sets: the distance-i sphere is the
-    i-fold product set minus everything reachable with fewer factors."""
-    e = identity(gen.n)
-    power = {e}
-    cumulative = {e}
-    out = [frozenset([e])]
-    for _ in range(up_to):
-        power = {compose(a, s) for a in power for s in gen.gens}
-        if len(power) + len(cumulative) > 2 * budgets.max_ball_size:
-            raise CapacityError("product closure exceeds budget")
-        out.append(frozenset(power - cumulative))
-        cumulative |= power
-    return out
 
 
 @dataclass(frozen=True)
@@ -544,47 +521,38 @@ def local_params(
     pi: Perm, gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, int, int]:
     """(c, a, b): neighbors of pi one step closer to / level with / one step
-    farther from the identity.  They always sum to the valency."""
-    e = identity(gen.n)
-    i = distance(e, pi, gen, budgets)
-    idx = ball_of_identity(gen, i + 1, budgets).distance_index
-    c = a = b = 0
-    for w in gen.neighbors(pi):
-        d = idx[w]
-        if d == i - 1:
-            c += 1
-        elif d == i:
-            a += 1
-        else:
-            b += 1
-    return c, a, b
+    farther from the identity.  They always sum to the valency.  Raises
+    ``CapacityError`` as :func:`distance` does."""
+    if len(pi) != gen.n:
+        raise ValueError("degree mismatch")
+    v = pack(pi)
+    _, prev, level = _walk_to(v, gen, budgets)
+    return _split(v, gen, prev, level)
+
+
+def _check_whole_graph(gen: GeneratorSet, budgets: Budgets) -> None:
+    if gen.n > budgets.whole_graph_max_n:
+        raise CapacityError(
+            f"whole-graph search capped at degree {budgets.whole_graph_max_n}"
+        )
 
 
 def _classified_vertices(gen: GeneratorSet, budgets: Budgets):
-    """(d, y, (c, a, b)) for every non-identity vertex y, level by level in
-    breadth-first discovery order, where d is y's distance from the identity
-    and c, a, b count its neighbors at distance d-1, d and d+1."""
-    levels = bfs_levels(gen, budgets)
-    idx = {p: d for d, lvl in enumerate(levels) for p in lvl}
-    for d in range(1, len(levels)):
-        for y in levels[d]:
-            c = a = b = 0
-            for w in gen.neighbors(y):
-                dw = idx[w]
-                if dw == d - 1:
-                    c += 1
-                elif dw == d:
-                    a += 1
-                else:
-                    b += 1
-            yield d, y, (c, a, b)
+    """(d, y, (c, a, b)) for every packed non-identity vertex y, level by
+    level in breadth-first discovery order, where d is y's distance from the
+    identity and c, a, b count its neighbors at distance d-1, d and d+1."""
+    _check_whole_graph(gen, budgets)
+    for d, prev, level in _walk(gen):
+        if d:
+            for y in level:
+                yield d, y, _split(y, gen, prev, level)
 
 
 def local_params_all(
     gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
 ) -> dict[Perm, tuple[int, int, int]]:
-    """(c, a, b) for every non-identity vertex, from one whole-graph sweep."""
-    return {y: cab for _, y, cab in _classified_vertices(gen, budgets)}
+    """(c, a, b) for every non-identity vertex, from one whole-graph walk."""
+    return {unpack(y): cab for _, y, cab in _classified_vertices(gen, budgets)}
 
 
 def bfs_levels(
@@ -592,17 +560,16 @@ def bfs_levels(
 ) -> list[list[Perm]]:
     """Whole-graph breadth-first levels from the identity, each in discovery
     order (by predecessor, then by generator)."""
-    if gen.n > budgets.whole_graph_max_n:
-        raise CapacityError(
-            f"whole-graph search capped at degree {budgets.whole_graph_max_n}"
-        )
+    _check_whole_graph(gen, budgets)
     return [list(map(unpack, lvl)) for lvl in _levels(identity(gen.n), gen)]
 
 
 def diameter(gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """Graph diameter: the eccentricity of the identity, which equals the
-    diameter by vertex-transitivity."""
-    return len(bfs_levels(gen, budgets)) - 1
+    diameter by vertex-transitivity.  Counts the levels without keeping
+    them."""
+    _check_whole_graph(gen, budgets)
+    return sum(1 for _ in _levels(identity(gen.n), gen)) - 1
 
 
 @dataclass(frozen=True)
@@ -645,9 +612,9 @@ def is_distance_regular(
             witness = RegularityWitness(
                 base=format_perm(identity(gen.n)),
                 dist=d,
-                first=format_perm(ref_vertex),
+                first=format_perm(unpack(ref_vertex)),
                 first_params=ref,
-                second=format_perm(y),
+                second=format_perm(unpack(y)),
                 second_params=(c, b),
             )
             return RegularityResult(False, witness)

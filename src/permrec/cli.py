@@ -27,7 +27,7 @@ from .cayley import (
     GraphReport,
     build_graph_report,
 )
-from .cache import ball_of_identity_cached, overlap_of_identity_cached
+from .cache import ball_of_identity_cached, overlap_of_identity_cached, write_atomically
 from .channel import reconstruct, run_experiment
 from .claims import CSV_COLUMNS, SuiteConfig, conjecture_probe, run_suites
 from .errors import CapacityError, UnreachableError
@@ -342,6 +342,10 @@ _SUMMARY_COLUMNS = (
 def _cmd_simulate(args, settings) -> int:
     budgets = _budgets(settings)
     gen = GeneratorSet.of_kind(args.graph, args.n)
+    if args.transcript is not None and not args.transcript.parent.is_dir():
+        raise UsageError(
+            f"cannot write transcript file {args.transcript}: no such directory"
+        )
     _warm(settings, ball_of_identity_cached, gen, args.r, budgets)
     _warm(settings, overlap_of_identity_cached, gen, args.r, budgets)
     summary = run_experiment(
@@ -352,10 +356,12 @@ def _cmd_simulate(args, settings) -> int:
         budgets=budgets,
     )
     if args.transcript is not None:
+        lines = (
+            (json.dumps(record.to_doc(), sort_keys=True) + "\n").encode()
+            for record in summary.records
+        )
         try:
-            with open(args.transcript, "w") as fh:
-                for record in summary.records:
-                    fh.write(json.dumps(record.to_doc(), sort_keys=True) + "\n")
+            write_atomically(args.transcript, lines)
         except OSError as exc:
             raise UsageError(f"cannot write transcript file: {exc}")
     doc = _envelope("simulate", settings, {"summary": summary.to_doc()})

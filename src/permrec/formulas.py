@@ -140,38 +140,6 @@ def local_params_formula(ct: CycleType) -> tuple[int, int]:
     return c, b
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One bound checked against one measured graph."""
-
-    graph: str
-    bound: str
-    bound_value: Fraction
-    measured: int
-    direction: str  # "<=" (measured <= bound) or ">=" (measured >= bound)
-
-    @property
-    def satisfied(self) -> bool:
-        if self.direction == "<=":
-            return self.measured <= self.bound_value
-        return self.measured >= self.bound_value
-
-    @property
-    def attained(self) -> bool:
-        return self.measured == self.bound_value
-
-    def to_doc(self) -> dict:
-        return {
-            "graph": self.graph,
-            "bound": self.bound,
-            "bound_value": str(self.bound_value),
-            "measured": self.measured,
-            "direction": self.direction,
-            "satisfied": self.satisfied,
-            "attained": self.attained,
-        }
-
-
 def single_error_upper_bound(v: int, k: int, lam: int) -> Fraction:
     """Upper bound (v + lambda)/2 on the one-error overlap maximum of any
     k-regular graph; equality needs lambda = v-4 and k = v-2 on the
@@ -190,14 +158,6 @@ def two_error_lower_bound(k: int, mu: int, n1: int) -> Fraction:
     if mu < 1 or k < 2:
         raise ValueError(f"need mu >= 1 and k >= 2, got mu={mu}, k={k}")
     return mu * (k - 1 - Fraction(3, 4) * (mu - 1) * (n1 - 2)) + 2
-
-
-def two_error_lower_bound_int(k: int, mu: int, n1: int) -> int:
-    """Integer form of :func:`two_error_lower_bound` (the overlap maximum is
-    an integer, so the bound rounds up).  Specializes to k+1 for mu=1,
-    2k for (mu, n1) = (2, 2) and 3k-5 for (mu, n1) = (3, 3)."""
-    bound = two_error_lower_bound(k, mu, n1)
-    return -(-bound.numerator // bound.denominator)
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,6 @@ class SmallGraph:
                     queue.append(w)
         return dist
 
-    def is_connected(self) -> bool:
-        return all(d >= 0 for d in self.bfs(0))
-
 
 def graph_from_edges(name: str, v: int, edges) -> SmallGraph:
     adj = [set() for _ in range(v)]

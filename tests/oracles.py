@@ -48,6 +48,29 @@ def bfs_dist(adj: dict, src) -> dict:
     return dist
 
 
+def ball_members(adj: dict, center, r: int) -> set:
+    return {p for p, d in bfs_dist(adj, center).items() if d <= r}
+
+
+def intersection_size(adj: dict, x, y, r: int) -> int:
+    """|B_r(x) ∩ B_r(y)|, each ball from its own plain BFS."""
+    return len(ball_members(adj, x, r) & ball_members(adj, y, r))
+
+
+def spheres_by_products(adj: dict, up_to: int) -> list[set]:
+    """Spheres around the identity from generator-power sets: the distance-i
+    sphere is the i-fold product set minus everything reachable with fewer
+    factors.  adj[p] must list p*s for every generator s."""
+    e = tuple(range(len(next(iter(adj)))))
+    power, reached = {e}, {e}
+    out = [{e}]
+    for _ in range(up_to):
+        power = {w for p in power for w in adj[p]}
+        out.append(power - reached)
+        reached |= power
+    return out
+
+
 def all_pairs_dist(adj: dict) -> dict:
     return {u: bfs_dist(adj, u) for u in adj}
 

@@ -16,7 +16,6 @@ from permrec.cayley import (
     diameter,
     distance,
     girth_cycle_check,
-    intersection_size,
     is_distance_regular,
     lambda_mu,
     local_params,
@@ -24,7 +23,6 @@ from permrec.cayley import (
     max_ball_intersection,
     max_ball_intersection_at,
     sphere,
-    spheres_by_products,
 )
 from permrec.errors import CapacityError, UnreachableError
 from permrec.perms import (
@@ -34,6 +32,7 @@ from permrec.perms import (
     cycle_types,
     enumerate_class,
     identity,
+    inverse,
     parity,
     parse_cycle_type,
     parse_perm,
@@ -43,6 +42,19 @@ from permrec.perms import (
 import oracles
 
 KINDS = ("T", "t", "st")
+
+
+def oracle_graph(kind):
+    """(g, adj): the family at n=5, or for "explicit" the adjacent swaps of
+    degree 4 plus (0 1)(2 3).  An odd cycle through that double swap puts
+    some neighbors of a level in the same level."""
+    if kind == "explicit":
+        g = GeneratorSet.explicit(
+            4, [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
+        )
+        moves = [[(0, 1)], [(1, 2)], [(2, 3)], [(0, 1), (2, 3)]]
+        return g, oracles.swap_adjacency(4, moves)
+    return GeneratorSet.of_kind(kind, 5), oracles.sym_adjacency(kind, 5)
 
 
 class TestGeneratorSet:
@@ -176,19 +188,37 @@ class TestDistance:
         g = GeneratorSet.explicit(3, [transposition(3, 0, 1)])
         with pytest.raises(UnreachableError):
             distance(identity(3), parse_perm("[2,3,1]"), g)
+        with pytest.raises(UnreachableError):
+            local_params(parse_perm("[2,3,1]"), g)
+
+    def test_capacity_is_the_ball_of_the_distance(self):
+        # x^-1 y is a 3-cycle, at distance 2; both queries hold levels 0..2
+        g = GeneratorSet.all_transpositions(5)
+        x = parse_perm("[2,1,3,4,5]")
+        y = compose(x, parse_perm("[2,3,1,4,5]"))
+        z = compose(inverse(x), y)
+        size = ball(identity(5), 2, g).size
+        assert distance(x, y, g, Budgets(max_ball_size=size)) == 2
+        assert local_params(z, g, Budgets(max_ball_size=size)) == (3, 0, 7)
+        with pytest.raises(CapacityError):
+            distance(x, y, g, Budgets(max_ball_size=size - 1))
+        with pytest.raises(CapacityError):
+            local_params(z, g, Budgets(max_ball_size=size - 1))
 
 
 class TestIntersection:
     def test_self_intersection(self):
         g = GeneratorSet.all_transpositions(4)
-        b = ball_of_identity(g, 2)
-        assert intersection_size(b, b) == b.size
+        e = identity(4)
+        size = ball_of_identity(g, 2).size
+        assert oracles.intersection_size(oracles.sym_adjacency("T", 4), e, e, 2) == size
+        assert ball_overlap(g, 2, e) == size
 
     def test_far_apart_balls_are_disjoint(self):
         g = GeneratorSet.adjacent(5)
-        b1 = ball(identity(5), 1, g)
-        b2 = ball(tuple(reversed(range(5))), 1, g)  # distance 10 > 2
-        assert intersection_size(b1, b2) == 0
+        reversal = tuple(reversed(range(5)))  # distance 10 > 2
+        assert not ball(identity(5), 1, g).members & ball(reversal, 1, g).members
+        assert oracles.intersection_size(oracles.sym_adjacency("t", 5), identity(5), reversal, 1) == 0
 
     def test_three_cycle_shares_its_squares(self):
         # a 3-cycle target shares exactly mu = 3 one-error patterns
@@ -202,25 +232,21 @@ class TestIntersection:
             y = class_representative(CycleType(tuple(counts)))
             b1 = ball_of_identity(g, 1)
             b2 = ball(y, 1, g)
-            assert intersection_size(b1, b2) == 3
+            assert len(b1.members & b2.members) == 3
             assert ball_overlap(g, 1, y) == 3
+            assert oracles.intersection_size(oracles.sym_adjacency("T", n), identity(n), y, 1) == 3
 
     def test_symmetry_and_translation_invariance(self):
         g = GeneratorSet.prefix(4)
+        adj = oracles.sym_adjacency("st", 4)
         x = parse_perm("[2,1,3,4]")
         y = parse_perm("[3,4,1,2]")
-        bx, by = ball(x, 2, g), ball(y, 2, g)
-        assert intersection_size(bx, by) == intersection_size(by, bx)
         h = parse_perm("[4,2,1,3]")
-        bhx = ball(compose(h, x), 2, g)
-        bhy = ball(compose(h, y), 2, g)
-        assert intersection_size(bhx, bhy) == intersection_size(bx, by)
-
-    def test_context_mismatch_rejected(self):
-        b1 = ball_of_identity(GeneratorSet.all_transpositions(4), 1)
-        b2 = ball_of_identity(GeneratorSet.adjacent(4), 1)
-        with pytest.raises(ValueError):
-            intersection_size(b1, b2)
+        want = oracles.intersection_size(adj, x, y, 2)
+        assert oracles.intersection_size(adj, y, x, 2) == want
+        for cx, cy in ((x, y), (y, x), (compose(h, x), compose(h, y))):
+            assert len(ball(cx, 2, g).members & ball(cy, 2, g).members) == want
+        assert ball_overlap(g, 2, compose(inverse(x), y)) == want
 
 
 class TestLambdaMu:
@@ -354,6 +380,21 @@ class TestLocalParams:
             assert len(values) == 1
 
 
+    @pytest.mark.parametrize("kind", [*KINDS, "explicit"])
+    def test_walk_matches_oracle_counts(self, kind):
+        g, adj = oracle_graph(kind)
+        e = identity(g.n)
+        dist = oracles.bfs_dist(adj, e)
+        every = local_params_all(g)
+        assert set(every) == set(dist) - {e}
+        for p, d in dist.items():
+            want = tuple(sum(dist[w] == d + step for w in adj[p]) for step in (-1, 0, 1))
+            assert local_params(p, g) == want
+            assert every.get(p, want) == want
+        # T, t and st are bipartite, so only the explicit set has level neighbors
+        assert any(a for _, a, _ in every.values()) == (kind == "explicit")
+
+
 class TestWholeGraph:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_diameters(self, n):
@@ -362,24 +403,16 @@ class TestWholeGraph:
         assert diameter(GeneratorSet.prefix(n)) == 3 * (n - 1) // 2
 
     def test_whole_graph_cap(self):
-        with pytest.raises(CapacityError):
-            bfs_levels(GeneratorSet.adjacent(6), Budgets(whole_graph_max_n=5))
+        capped = Budgets(whole_graph_max_n=5)
+        for sweep in (bfs_levels, diameter, local_params_all, is_distance_regular):
+            sweep(GeneratorSet.adjacent(5), capped)
+            with pytest.raises(CapacityError):
+                sweep(GeneratorSet.adjacent(6), capped)
 
     @pytest.mark.parametrize("kind", [*KINDS, "explicit"])
     def test_levels_and_balls_match_oracle_distances(self, kind):
-        if kind == "explicit":
-            # adjacent swaps plus (0 1)(2 3): an odd cycle through that
-            # double swap puts some neighbors of a level in the same level
-            n = 4
-            moves = [[(0, 1)], [(1, 2)], [(2, 3)], [(0, 1), (2, 3)]]
-            g = GeneratorSet.explicit(
-                n, [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
-            )
-        else:
-            n = 5
-            moves = [[pair] for pair in oracles.PAIRS[kind](n)]
-            g = GeneratorSet.of_kind(kind, n)
-        adj = oracles.swap_adjacency(n, moves)
+        g, adj = oracle_graph(kind)
+        n = g.n
         dist = oracles.bfs_dist(adj, identity(n))
         levels = bfs_levels(g)
         assert sum(len(lvl) for lvl in levels) == len(dist)
@@ -393,6 +426,12 @@ class TestWholeGraph:
         b = ball(center, 2, g)
         for d in range(3):
             assert b.spheres[d] == {p for p, dp in around.items() if dp == d}
+        if kind != "explicit":
+            g, adj = GeneratorSet.of_kind(kind, 4), oracles.sym_adjacency(kind, 4)
+        for x in adj:
+            from_x = oracles.bfs_dist(adj, x)
+            for y in adj:
+                assert distance(x, y, g) == from_x[y]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bipartite_by_parity(self, kind):
@@ -405,7 +444,7 @@ class TestWholeGraph:
     @pytest.mark.parametrize("n", [4, 5])
     def test_product_spheres_match_bfs(self, kind, n):
         g = GeneratorSet.of_kind(kind, n)
-        by_products = spheres_by_products(g, 3)
+        by_products = oracles.spheres_by_products(oracles.sym_adjacency(kind, n), 3)
         b = ball_of_identity(g, 3)
         for i in range(4):
             sph = b.spheres[i] if i < len(b.spheres) else frozenset()

@@ -23,6 +23,7 @@ import jsonschema
 import pytest
 
 from permrec import cayley, cli
+from test_cache import fail_writes_halfway
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "docs" / "schemas"
@@ -257,7 +258,11 @@ def test_config_file_values(name, files, capsys):
         assert json.loads(out)["config"] == {**DEFAULT_CONFIG, **changed}
 
 
-def test_unwritable_transcript_is_a_usage_error(files, capsys):
+def test_unwritable_transcript_is_a_usage_error(files, capsys, monkeypatch):
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("the experiment ran before the path was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_experiment)
     transcript = files / "missing" / "trials.jsonl"
     argv = ["simulate", "--graph", "t", "--n", "4", "--r", "1", "--trials", "2",
             "--seed", "1", "--transcript", str(transcript)]
@@ -266,6 +271,20 @@ def test_unwritable_transcript_is_a_usage_error(files, capsys):
     assert (code, out) == (64, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert str(transcript) in err
+    assert not transcript.parent.exists()
+
+
+def test_failed_transcript_write_keeps_previous_file(files, capsys, monkeypatch):
+    transcript = files / "trials.jsonl"
+    transcript.write_bytes(b"previous transcript\n")
+    before = sorted(p.name for p in files.iterdir())
+    fail_writes_halfway(monkeypatch)
+    code, out = run_cli(GOLDEN_CASES["simulate_honest"], files)
+    monkeypatch.undo()
+    assert (code, out) == (64, "")
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert transcript.read_bytes() == b"previous transcript\n"
+    assert sorted(p.name for p in files.iterdir()) == before
 
 
 def test_cache_dir_that_is_a_file_is_a_usage_error(files, capsys):

@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from permrec.formulas import (
-    BoundReport,
     bubble_star_max_overlap,
     bubble_star_sphere_overlaps,
     hamming_max_overlap,
@@ -15,7 +14,6 @@ from permrec.formulas import (
     transposition_max_overlap,
     transposition_sphere_overlaps,
     two_error_lower_bound,
-    two_error_lower_bound_int,
 )
 from permrec.perms import cycle_types, parse_cycle_type
 
@@ -138,7 +136,6 @@ class TestBounds:
         for k in range(2, 12):
             assert two_error_lower_bound(k, 1, 5) == k + 1
             assert two_error_lower_bound(k, 2, 2) == 2 * k
-            assert two_error_lower_bound_int(k, 3, 3) == 3 * k - 5
         assert two_error_lower_bound(7, 3, 3) == Fraction(2 * 21 - 11, 2)
 
     def test_two_error_domain(self):
@@ -146,14 +143,6 @@ class TestBounds:
             two_error_lower_bound(1, 1, 2)
         with pytest.raises(ValueError):
             two_error_lower_bound(4, 0, 2)
-
-    def test_bound_report_directions(self):
-        upper = BoundReport("g", "upper", Fraction(12), 3, "<=")
-        assert upper.satisfied and not upper.attained
-        lower = BoundReport("g", "lower", Fraction(8), 8, ">=")
-        assert lower.satisfied and lower.attained
-        broken = BoundReport("g", "upper", Fraction(2), 3, "<=")
-        assert not broken.satisfied
 
     def test_premises(self):
         ok = sphere_comparison_premises(4, 2, False, False)
