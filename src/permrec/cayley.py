@@ -19,8 +19,9 @@ which keeps only three levels in hand because the graph is undirected:
   needs.  They raise ``CapacityError`` exactly when ``ball(identity, d)``
   would, that is when levels 0..d hold more than ``max_ball_size`` vertices;
 * the whole-graph queries (:func:`diameter`, :func:`local_params_all`,
-  :func:`is_distance_regular`) walk every level the same way, capped by
-  ``whole_graph_max_n``.  Only :func:`bfs_levels` keeps them all.
+  :func:`is_distance_regular`, :func:`geodesic_counts`) walk every level
+  the same way, capped by ``whole_graph_max_n``.  Only :func:`bfs_levels`
+  keeps them all.
 
 Every public function takes and returns permutation tuples.  The
 expansion and the overlap scans run on the packed form of ``perms``
@@ -48,7 +49,6 @@ from math import factorial
 from .errors import CapacityError, UnreachableError
 from .parallel import run_mapped
 from .perms import (
-    CycleType,
     Perm,
     class_representative,
     compose,
@@ -68,13 +68,6 @@ KIND_ALL = "T"
 KIND_ADJACENT = "t"
 KIND_PREFIX = "st"
 KIND_EXPLICIT = "explicit"
-
-KIND_NAMES = {
-    KIND_ALL: "all-transpositions",
-    KIND_ADJACENT: "adjacent-transpositions",
-    KIND_PREFIX: "prefix-transpositions",
-    KIND_EXPLICIT: "explicit",
-}
 
 
 @dataclass(frozen=True)
@@ -157,10 +150,6 @@ class GeneratorSet:
     @property
     def k(self) -> int:
         return len(self.gens)
-
-    @property
-    def display_name(self) -> str:
-        return KIND_NAMES[self.kind]
 
     @cached_property
     def packed(self) -> tuple[bytes, ...]:
@@ -570,6 +559,26 @@ def diameter(gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     them."""
     _check_whole_graph(gen, budgets)
     return sum(1 for _ in _levels(identity(gen.n), gen)) - 1
+
+
+def geodesic_counts(
+    gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
+) -> dict[Perm, int]:
+    """Number of shortest paths from the identity to every vertex, from one
+    whole-graph walk: each vertex sums the counts of its neighbors in the
+    level before.  A geodesic to p spells a minimal factorization of p into
+    generators, so on the all-transpositions graph this is Dénes's count.
+
+    >>> geodesic_counts(GeneratorSet.adjacent(4))[(3, 2, 1, 0)]
+    16
+    """
+    _check_whole_graph(gen, budgets)
+    counts: dict[bytes, int] = {}
+    for d, prev, level in _walk(gen):
+        for v in level:
+            nbrs = translated(gen.packed, left_table(v))
+            counts[v] = sum(counts[w] for w in nbrs if w in prev) if d else 1
+    return {unpack(v): c for v, c in counts.items()}
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,27 @@
 range, and a brute-force measurement, producing one verdict row per
 instance.
 
-Verdicts: "pass" (measured equals expected), "fail" (it does not), "skip"
-(no value is asserted at this instance, or the instance exceeds the capacity
-budget).  A skipped row never fails a run.  Ranges reflect where the source
-formulas actually assert a value; instances outside are computed but
-reported as no-claim.
+A suite is a generator that only declares its claims.  It yields
+``(claim_id, statement, instance, measure)``, and ``measure()`` returns
+``(expected, measured)``.  :func:`run_suites` alone turns a claim into a
+:class:`ClaimRow`.  It calls ``measure()`` before it resumes the suite, so a
+measure may read the suite's loop variables directly: they cannot move on
+until the measure has run.
+
+Verdicts: "pass" (measured equals expected, or satisfies it when expected
+is a :class:`Bound`), "fail" (it does not), "skip" (the measure raised
+:class:`NoClaim`, because no value is asserted at this instance or a
+bound's premises fail, or ``CapacityError``, because the instance exceeds
+the capacity budget).  A skipped row never fails a run.  Ranges reflect
+where the source formulas actually assert a value; instances outside are
+computed but reported as no-claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
+from functools import cache, partial
 from math import comb, factorial
 
 from . import formulas
@@ -21,6 +32,7 @@ from .cayley import (
     GeneratorSet,
     bfs_levels,
     complete_bipartite_count,
+    geodesic_counts,
     girth_cycle_check,
     is_distance_regular,
     lambda_mu,
@@ -30,6 +42,7 @@ from .cayley import (
 )
 from .errors import CapacityError
 from .perms import (
+    class_representative,
     conjugacy_class_size,
     cycle_type,
     cycle_types,
@@ -62,16 +75,7 @@ class ClaimRow:
     note: str = ""
 
     def to_doc(self) -> dict:
-        return {
-            "suite": self.suite,
-            "claim_id": self.claim_id,
-            "statement": self.statement,
-            "instance": self.instance,
-            "expected": self.expected,
-            "measured": self.measured,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 CSV_COLUMNS = (
@@ -85,24 +89,27 @@ CSV_COLUMNS = (
     "note",
 )
 
-
-def _row(suite, claim_id, statement, instance, expected, measured, note=""):
-    verdict = "pass" if expected == measured else "fail"
-    return ClaimRow(
-        suite, claim_id, statement, instance, str(expected), str(measured), verdict, note
-    )
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
 
 
-def _skip(suite, claim_id, statement, instance, note):
-    return ClaimRow(suite, claim_id, statement, instance, "-", "-", "skip", note)
+@dataclass(frozen=True)
+class Bound:
+    """An expected value the measurement must satisfy rather than equal,
+    printed as the relation and the bound ("<= 63")."""
+
+    relation: str
+    value: object
+
+    def holds(self, measured) -> bool:
+        return _RELATIONS[self.relation](measured, self.value)
+
+    def __str__(self) -> str:
+        return f"{self.relation} {self.value}"
 
 
-def _guard(rows, suite, claim_id, statement, instance, fn):
-    """Run one measurement; degrade capacity overruns to skipped rows."""
-    try:
-        rows.append(fn())
-    except CapacityError as exc:
-        rows.append(_skip(suite, claim_id, statement, instance, f"capacity: {exc}"))
+class NoClaim(Exception):
+    """Raised by a measure whose instance asserts no value; the message is
+    the skip row's note."""
 
 
 @dataclass(frozen=True)
@@ -115,13 +122,7 @@ class SuiteConfig:
         return range(max(lo, self.min_n), min(hi, self.max_n) + 1)
 
 
-def _measured_n_value(kind: str, n: int, r: int, cfg: SuiteConfig) -> int:
-    g = GeneratorSet.of_kind(kind, n)
-    return max_ball_intersection(g, r, cfg.budgets).value
-
-
-def suite_n_values(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
+def suite_n_values(cfg: SuiteConfig):
     specs = [
         ("nvalue.T.r1", "T", 1, 3, 7, "one-error overlap max = 3 (all transpositions)"),
         ("nvalue.T.r2", "T", 2, 3, 6, "two-error overlap max = 3(n-2)(n+1)/2 (all transpositions)"),
@@ -132,23 +133,17 @@ def suite_n_values(cfg: SuiteConfig) -> list[ClaimRow]:
     ]
     for cid, kind, r, lo, hi, stmt in specs:
         for n in cfg.span(lo, hi):
-            if kind == "T":
-                expected = formulas.transposition_max_overlap(n, r)
-            else:
-                expected = formulas.bubble_star_max_overlap(kind, n, r)
-            inst = f"n={n},r={r}"
-            _guard(
-                rows, "n-values", cid, stmt, inst,
-                lambda cid=cid, stmt=stmt, inst=inst, kind=kind, n=n, r=r, expected=expected: _row(
-                    "n-values", cid, stmt, inst, expected,
-                    _measured_n_value(kind, n, r, cfg),
-                ),
-            )
-    return rows
+            def measure():
+                if kind == "T":
+                    expected = formulas.transposition_max_overlap(n, r)
+                else:
+                    expected = formulas.bubble_star_max_overlap(kind, n, r)
+                g = GeneratorSet.of_kind(kind, n)
+                return expected, max_ball_intersection(g, r, cfg.budgets).value
+            yield cid, stmt, f"n={n},r={r}", measure
 
 
-def suite_ns_tables(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
+def suite_ns_tables(cfg: SuiteConfig):
     ranges = {"T": (3, 6), "t": (3, 8), "st": (3, 7)}
     stmt = {
         "T": "per-distance two-error overlap maxima (all transpositions)",
@@ -163,26 +158,16 @@ def suite_ns_tables(cfg: SuiteConfig) -> list[ClaimRow]:
             else:
                 table = formulas.bubble_star_sphere_overlaps(kind, n)
             for s, expected in table.items():
-                cid = f"nstable.{kind}.s{s}"
-                inst = f"n={n},s={s}"
-                if expected is None:
-                    rows.append(
-                        _skip("ns-tables", cid, stmt[kind], inst, "no claim at this n")
-                    )
-                    continue
-                def measure(cid=cid, inst=inst, kind=kind, n=n, s=s, expected=expected):
+                def measure():
+                    if expected is None:
+                        raise NoClaim("no claim at this n")
                     g = GeneratorSet.of_kind(kind, n)
                     got = max_ball_intersection_at(g, 2, s, cfg.budgets).value
-                    return _row(
-                        "ns-tables", cid, stmt[kind], inst, expected,
-                        "absent" if got is None else got,
-                    )
-                _guard(rows, "ns-tables", cid, stmt[kind], inst, measure)
-    return rows
+                    return expected, "absent" if got is None else got
+                yield f"nstable.{kind}.s{s}", stmt[kind], f"n={n},s={s}", measure
 
 
-def suite_lambda_mu(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
+def suite_lambda_mu(cfg: SuiteConfig):
     specs = [
         ("lambda.T", "T", 0, 0, 3, 8, "max triangles per edge = 0 (all transpositions)"),
         ("mu.T", "T", 1, 3, 3, 8, "max common neighbors at distance 2 = 3 (all transpositions)"),
@@ -193,111 +178,64 @@ def suite_lambda_mu(cfg: SuiteConfig) -> list[ClaimRow]:
     ]
     for cid, kind, which, expected, lo, hi, stmt in specs:
         for n in cfg.span(lo, hi):
-            inst = f"n={n}"
-            def measure(cid=cid, stmt=stmt, inst=inst, kind=kind, n=n, which=which, expected=expected):
-                got = lambda_mu(GeneratorSet.of_kind(kind, n))[which]
-                return _row("lambda-mu", cid, stmt, inst, expected, got)
-            _guard(rows, "lambda-mu", cid, stmt, inst, measure)
+            yield cid, stmt, f"n={n}", lambda: (
+                expected, lambda_mu(GeneratorSet.of_kind(kind, n))[which]
+            )
     consistency = "one-error overlap max equals max(lambda+2, mu)"
     for kind in KINDS:
-        lo = 4 if kind == "st" else 3
-        for n in cfg.span(lo, 8):
-            cid = f"consistency.{kind}.r1"
-            inst = f"n={n}"
-            def measure(cid=cid, inst=inst, kind=kind, n=n):
+        for n in cfg.span(4 if kind == "st" else 3, 8):
+            def measure():
                 g = GeneratorSet.of_kind(kind, n)
                 lam, mu = lambda_mu(g)
-                measured = max_ball_intersection(g, 1, cfg.budgets).value
-                return _row(
-                    "lambda-mu", cid, consistency, inst, max(lam + 2, mu), measured
-                )
-            _guard(rows, "lambda-mu", cid, consistency, inst, measure)
-    return rows
+                return max(lam + 2, mu), max_ball_intersection(g, 1, cfg.budgets).value
+            yield f"consistency.{kind}.r1", consistency, f"n={n}", measure
 
 
-def suite_local_params(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
+def suite_local_params(cfg: SuiteConfig):
     stmt = (
         "every vertex at distance i has (c, a, b) = "
         "((sum j^2 h_j - n)/2, 0, (n^2 - sum j^2 h_j)/2) (all transpositions)"
     )
     for n in cfg.span(3, 6):
-        inst = f"n={n}"
-        def measure(inst=inst, n=n):
-            g = GeneratorSet.all_transpositions(n)
-            measured = local_params_all(g, cfg.budgets)
+        def measure():
+            measured = local_params_all(GeneratorSet.all_transpositions(n), cfg.budgets)
             bad = 0
             for p, (c, a, b) in measured.items():
                 ect, ebt = formulas.local_params_formula(cycle_type(p))
                 if (c, a, b) != (ect, 0, ebt):
                     bad += 1
-            return _row(
-                "local-params", "localparams.T", stmt, inst,
-                "all conform", "all conform" if bad == 0 else f"{bad} mismatches",
-            )
-        _guard(rows, "local-params", "localparams.T", stmt, inst, measure)
-    return rows
+            return "all conform", "all conform" if bad == 0 else f"{bad} mismatches"
+        yield "localparams.T", stmt, f"n={n}", measure
 
 
-def suite_factorizations(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
+def suite_factorizations(cfg: SuiteConfig):
     stmt = "minimal transposition factorizations = i! prod (j^(j-2)/(j-1)!)^h_j"
-    for n in cfg.span(3, 5):
+    for n in cfg.span(3, 8):
+        # one walk serves every class of this degree; it runs on the first
+        # measure, so a capacity skip still skips row by row
+        counts = cache(partial(
+            geodesic_counts, GeneratorSet.all_transpositions(n), cfg.budgets
+        ))
         for ct in cycle_types(n):
-            if ct.min_transpositions == 0:
-                continue
-            inst = f"n={n},ct={ct}"
-            def measure(inst=inst, ct=ct):
-                expected = minimal_factorization_count(ct)
-                measured = _brute_factorizations(ct)
-                return _row(
-                    "factorizations", "denes.count", stmt, inst, expected, measured
+            if ct.min_transpositions:
+                yield "denes.count", stmt, f"n={n},ct={ct}", lambda: (
+                    minimal_factorization_count(ct), counts()[class_representative(ct)]
                 )
-            _guard(rows, "factorizations", "denes.count", stmt, inst, measure)
-    return rows
 
 
-def _brute_factorizations(ct) -> int:
-    """Count ordered transposition sequences of minimal length with the
-    given product, by exhaustive enumeration."""
-    from itertools import product as iproduct
-
-    from .perms import class_representative, compose
-
-    n = ct.degree
-    target = class_representative(ct)
-    gens = GeneratorSet.all_transpositions(n).gens
-    i = ct.min_transpositions
-    count = 0
-    for seq in iproduct(gens, repeat=i):
-        acc = seq[0]
-        for s in seq[1:]:
-            acc = compose(acc, s)
-        if acc == target:
-            count += 1
-    return count
-
-
-def suite_classes(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
+def suite_classes(cfg: SuiteConfig):
     stmt_size = "class size = n! / prod (j^h_j h_j!)"
     for n in cfg.span(3, 7):
         for ct in cycle_types(n):
-            inst = f"n={n},ct={ct}"
-            def measure(inst=inst, ct=ct):
-                return _row(
-                    "classes", "class.size", stmt_size, inst,
-                    conjugacy_class_size(ct), len(enumerate_class(ct)),
-                )
-            _guard(rows, "classes", "class.size", stmt_size, inst, measure)
+            yield "class.size", stmt_size, f"n={n},ct={ct}", lambda: (
+                conjugacy_class_size(ct), len(enumerate_class(ct))
+            )
     stmt_sphere = (
         "distance-i sphere = union of classes with n-i cycles (all transpositions)"
     )
     for n in cfg.span(3, 6):
-        inst = f"n={n}"
-        def measure(inst=inst, n=n):
-            g = GeneratorSet.all_transpositions(n)
-            levels = bfs_levels(g, cfg.budgets)
+        def measure():
+            levels = bfs_levels(GeneratorSet.all_transpositions(n), cfg.budgets)
             ok = True
             for i, level in enumerate(levels):
                 union = set()
@@ -306,16 +244,11 @@ def suite_classes(cfg: SuiteConfig) -> list[ClaimRow]:
                         union |= enumerate_class(ct)
                 if set(level) != union:
                     ok = False
-            return _row(
-                "classes", "class.sphere-partition", stmt_sphere, inst,
-                "spheres match", "spheres match" if ok else "mismatch",
-            )
-        _guard(rows, "classes", "class.sphere-partition", stmt_sphere, inst, measure)
-    return rows
+            return "spheres match", "spheres match" if ok else "mismatch"
+        yield "class.sphere-partition", stmt_sphere, f"n={n}", measure
 
 
-def suite_diameters(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
+def suite_diameters(cfg: SuiteConfig):
     specs = [
         ("diameter.T", "T", lambda n: n - 1, "diameter = n-1 (all transpositions)"),
         ("diameter.t", "t", lambda n: comb(n, 2), "diameter = n(n-1)/2 (adjacent swaps)"),
@@ -323,131 +256,97 @@ def suite_diameters(cfg: SuiteConfig) -> list[ClaimRow]:
     ]
     for cid, kind, expect, stmt in specs:
         for n in cfg.span(3, 7):
-            inst = f"n={n}"
-            def measure(cid=cid, stmt=stmt, inst=inst, kind=kind, n=n, expect=expect):
-                g = GeneratorSet.of_kind(kind, n)
-                return _row(
-                    "diameters", cid, stmt, inst,
-                    expect(n), len(bfs_levels(g, cfg.budgets)) - 1,
-                )
-            _guard(rows, "diameters", cid, stmt, inst, measure)
-    return rows
+            yield cid, stmt, f"n={n}", lambda: (
+                expect(n), len(bfs_levels(GeneratorSet.of_kind(kind, n), cfg.budgets)) - 1
+            )
 
 
-def suite_structure(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
+def suite_structure(cfg: SuiteConfig):
     specs = [
         ("structure.T.k33", "T", 3, 3, lambda n: comb(n, 3),
-         "K_{3,3} subgraphs through a vertex = C(n,3) (all transpositions)", 3),
+         "K_{3,3} subgraphs through a vertex = C(n,3) (all transpositions)"),
         ("structure.T.k24", "T", 2, 4, lambda n: 0,
-         "no K_{2,4} subgraphs (all transpositions)", 3),
+         "no K_{2,4} subgraphs (all transpositions)"),
         ("structure.t.k22", "t", 2, 2, lambda n: comb(n - 2, 2),
-         "K_{2,2} subgraphs through a vertex = C(n-2,2) (adjacent swaps)", 3),
+         "K_{2,2} subgraphs through a vertex = C(n-2,2) (adjacent swaps)"),
         ("structure.t.k23", "t", 2, 3, lambda n: 0,
-         "no K_{2,3} subgraphs (adjacent swaps)", 3),
+         "no K_{2,3} subgraphs (adjacent swaps)"),
     ]
-    for cid, kind, p, q, expect, stmt, lo in specs:
-        for n in cfg.span(lo, 5):
-            inst = f"n={n}"
-            def measure(cid=cid, stmt=stmt, inst=inst, kind=kind, n=n, p=p, q=q, expect=expect):
-                g = GeneratorSet.of_kind(kind, n)
-                got = complete_bipartite_count(g, p, q, identity(n), cfg.budgets)
-                return _row("structure", cid, stmt, inst, expect(n), got)
-            _guard(rows, "structure", cid, stmt, inst, measure)
+    for cid, kind, p, q, expect, stmt in specs:
+        for n in cfg.span(3, 5):
+            yield cid, stmt, f"n={n}", lambda: (
+                expect(n),
+                complete_bipartite_count(
+                    GeneratorSet.of_kind(kind, n), p, q, identity(n), cfg.budgets
+                ),
+            )
     girth_specs = [
-        ("structure.st.girth", "st", (3, 4, 5, 7), "no cycles of length 3, 4, 5 or 7 (prefix swaps)", 3),
-        ("structure.t.girth3", "t", (3,), "no triangles (adjacent swaps, bipartite)", 3),
-        ("structure.T.girth4", "T", (4,), "4-cycles exist (all transpositions)", 3),
+        ("structure.st.girth", "st", (3, 4, 5, 7), "no cycles of length 3, 4, 5 or 7 (prefix swaps)"),
+        ("structure.t.girth3", "t", (3,), "no triangles (adjacent swaps, bipartite)"),
+        ("structure.T.girth4", "T", (4,), "4-cycles exist (all transpositions)"),
     ]
-    for cid, kind, lengths, stmt, lo in girth_specs:
-        expected_present = cid == "structure.T.girth4"
-        for n in cfg.span(lo, 5):
-            inst = f"n={n}"
-            def measure(cid=cid, stmt=stmt, inst=inst, kind=kind, n=n, lengths=lengths, expected_present=expected_present):
-                g = GeneratorSet.of_kind(kind, n)
-                found = girth_cycle_check(g, lengths, cfg.budgets)
-                if expected_present:
-                    return _row("structure", cid, stmt, inst, "present",
-                                "present" if all(found.values()) else "absent")
+    for cid, kind, lengths, stmt in girth_specs:
+        for n in cfg.span(3, 5):
+            def measure():
+                found = girth_cycle_check(GeneratorSet.of_kind(kind, n), lengths, cfg.budgets)
+                if cid == "structure.T.girth4":
+                    return "present", "present" if all(found.values()) else "absent"
                 bad = sorted(l for l, present in found.items() if present)
-                return _row("structure", cid, stmt, inst, "absent",
-                            "absent" if not bad else f"present: {bad}")
-            _guard(rows, "structure", cid, stmt, inst, measure)
-    return rows
+                return "absent", "absent" if not bad else f"present: {bad}"
+            yield cid, stmt, f"n={n}", measure
 
 
-def suite_distance_regularity(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
-    if cfg.max_n >= 4 and cfg.min_n <= 4:
+def suite_distance_regularity(cfg: SuiteConfig):
+    for n in cfg.span(4, 4):
         for kind in KINDS:
-            cid = f"drg.{kind}4"
-            stmt = "not distance-regular at n=4 (witness pair required)"
-            inst = "n=4"
-            def measure(cid=cid, stmt=stmt, kind=kind):
-                res = is_distance_regular(GeneratorSet.of_kind(kind, 4), cfg.budgets)
-                measured = (
-                    "witness found"
-                    if not res.is_distance_regular and res.witness is not None
-                    else "distance-regular"
-                )
-                return _row("distance-regularity", cid, stmt, "n=4",
-                            "witness found", measured)
-            _guard(rows, "distance-regularity", cid, stmt, inst, measure)
+            def measure():
+                res = is_distance_regular(GeneratorSet.of_kind(kind, n), cfg.budgets)
+                found = not res.is_distance_regular and res.witness is not None
+                return "witness found", "witness found" if found else "distance-regular"
+            yield (f"drg.{kind}4", "not distance-regular at n=4 (witness pair required)",
+                   "n=4", measure)
     small = [
         ("drg.hamming-3-2", hamming_graph(3, 2), "3-bit Hamming graph is distance-regular"),
         ("drg.johnson-5-2", johnson_graph(5, 2), "Johnson graph of 2-subsets of 5 is distance-regular"),
     ]
     for cid, graph, stmt in small:
-        def measure(cid=cid, stmt=stmt, graph=graph):
+        def measure():
             res = small_graph_is_distance_regular(graph)
-            return _row(
-                "distance-regularity", cid, stmt, graph.name,
-                "distance-regular",
-                "distance-regular" if res.is_distance_regular else "witness found",
+            return "distance-regular", (
+                "distance-regular" if res.is_distance_regular else "witness found"
             )
-        _guard(rows, "distance-regularity", cid, stmt, graph.name, measure)
-    return rows
+        yield cid, stmt, graph.name, measure
 
 
-def suite_small_graphs(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
+def suite_small_graphs(cfg: SuiteConfig):
     stmt_h = "Hamming overlap max = q sum_{i<r} C(n-1,i)(q-1)^i"
     for n in range(2, 5):
         for q in (2, 3):
-            graph = hamming_graph(n, q)
-            report = small_graph_report(graph, 2)
+            report = small_graph_report(hamming_graph(n, q), 2)
             for r in (1, 2):
-                inst = f"n={n},q={q},r={r}"
-                rows.append(_row(
-                    "small-graphs", "closedform.hamming", stmt_h, inst,
-                    formulas.hamming_max_overlap(n, q, r), report.n_value(r),
-                ))
+                yield "closedform.hamming", stmt_h, f"n={n},q={q},r={r}", lambda: (
+                    formulas.hamming_max_overlap(n, q, r), report.n_value(r)
+                )
     stmt_j = "Johnson overlap max = n sum_{i<r} C(e-1,i)C(n-e-1,i)/(i+1)"
     for n in range(2, 9):
         for e in range(1, n):
-            graph = johnson_graph(n, e)
-            report = small_graph_report(graph, 2)
+            report = small_graph_report(johnson_graph(n, e), 2)
             for r in (1, 2):
-                inst = f"n={n},e={e},r={r}"
-                rows.append(_row(
-                    "small-graphs", "closedform.johnson", stmt_j, inst,
-                    formulas.johnson_max_overlap(n, e, r), report.n_value(r),
-                ))
+                yield "closedform.johnson", stmt_j, f"n={n},e={e},r={r}", lambda: (
+                    formulas.johnson_max_overlap(n, e, r), report.n_value(r)
+                )
     stmt_l = "lattice overlap max: q at one error, q^2 at two"
     for q in (2, 3):
         report = small_graph_report(lattice_graph(q), 2)
-        rows.append(_row("small-graphs", "closedform.lattice", stmt_l,
-                         f"q={q},r=1", q, report.n_value(1)))
-        rows.append(_row("small-graphs", "closedform.lattice", stmt_l,
-                         f"q={q},r=2", q * q, report.n_value(2)))
+        yield "closedform.lattice", stmt_l, f"q={q},r=1", lambda: (q, report.n_value(1))
+        yield "closedform.lattice", stmt_l, f"q={q},r=2", lambda: (q * q, report.n_value(2))
     stmt_t = "triangular overlap max: n at one error, n(n-1)/2 at two"
     for n in range(4, 8):
         report = small_graph_report(triangular_graph(n), 2)
-        rows.append(_row("small-graphs", "closedform.triangular", stmt_t,
-                         f"n={n},r=1", n, report.n_value(1)))
-        rows.append(_row("small-graphs", "closedform.triangular", stmt_t,
-                         f"n={n},r=2", n * (n - 1) // 2, report.n_value(2)))
-    return rows
+        yield "closedform.triangular", stmt_t, f"n={n},r=1", lambda: (n, report.n_value(1))
+        yield "closedform.triangular", stmt_t, f"n={n},r=2", lambda: (
+            n * (n - 1) // 2, report.n_value(2)
+        )
 
 
 def _sym_profile(kind: str, n: int, cfg: SuiteConfig):
@@ -459,26 +358,16 @@ def _sym_profile(kind: str, n: int, cfg: SuiteConfig):
     return g, lam, mu, n1, per_s
 
 
-def _check_row(suite, claim_id, statement, instance, ok, expected, measured, note=""):
-    return ClaimRow(
-        suite, claim_id, statement, instance, str(expected), str(measured),
-        "pass" if ok else "fail", note,
-    )
-
-
-def suite_bounds(cfg: SuiteConfig) -> list[ClaimRow]:
-    rows: list[ClaimRow] = []
+def suite_bounds(cfg: SuiteConfig):
+    # the scans behind a (kind, n) profile serve every bound below once
+    profile = cache(partial(_sym_profile, cfg=cfg))
     stmt8 = "one-error overlap max <= (v + lambda)/2 for regular graphs"
     for kind in KINDS:
-        lo = 4 if kind == "st" else 3
-        for n in cfg.span(lo, 5):
-            inst = f"{kind},n={n}"
-            def measure(inst=inst, kind=kind, n=n):
-                g, lam, mu, n1, _ = _sym_profile(kind, n, cfg)
-                bound = formulas.single_error_upper_bound(factorial(n), g.k, lam)
-                return _check_row("bounds", "bound.one-error-upper", stmt8, inst,
-                                  n1 <= bound, f"<= {bound}", n1)
-            _guard(rows, "bounds", "bound.one-error-upper", stmt8, inst, measure)
+        for n in cfg.span(4 if kind == "st" else 3, 5):
+            def measure():
+                g, lam, mu, n1, _ = profile(kind, n)
+                return Bound("<=", formulas.single_error_upper_bound(factorial(n), g.k, lam)), n1
+            yield "bound.one-error-upper", stmt8, f"{kind},n={n}", measure
     small = [
         ("lattice q=2", lattice_graph(2)),
         ("lattice q=3", lattice_graph(3)),
@@ -488,61 +377,45 @@ def suite_bounds(cfg: SuiteConfig) -> list[ClaimRow]:
     ]
     for label, graph in small:
         report = small_graph_report(graph, 1)
-        bound = formulas.single_error_upper_bound(report.v, report.k, report.lam)
-        n1 = report.n_value(1)
-        rows.append(_check_row("bounds", "bound.one-error-upper", stmt8, label,
-                               n1 <= bound, f"<= {bound}", n1))
+        yield "bound.one-error-upper", stmt8, label, lambda: (
+            Bound("<=", formulas.single_error_upper_bound(report.v, report.k, report.lam)),
+            report.n_value(1),
+        )
     stmt8eq = "one-error bound attained on complete multipartite graphs"
     for t in (2, 3):
         for m in (2, 3):
-            graph = complete_multipartite_graph(t, m)
-            report = small_graph_report(graph, 1)
-            bound = formulas.single_error_upper_bound(report.v, report.k, report.lam)
-            n1 = report.n_value(1)
-            rows.append(_check_row("bounds", "bound.one-error-attained", stmt8eq,
-                                   f"t={t},m={m}", n1 == bound, f"= {bound}", n1))
+            report = small_graph_report(complete_multipartite_graph(t, m), 1)
+            yield "bound.one-error-attained", stmt8eq, f"t={t},m={m}", lambda: (
+                Bound("=", formulas.single_error_upper_bound(report.v, report.k, report.lam)),
+                report.n_value(1),
+            )
     stmt9 = "distance-2 two-error overlap >= mu(k-1-(3/4)(mu-1)(N1-2))+2"
     for kind in KINDS:
-        lo = 4 if kind == "st" else 3
-        for n in cfg.span(lo, 5):
-            inst = f"{kind},n={n}"
-            def measure(inst=inst, kind=kind, n=n):
-                g, lam, mu, n1, per_s = _sym_profile(kind, n, cfg)
-                bound = formulas.two_error_lower_bound(g.k, mu, n1)
-                measured = per_s[2]
-                return _check_row("bounds", "bound.two-error-lower", stmt9, inst,
-                                  measured >= bound, f">= {bound}", measured)
-            _guard(rows, "bounds", "bound.two-error-lower", stmt9, inst, measure)
+        for n in cfg.span(4 if kind == "st" else 3, 5):
+            def measure():
+                g, lam, mu, n1, per_s = profile(kind, n)
+                return Bound(">=", formulas.two_error_lower_bound(g.k, mu, n1)), per_s[2]
+            yield "bound.two-error-lower", stmt9, f"{kind},n={n}", measure
     stmt_eq = "adjacent-swap graph attains the mu=2 bound: distance-2 overlap = 2k"
     for n in cfg.span(4, 5):
-        inst = f"t,n={n}"
-        def measure(inst=inst, n=n):
-            g, lam, mu, n1, per_s = _sym_profile("t", n, cfg)
-            return _row("bounds", "bound.two-error-attained", stmt_eq, inst,
-                        2 * g.k, per_s[2])
-        _guard(rows, "bounds", "bound.two-error-attained", stmt_eq, inst, measure)
+        def measure():
+            g, lam, mu, n1, per_s = profile("t", n)
+            return 2 * g.k, per_s[2]
+        yield "bound.two-error-attained", stmt_eq, f"t,n={n}", measure
     stmt10 = (
         "triangle- and pentagon-free with mu >= 2 and k >= 1+(3/4)mu(mu-1): "
         "distance-2 overlap >= distance-1 overlap"
     )
     for kind in KINDS:
-        lo = 4 if kind == "st" else 3
-        for n in cfg.span(lo, 5):
-            inst = f"{kind},n={n}"
-            def measure(inst=inst, kind=kind, n=n):
-                g, lam, mu, n1, per_s = _sym_profile(kind, n, cfg)
+        for n in cfg.span(4 if kind == "st" else 3, 5):
+            def measure():
+                g, lam, mu, n1, per_s = profile(kind, n)
                 found = girth_cycle_check(g, (3, 5), cfg.budgets)
-                premises = formulas.sphere_comparison_premises(
-                    g.k, mu, found[3], found[5]
-                )
+                premises = formulas.sphere_comparison_premises(g.k, mu, found[3], found[5])
                 if not premises.applicable:
-                    return _skip("bounds", "bound.sphere-comparison", stmt10, inst,
-                                 "premises fail: " + "; ".join(premises.reasons))
-                return _check_row("bounds", "bound.sphere-comparison", stmt10, inst,
-                                  per_s[2] >= per_s[1],
-                                  f">= {per_s[1]}", per_s[2])
-            _guard(rows, "bounds", "bound.sphere-comparison", stmt10, inst, measure)
-    return rows
+                    raise NoClaim("premises fail: " + "; ".join(premises.reasons))
+                return Bound(">=", per_s[1]), per_s[2]
+            yield "bound.sphere-comparison", stmt10, f"{kind},n={n}", measure
 
 
 def conjecture_probe(
@@ -607,11 +480,29 @@ SUITES = {
 
 
 def run_suites(names, cfg: SuiteConfig) -> list[ClaimRow]:
+    """The rows of the named suites (or of all, for ``["all"]``), in order.
+    Every name is checked before any suite runs."""
     if names == ["all"]:
         names = list(SUITES)
-    rows: list[ClaimRow] = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)} or 'all'")
-        rows.extend(SUITES[name](cfg))
+    rows: list[ClaimRow] = []
+    for name in names:
+        for claim_id, statement, instance, measure in SUITES[name](cfg):
+            claim = (name, claim_id, statement, instance)
+            try:
+                expected, measured = measure()
+            except CapacityError as exc:
+                rows.append(ClaimRow(*claim, "-", "-", "skip", f"capacity: {exc}"))
+            except NoClaim as exc:
+                rows.append(ClaimRow(*claim, "-", "-", "skip", str(exc)))
+            else:
+                holds = (
+                    expected.holds(measured) if isinstance(expected, Bound)
+                    else expected == measured
+                )
+                rows.append(ClaimRow(
+                    *claim, str(expected), str(measured), "pass" if holds else "fail"
+                ))
     return rows

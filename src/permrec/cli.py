@@ -24,7 +24,6 @@ from . import __version__
 from .cayley import (
     Budgets,
     GeneratorSet,
-    GraphReport,
     build_graph_report,
 )
 from .cache import ball_of_identity_cached, overlap_of_identity_cached, write_atomically
@@ -247,7 +246,7 @@ def _cmd_report(args, settings) -> int:
     doc = _envelope("report", settings, {"reports": reports})
     if settings["format"] == "json":
         _emit_json(doc)
-    elif settings["format"] == "pretty":
+    else:
         for rep in reports:
             print(f"graph {rep['generator_kind']} n={rep['n']}: v={rep['v']} "
                   f"k={rep['k']} lambda={rep['lambda']} mu={rep['mu']} "
@@ -256,8 +255,6 @@ def _cmd_report(args, settings) -> int:
             print(f"  overlap max by center distance (r={args.r}): {rep['n_s']}")
             for s, wit in sorted(rep["witnesses"]["n_s"].items()):
                 print(f"  attained at s={s} by: {', '.join(wit)}")
-    else:
-        raise UsageError("report supports --format json or pretty")
     return EX_OK
 
 
@@ -319,12 +316,10 @@ def _cmd_reconstruct(args, settings) -> int:
     doc = _envelope("reconstruct", settings, {"result": result.to_doc()})
     if settings["format"] == "json":
         _emit_json(doc)
-    elif settings["format"] == "pretty":
+    else:
         print(f"status: {result.status}")
         for c in result.to_doc()["candidates"]:
             print(f"  candidate {c}")
-    else:
-        raise UsageError("reconstruct supports --format json or pretty")
     return {
         "unique": EX_OK,
         "ambiguous": EX_AMBIGUOUS,
@@ -432,11 +427,9 @@ def _cmd_probe(args, settings) -> int:
     doc = _envelope("probe-conjecture", settings, {"probe": probe})
     if settings["format"] == "json":
         _emit_json(doc)
-    elif settings["format"] == "pretty":
+    else:
         for key in sorted(probe):
             print(f"{key}: {probe[key]}")
-    else:
-        raise UsageError("probe-conjecture supports --format json or pretty")
     return EX_OK
 
 
@@ -459,26 +452,27 @@ def _cmd_graph_import(args, settings) -> int:
     doc = _envelope("graph-import", settings, {"report": report.to_doc()})
     if settings["format"] == "json":
         _emit_json(doc)
-    elif settings["format"] == "pretty":
+    else:
         rep = report.to_doc()
         print(f"graph {rep['graph']}: v={rep['v']} k={rep['k']} "
               f"lambda={rep['lambda']} mu={rep['mu']} diameter={rep['diameter']}")
         print(f"  overlap max by radius: {rep['n_r']}")
         print(f"  overlap max by center distance: {rep['n_s']}")
-    else:
-        raise UsageError("graph-import supports --format json or pretty")
     return EX_OK
 
 
+_NOT_TABULAR = ("json", "pretty")
+
+# command -> (handler, the output formats it supports)
 _COMMANDS = {
-    "report": _cmd_report,
-    "verify": _cmd_verify,
-    "reconstruct": _cmd_reconstruct,
-    "simulate": _cmd_simulate,
-    "factorizations": _cmd_factorizations,
-    "classes": _cmd_classes,
-    "probe-conjecture": _cmd_probe,
-    "graph-import": _cmd_graph_import,
+    "report": (_cmd_report, _NOT_TABULAR),
+    "verify": (_cmd_verify, _FORMATS),
+    "reconstruct": (_cmd_reconstruct, _NOT_TABULAR),
+    "simulate": (_cmd_simulate, _FORMATS),
+    "factorizations": (_cmd_factorizations, _FORMATS),
+    "classes": (_cmd_classes, _FORMATS),
+    "probe-conjecture": (_cmd_probe, _NOT_TABULAR),
+    "graph-import": (_cmd_graph_import, _NOT_TABULAR),
 }
 
 
@@ -487,7 +481,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         settings = _load_settings(args)
-        return _COMMANDS[args.command](args, settings)
+        command, formats = _COMMANDS[args.command]
+        if settings["format"] not in formats:
+            raise UsageError(f"{args.command} supports --format {' or '.join(formats)}")
+        return command(args, settings)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -29,8 +29,7 @@ class SmallGraph:
     def __post_init__(self):
         if len(self.adj) == 0:
             raise ValueError("graph has no vertices")
-        if len(self.adj) > MAX_VERTICES:
-            raise CapacityError(f"graph capped at {MAX_VERTICES} vertices")
+        _check_vertex_count(len(self.adj))
         for u, nb in enumerate(self.adj):
             if u in nb:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -67,7 +66,13 @@ class SmallGraph:
         return dist
 
 
+def _check_vertex_count(v: int) -> None:
+    if v > MAX_VERTICES:
+        raise CapacityError(f"graph capped at {MAX_VERTICES} vertices")
+
+
 def graph_from_edges(name: str, v: int, edges) -> SmallGraph:
+    _check_vertex_count(v)  # before the adjacency, whose size follows v
     adj = [set() for _ in range(v)]
     for u, w in edges:
         if u == w:

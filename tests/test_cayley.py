@@ -15,6 +15,7 @@ from permrec.cayley import (
     complete_bipartite_count,
     diameter,
     distance,
+    geodesic_counts,
     girth_cycle_check,
     is_distance_regular,
     lambda_mu,
@@ -404,7 +405,8 @@ class TestWholeGraph:
 
     def test_whole_graph_cap(self):
         capped = Budgets(whole_graph_max_n=5)
-        for sweep in (bfs_levels, diameter, local_params_all, is_distance_regular):
+        sweeps = (bfs_levels, diameter, local_params_all, is_distance_regular, geodesic_counts)
+        for sweep in sweeps:
             sweep(GeneratorSet.adjacent(5), capped)
             with pytest.raises(CapacityError):
                 sweep(GeneratorSet.adjacent(6), capped)
@@ -432,6 +434,23 @@ class TestWholeGraph:
             from_x = oracles.bfs_dist(adj, x)
             for y in adj:
                 assert distance(x, y, g) == from_x[y]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_geodesic_counts_are_factorization_counts(self, n):
+        counts = geodesic_counts(GeneratorSet.all_transpositions(n))
+        assert len(counts) == factorial(n)
+        assert counts[identity(n)] == 1
+        for ct in cycle_types(n):
+            if ct.min_transpositions:
+                target = class_representative(ct)
+                want = oracles.factorization_count(n, target, ct.min_transpositions)
+                assert counts[target] == want
+
+    def test_reversal_geodesics_are_reduced_words(self):
+        # reduced words of the longest element: Stanley's count
+        for n, want in zip(range(3, 7), (2, 16, 768, 292864)):
+            counts = geodesic_counts(GeneratorSet.adjacent(n))
+            assert counts[tuple(reversed(range(n)))] == want
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bipartite_by_parity(self, kind):

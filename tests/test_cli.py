@@ -15,6 +15,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from permrec import cayley, cli
+from permrec import cayley, claims, cli
 from test_cache import fail_writes_halfway
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +50,7 @@ GOLDEN_CASES = {
         "verify", "--suite", "diameters", "--suite", "classes",
         "--suite", "local-params", "--suite", "distance-regularity",
     ],
+    "verify_all": ["verify"],
     "reconstruct_unique": [
         "reconstruct", "--graph", "T", "--r", "1", "--patterns", "{dir}/unique.txt",
     ],
@@ -308,8 +310,63 @@ def test_module_entry_point_exit_codes(argv, want_code, files):
     assert done.returncode == want_code, done.stderr
 
 
+# command -> (argv, the cli function that computes its result)
+UNTABULAR_CASES = {
+    "report": (["report", "--graph", "st", "--n", "9", "--r", "3"], "build_graph_report"),
+    "reconstruct": (GOLDEN_CASES["reconstruct_unique"], "reconstruct"),
+    "probe-conjecture": (SCHEMA_CASES["probe-conjecture"][0], "conjecture_probe"),
+    "graph-import": (SCHEMA_CASES["graph-import"][0], "small_graph_report"),
+}
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command", sorted(UNTABULAR_CASES))
+def test_csv_is_rejected_before_any_work(command, via_config, files, capsys, monkeypatch):
+    argv, compute = UNTABULAR_CASES[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its format was checked")
+
+    monkeypatch.setattr(cli, compute, no_work)
+    if via_config:
+        (files / "config.json").write_text(json.dumps({"format": "csv"}))
+        argv = [*argv, "--config", "{dir}/config.json"]
+    else:
+        argv = [*argv, "--format", "csv"]
+    code, out = run_cli(argv, files)
+    assert (code, out) == (64, "")
+    assert capsys.readouterr().err == (
+        f"usage error: {command} supports --format json or pretty\n"
+    )
+
+
+def test_huge_vertex_id_is_refused_before_allocating(files):
+    # in a child held to 1 GiB of address space, so a check that came after
+    # the allocation would fail this test instead of filling the memory
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    (files / "huge.edges").write_text(f"0 1\n1 {10**12}\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "permrec", "graph-import", "--edges", str(files / "huge.edges")],
+        env=src_env(), capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: graph capped at 50000 vertices\n"
+
+
+def test_unknown_suite_fails_before_any_suite_runs(files, capsys, monkeypatch):
+    def no_suite(cfg):
+        raise AssertionError("a suite ran before every name was checked")
+
+    monkeypatch.setitem(claims.SUITES, "n-values", no_suite)
+    code, out = run_cli(["verify", "--suite", "n-values", "--suite", "bogus"], files)
+    assert (code, out) == (64, "")
+    assert capsys.readouterr().err.startswith("usage error: unknown suite 'bogus'")
+
+
 def test_verify_defaults_pass(files):
-    for extra in ([], ["--max-n", "7"]):
+    for extra in ([], ["--max-n", "7"], ["--max-n", "8"]):
         code, out = run_cli(["verify", *extra], files)
         assert code == 0, [r for r in json.loads(out)["rows"] if r["verdict"] == "fail"]
 
