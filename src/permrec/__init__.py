@@ -7,8 +7,6 @@ channel plus reconstructor realizing the pattern-count threshold.
 """
 
 from .cayley import (
-    Budgets,
-    DEFAULT_BUDGETS,
     GeneratorSet,
     GraphReport,
     MetricBall,

@@ -12,8 +12,8 @@ Ball files, ``ball_<kind>_n<n>_r<radius>.bin`` (little-endian):
     kind    B    0 = all transpositions, 1 = adjacent, 2 = prefix
     n       B    degree
     radius  B    requested radius
-    spheres B    number of stored spheres, 1..radius+1 (radius may exceed
-                 the diameter)
+    spheres B    number of stored spheres, radius+1, or fewer when the
+                 radius exceeds the diameter and they hold all n! vertices
     then per sphere:  count I, then count n-byte records, sorted ascending
 
 A record is a vertex in the packed form of ``perms`` (byte i is p(i)), so
@@ -21,16 +21,19 @@ loading slices the file into the ball's packed spheres and never converts
 a vertex.  ``load_ball`` rejects a file whose header does not match the
 request, that is truncated or has trailing bytes, whose records in a
 sphere are unsorted or repeated, or that holds a record which is not a
-permutation of 0..n-1.  Version 1 files, which stored lexicographic ranks,
-fail the version check.
+permutation of 0..n-1.  It also rejects a file whose spheres hold more than
+``cayley.MAX_BALL_SIZE`` vertices, so the caller recomputes the ball and
+meets the same ``CapacityError`` as a run without the cache.  Version 1
+files, which stored lexicographic ranks, fail the version check.
 
 Overlap files, ``overlap_<kind>_n<n>_r<radius>.json``, hold one JSON
-object: the format name and version, the request (kind, n, radius), the
-size of the identity ball the scan read, and per center distance s = 1..2r
-the maximum (null beyond the diameter) with its witnesses in scan order,
-whose first entry is the pair ``channel.ambiguity_witness`` uses.
-``load_overlap`` rejects a file that does not parse, does not match the
-request or does not have that shape.
+object: the format name and version (currently 2), the request (kind, n,
+radius), and per center distance s = 1..2r the maximum (null beyond the
+diameter) with its witnesses in scan order, whose first entry is the pair
+``channel.ambiguity_witness`` uses.  ``load_overlap`` rejects a file that
+does not parse, does not match the request or does not have that shape.
+Version 1 files, which also stored the size of the ball the scan read,
+fail the version check.
 
 The cache is purely an optimization: a missing, mismatched or corrupt file
 is reported via CacheError and callers recompute and rewrite it; results
@@ -47,11 +50,11 @@ import os
 import struct
 from functools import cache
 from itertools import combinations
+from math import factorial
 from pathlib import Path
 
+from . import cayley
 from .cayley import (
-    Budgets,
-    DEFAULT_BUDGETS,
     GeneratorSet,
     IntersectionMax,
     KIND_ADJACENT,
@@ -63,7 +66,6 @@ from .cayley import (
     overlap_of_identity,
     prime_identity_ball,
     prime_overlap,
-    scanned_radius,
 )
 from .errors import CacheError
 from .perms import IDENT, cycle_types, identity, parse_perm
@@ -74,7 +76,7 @@ _HEADER = struct.Struct("<4sHBBBB")
 _COUNT = struct.Struct("<I")
 _KIND_CODES = {KIND_ALL: 0, KIND_ADJACENT: 1, KIND_PREFIX: 2}
 _OVERLAP_FORMAT = "permrec-overlap"
-_OVERLAP_VERSION = 1
+_OVERLAP_VERSION = 2
 
 
 def cache_path(root: Path, gen: GeneratorSet, radius: int) -> Path:
@@ -168,11 +170,17 @@ def load_ball(path: Path, gen: GeneratorSet, radius: int) -> MetricBall:
     record = struct.Struct(f"{n}s")
     offset = _HEADER.size
     spheres = []
+    size = 0
     for _ in range(sphere_count):
         if offset + _COUNT.size > len(blob):
             raise CacheError(f"cache file {path} is truncated")
         (count,) = _COUNT.unpack_from(blob, offset)
         offset += _COUNT.size
+        size += count
+        if size > cayley.MAX_BALL_SIZE:
+            raise CacheError(
+                f"cache file {path} holds more than {cayley.MAX_BALL_SIZE} vertices"
+            )
         end = offset + n * count
         if end > len(blob):
             raise CacheError(f"cache file {path} is truncated")
@@ -187,37 +195,34 @@ def load_ball(path: Path, gen: GeneratorSet, radius: int) -> MetricBall:
         spheres.append(sph)
     if offset != len(blob):
         raise CacheError(f"cache file {path} has trailing bytes")
+    if sphere_count < radius + 1 and size != factorial(n):
+        raise CacheError(f"cache file {path} ends at sphere {sphere_count - 1} of {radius}")
     return MetricBall(gen, identity(n), radius, tuple(spheres))
 
 
 def ball_of_identity_cached(
-    gen: GeneratorSet,
-    radius: int,
-    cache_dir: Path | str | None,
-    budgets: Budgets = DEFAULT_BUDGETS,
+    gen: GeneratorSet, radius: int, cache_dir: Path | str | None
 ) -> MetricBall:
     """Disk-backed identity ball.
 
     A usable cache file is loaded and primed into the in-memory memo so
     later engine calls reuse it; otherwise the ball is computed and the
-    file (re)written.  Either way the result, and any ``CapacityError``
-    under ``budgets``, is what :func:`cayley.ball_of_identity` gives."""
+    file (re)written.  Either way the result, and any ``CapacityError``,
+    is what :func:`cayley.ball_of_identity` gives."""
     if cache_dir is None or gen.kind not in _KIND_CODES:
-        return ball_of_identity(gen, radius, budgets)
+        return ball_of_identity(gen, radius)
     path = cache_path(Path(cache_dir), gen, radius)
     try:
         loaded = load_ball(path, gen, radius)
     except CacheError:
-        computed = ball_of_identity(gen, radius, budgets)
+        computed = ball_of_identity(gen, radius)
         save_ball(path, computed)
         return computed
     prime_identity_ball(loaded)
-    return ball_of_identity(gen, radius, budgets)
+    return loaded
 
 
-def save_overlap(
-    path: Path, gen: GeneratorSet, best: IntersectionMax, scanned_size: int
-) -> None:
+def save_overlap(path: Path, gen: GeneratorSet, best: IntersectionMax) -> None:
     _check_cacheable(gen)
     doc = {
         "format": _OVERLAP_FORMAT,
@@ -225,7 +230,6 @@ def save_overlap(
         "kind": gen.kind,
         "n": gen.n,
         "radius": best.radius,
-        "scanned_ball_size": scanned_size,
         "per_s": [[sm.s, sm.value, list(sm.witnesses)] for sm in best.per_s],
     }
     path = Path(path)
@@ -271,11 +275,8 @@ def _sphere_max(s: int, entry, is_label) -> SphereMax:
     return SphereMax(s, value, tuple(witnesses))
 
 
-def load_overlap(
-    path: Path, gen: GeneratorSet, radius: int
-) -> tuple[IntersectionMax, int]:
-    """The overlap maximum stored in ``path`` and the size of the ball its
-    scan read."""
+def load_overlap(path: Path, gen: GeneratorSet, radius: int) -> IntersectionMax:
+    """The overlap maximum stored in ``path``."""
     path = Path(path)
     _check_cacheable(gen)
     try:
@@ -283,9 +284,9 @@ def load_overlap(
         request = (doc["format"], doc["version"], doc["kind"], doc["n"], doc["radius"])
         if request != (_OVERLAP_FORMAT, _OVERLAP_VERSION, gen.kind, gen.n, radius):
             raise CacheError(f"cache file {path} does not match the request")
-        size, entries = doc["scanned_ball_size"], doc["per_s"]
-        if type(size) is not int or size < 1 or len(entries) != 2 * radius:
-            raise ValueError("bad scanned ball size or entry count")
+        entries = doc["per_s"]
+        if len(entries) != 2 * radius:
+            raise ValueError("bad entry count")
         is_label = _label_check(gen)
         per_s = tuple(
             _sphere_max(s, e, is_label) for s, e in enumerate(entries, start=1)
@@ -293,28 +294,24 @@ def load_overlap(
         value = max(sm.value for sm in per_s if sm.value is not None)
     except (ValueError, TypeError, KeyError) as exc:
         raise CacheError(f"cache file {path} is malformed: {exc}")
-    return IntersectionMax(radius, value, per_s), size
+    return IntersectionMax(radius, value, per_s)
 
 
 def overlap_of_identity_cached(
-    gen: GeneratorSet,
-    r: int,
-    cache_dir: Path | str | None,
-    budgets: Budgets = DEFAULT_BUDGETS,
+    gen: GeneratorSet, r: int, cache_dir: Path | str | None
 ) -> IntersectionMax:
     """Disk-backed :func:`cayley.overlap_of_identity`, the same way
     :func:`ball_of_identity_cached` backs the identity ball: a usable file
     is loaded and primed into the memo, otherwise the maximum is computed
     and the file (re)written."""
     if cache_dir is None or gen.kind not in _KIND_CODES:
-        return overlap_of_identity(gen, r, budgets)
+        return overlap_of_identity(gen, r)
     path = overlap_path(Path(cache_dir), gen, r)
     try:
-        best, size = load_overlap(path, gen, r)
+        best = load_overlap(path, gen, r)
     except CacheError:
-        best = overlap_of_identity(gen, r, budgets)
-        size = ball_of_identity(gen, scanned_radius(gen, r), budgets).size
-        save_overlap(path, gen, best, size)
+        best = overlap_of_identity(gen, r)
+        save_overlap(path, gen, best)
         return best
-    prime_overlap(gen, best, size)
-    return overlap_of_identity(gen, r, budgets)
+    prime_overlap(gen, best)
+    return best

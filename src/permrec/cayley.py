@@ -17,11 +17,18 @@ which keeps only three levels in hand because the graph is undirected:
 * :func:`distance` and :func:`local_params` walk to the level d that holds
   the vertex and keep levels d-1 and d, which is all a vertex's (c, a, b)
   needs.  They raise ``CapacityError`` exactly when ``ball(identity, d)``
-  would, that is when levels 0..d hold more than ``max_ball_size`` vertices;
+  would, that is when levels 0..d hold more than ``MAX_BALL_SIZE`` vertices;
 * the whole-graph queries (:func:`diameter`, :func:`local_params_all`,
   :func:`is_distance_regular`, :func:`geodesic_counts`) walk every level
-  the same way, capped by ``whole_graph_max_n``.  Only :func:`bfs_levels`
-  keeps them all.
+  the same way, capped at degree ``WHOLE_GRAPH_MAX_N``.  Only
+  :func:`bfs_levels` keeps them all.
+
+The capacity caps are module constants: ``MAX_BALL_SIZE`` vertices in a
+ball, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
+``MAX_CYCLE_SEARCH`` estimated paths for a cycle search.  Exceeding one
+raises ``CapacityError`` instead of thrashing.  Every check reads the
+constant when it runs.  Since the caps never vary, one memo entry per
+(generator set, radius) serves every call.
 
 Every public function takes and returns permutation tuples.  The
 expansion and the overlap scans run on the packed form of ``perms``
@@ -70,18 +77,9 @@ KIND_PREFIX = "st"
 KIND_EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class Budgets:
-    """Capacity knobs; exceeding one raises CapacityError instead of thrashing:
-    vertices of a ball, degree of a whole-graph sweep (diameter, regularity,
-    local parameters) and estimated paths of a cycle search."""
-
-    max_ball_size: int = 2_000_000
-    whole_graph_max_n: int = 8
-    max_cycle_search: int = 20_000_000
-
-
-DEFAULT_BUDGETS = Budgets()
+MAX_BALL_SIZE = 2_000_000
+WHOLE_GRAPH_MAX_N = 8
+MAX_CYCLE_SEARCH = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -222,16 +220,12 @@ def _levels(start: Perm, gen: GeneratorSet):
         prev, cur = cur, nxt
 
 
-def _ball_budget_error(budgets: Budgets) -> CapacityError:
-    return CapacityError(f"ball exceeds budget of {budgets.max_ball_size} vertices")
+def _check_ball_size(size: int) -> None:
+    if size > MAX_BALL_SIZE:
+        raise CapacityError(f"ball exceeds budget of {MAX_BALL_SIZE} vertices")
 
 
-def ball(
-    center: Perm,
-    radius: int,
-    gen: GeneratorSet,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> MetricBall:
+def ball(center: Perm, radius: int, gen: GeneratorSet) -> MetricBall:
     """Breadth-first expansion of the metric ball around ``center``."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -241,8 +235,7 @@ def ball(
     size = 0
     for level in islice(_levels(center, gen), radius + 1):
         size += len(level)
-        if size > budgets.max_ball_size:
-            raise _ball_budget_error(budgets)
+        _check_ball_size(size)
         spheres.append(frozenset(level))
     return MetricBall(gen, center, radius, tuple(spheres))
 
@@ -250,20 +243,12 @@ def ball(
 _ball_memo: dict[tuple[GeneratorSet, int], MetricBall] = {}
 
 
-def ball_of_identity(
-    gen: GeneratorSet, radius: int, budgets: Budgets = DEFAULT_BUDGETS
-) -> MetricBall:
-    """Identity-centered ball, memoized per (generator set, radius).
-
-    A memoized ball larger than ``budgets.max_ball_size`` raises exactly as
-    building it would (a ball's running size only grows), so the memo can
-    never dodge a tighter cap."""
+def ball_of_identity(gen: GeneratorSet, radius: int) -> MetricBall:
+    """Identity-centered ball, memoized per (generator set, radius)."""
     key = (gen, radius)
     got = _ball_memo.get(key)
     if got is None:
-        got = _ball_memo[key] = ball(identity(gen.n), radius, gen, budgets)
-    elif got.size > budgets.max_ball_size:
-        raise _ball_budget_error(budgets)
+        got = _ball_memo[key] = ball(identity(gen.n), radius, gen)
     return got
 
 
@@ -280,26 +265,19 @@ def clear_ball_memo() -> None:
     _overlap_memo.clear()
 
 
-def sphere(
-    gen: GeneratorSet, s: int, budgets: Budgets = DEFAULT_BUDGETS
-) -> frozenset[Perm]:
+def sphere(gen: GeneratorSet, s: int) -> frozenset[Perm]:
     """S_s(e): vertices at distance exactly s from the identity."""
-    spheres = ball_of_identity(gen, s, budgets).packed_spheres
+    spheres = ball_of_identity(gen, s).packed_spheres
     return frozenset(map(unpack, spheres[s])) if s < len(spheres) else frozenset()
 
 
-def distance(
-    x: Perm,
-    y: Perm,
-    gen: GeneratorSet,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> int:
+def distance(x: Perm, y: Perm, gen: GeneratorSet) -> int:
     """Exact graph distance: the level of inverse(x)*y in the breadth-first
     walk from the identity.  Raises ``CapacityError`` exactly when
     ``ball(identity, d)`` would, d being the distance."""
     if len(x) != len(y) or len(x) != gen.n:
         raise ValueError("degree mismatch")
-    return _walk_to(pack(y).translate(left_inverse_table(pack(x))), gen, budgets)[0]
+    return _walk_to(pack(y).translate(left_inverse_table(pack(x))), gen)[0]
 
 
 def _walk(gen: GeneratorSet):
@@ -311,14 +289,13 @@ def _walk(gen: GeneratorSet):
         prev = level
 
 
-def _walk_to(y: bytes, gen: GeneratorSet, budgets: Budgets):
+def _walk_to(y: bytes, gen: GeneratorSet):
     """(d, level d-1, level d) for the packed vertex y at distance d from the
     identity, checking the running size as :func:`ball` does."""
     size = 0
     for d, prev, level in _walk(gen):
         size += len(level)
-        if size > budgets.max_ball_size:
-            raise _ball_budget_error(budgets)
+        _check_ball_size(size)
         if y in level:
             return d, prev, level
     raise UnreachableError(f"{format_perm(unpack(y))} not reachable from the identity")
@@ -394,22 +371,13 @@ def _overlap_count(members: frozenset[bytes], y: bytes) -> int:
     return len(members.intersection(translated(members, left_inverse_table(y))))
 
 
-def ball_overlap(
-    gen: GeneratorSet,
-    r: int,
-    other: Perm,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> int:
+def ball_overlap(gen: GeneratorSet, r: int, other: Perm) -> int:
     """|B_r(e) ∩ B_r(other)| without materializing the second ball."""
-    return _overlap_count(ball_of_identity(gen, r, budgets).packed, pack(other))
+    return _overlap_count(ball_of_identity(gen, r).packed, pack(other))
 
 
 def max_ball_intersection_at(
-    gen: GeneratorSet,
-    r: int,
-    s: int,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    workers: int = 1,
+    gen: GeneratorSet, r: int, s: int, workers: int = 1
 ) -> SphereMax:
     """Max |B_r(x) ∩ B_r(y)| over pairs at distance exactly s.
 
@@ -425,14 +393,14 @@ def max_ball_intersection_at(
     if not 1 <= s <= 2 * r:
         raise ValueError(f"need 1 <= s <= 2r, got s={s}, r={r}")
     if gen.kind == KIND_ALL:
-        members = ball_of_identity(gen, r, budgets).packed
+        members = ball_of_identity(gen, r).packed
         cands = [
             (str(ct), pack(class_representative(ct)))
             for ct in cycle_types(gen.n)
             if ct.min_transpositions == s
         ]
     else:
-        big = ball_of_identity(gen, 2 * r, budgets)
+        big = ball_of_identity(gen, 2 * r)
         members = big.packed_within(r)
         sph = big.packed_spheres[s] if s < len(big.packed_spheres) else ()
         cands = [(format_perm(unpack(y)), y) for y in sorted(sph)]
@@ -444,126 +412,84 @@ def max_ball_intersection_at(
     return SphereMax(s, best, wits)
 
 
-def max_ball_intersection(
-    gen: GeneratorSet,
-    r: int,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    workers: int = 1,
-) -> IntersectionMax:
+def max_ball_intersection(gen: GeneratorSet, r: int, workers: int = 1) -> IntersectionMax:
     """Max |B_r(x) ∩ B_r(y)| over all pairs of distinct centers.
 
     Overlapping balls force d(x, y) <= 2r, so the scan covers s = 1..2r;
     one more erroneous pattern than this value always pins down an unknown
     center."""
-    per_s = tuple(
-        max_ball_intersection_at(gen, r, s, budgets, workers)
-        for s in range(1, 2 * r + 1)
-    )
+    per_s = tuple(max_ball_intersection_at(gen, r, s, workers) for s in range(1, 2 * r + 1))
     values = [sm.value for sm in per_s if sm.value is not None]
     if not values:
         raise ValueError("no vertex pairs at any distance in 1..2r")
     return IntersectionMax(r, max(values), per_s)
 
 
-def scanned_radius(gen: GeneratorSet, r: int) -> int:
-    """Radius of the identity ball an overlap scan at radius r reads: r for
-    the all-transpositions family, whose candidates are class
-    representatives, and 2r for the others, whose candidates are vertices
-    of the ball's outer spheres."""
-    return r if gen.kind == KIND_ALL else 2 * r
+_overlap_memo: dict[tuple[GeneratorSet, int], IntersectionMax] = {}
 
 
-# (generator set, radius) -> (overlap maximum, size of the ball it scanned)
-_overlap_memo: dict[tuple[GeneratorSet, int], tuple[IntersectionMax, int]] = {}
-
-
-def overlap_of_identity(
-    gen: GeneratorSet,
-    r: int,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> IntersectionMax:
-    """:func:`max_ball_intersection`, memoized per (generator set, radius).
-
-    A hit raises ``CapacityError`` exactly when the scan would have: when
-    the ball the scan reads (see :func:`scanned_radius`) is larger than
-    ``budgets.max_ball_size``."""
+def overlap_of_identity(gen: GeneratorSet, r: int) -> IntersectionMax:
+    """:func:`max_ball_intersection`, memoized per (generator set, radius)."""
     key = (gen, r)
     got = _overlap_memo.get(key)
     if got is None:
-        best = max_ball_intersection(gen, r, budgets)
-        size = ball_of_identity(gen, scanned_radius(gen, r), budgets).size
-        _overlap_memo[key] = (best, size)
-        return best
-    best, size = got
-    if size > budgets.max_ball_size:
-        raise _ball_budget_error(budgets)
-    return best
+        got = _overlap_memo[key] = max_ball_intersection(gen, r)
+    return got
 
 
-def prime_overlap(gen: GeneratorSet, best: IntersectionMax, scanned_size: int) -> None:
-    """Install an externally loaded overlap maximum into the memo, with the
-    size of the ball its scan read."""
-    _overlap_memo[(gen, best.radius)] = (best, scanned_size)
+def prime_overlap(gen: GeneratorSet, best: IntersectionMax) -> None:
+    """Install an externally loaded overlap maximum into the memo."""
+    _overlap_memo[(gen, best.radius)] = best
 
 
-def local_params(
-    pi: Perm, gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
-) -> tuple[int, int, int]:
+def local_params(pi: Perm, gen: GeneratorSet) -> tuple[int, int, int]:
     """(c, a, b): neighbors of pi one step closer to / level with / one step
     farther from the identity.  They always sum to the valency.  Raises
     ``CapacityError`` as :func:`distance` does."""
     if len(pi) != gen.n:
         raise ValueError("degree mismatch")
     v = pack(pi)
-    _, prev, level = _walk_to(v, gen, budgets)
+    _, prev, level = _walk_to(v, gen)
     return _split(v, gen, prev, level)
 
 
-def _check_whole_graph(gen: GeneratorSet, budgets: Budgets) -> None:
-    if gen.n > budgets.whole_graph_max_n:
-        raise CapacityError(
-            f"whole-graph search capped at degree {budgets.whole_graph_max_n}"
-        )
+def _check_whole_graph(gen: GeneratorSet) -> None:
+    if gen.n > WHOLE_GRAPH_MAX_N:
+        raise CapacityError(f"whole-graph search capped at degree {WHOLE_GRAPH_MAX_N}")
 
 
-def _classified_vertices(gen: GeneratorSet, budgets: Budgets):
+def _classified_vertices(gen: GeneratorSet):
     """(d, y, (c, a, b)) for every packed non-identity vertex y, level by
     level in breadth-first discovery order, where d is y's distance from the
     identity and c, a, b count its neighbors at distance d-1, d and d+1."""
-    _check_whole_graph(gen, budgets)
+    _check_whole_graph(gen)
     for d, prev, level in _walk(gen):
         if d:
             for y in level:
                 yield d, y, _split(y, gen, prev, level)
 
 
-def local_params_all(
-    gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
-) -> dict[Perm, tuple[int, int, int]]:
+def local_params_all(gen: GeneratorSet) -> dict[Perm, tuple[int, int, int]]:
     """(c, a, b) for every non-identity vertex, from one whole-graph walk."""
-    return {unpack(y): cab for _, y, cab in _classified_vertices(gen, budgets)}
+    return {unpack(y): cab for _, y, cab in _classified_vertices(gen)}
 
 
-def bfs_levels(
-    gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
-) -> list[list[Perm]]:
+def bfs_levels(gen: GeneratorSet) -> list[list[Perm]]:
     """Whole-graph breadth-first levels from the identity, each in discovery
     order (by predecessor, then by generator)."""
-    _check_whole_graph(gen, budgets)
+    _check_whole_graph(gen)
     return [list(map(unpack, lvl)) for lvl in _levels(identity(gen.n), gen)]
 
 
-def diameter(gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS) -> int:
+def diameter(gen: GeneratorSet) -> int:
     """Graph diameter: the eccentricity of the identity, which equals the
     diameter by vertex-transitivity.  Counts the levels without keeping
     them."""
-    _check_whole_graph(gen, budgets)
+    _check_whole_graph(gen)
     return sum(1 for _ in _levels(identity(gen.n), gen)) - 1
 
 
-def geodesic_counts(
-    gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
-) -> dict[Perm, int]:
+def geodesic_counts(gen: GeneratorSet) -> dict[Perm, int]:
     """Number of shortest paths from the identity to every vertex, from one
     whole-graph walk: each vertex sums the counts of its neighbors in the
     level before.  A geodesic to p spells a minimal factorization of p into
@@ -572,7 +498,7 @@ def geodesic_counts(
     >>> geodesic_counts(GeneratorSet.adjacent(4))[(3, 2, 1, 0)]
     16
     """
-    _check_whole_graph(gen, budgets)
+    _check_whole_graph(gen)
     counts: dict[bytes, int] = {}
     for d, prev, level in _walk(gen):
         for v in level:
@@ -601,9 +527,7 @@ class RegularityResult:
     intersection_array: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def is_distance_regular(
-    gen: GeneratorSet, budgets: Budgets = DEFAULT_BUDGETS
-) -> RegularityResult:
+def is_distance_regular(gen: GeneratorSet) -> RegularityResult:
     """Check whether closer/farther neighbor counts depend only on distance.
 
     Left translations are automorphisms carrying any base vertex to the
@@ -611,7 +535,7 @@ def is_distance_regular(
     pair.  On failure the witness pair is returned."""
     b_arr: list[int] = [len(gen.gens)]
     c_arr: list[int] = []
-    for d, y, (c, _, b) in _classified_vertices(gen, budgets):
+    for d, y, (c, _, b) in _classified_vertices(gen):
         if d > len(c_arr):
             # the first vertex of each level sets that level's reference
             ref, ref_vertex = (c, b), y
@@ -632,11 +556,7 @@ def is_distance_regular(
     return RegularityResult(True, None, (tuple(b_arr), tuple(c_arr)))
 
 
-def girth_cycle_check(
-    gen: GeneratorSet,
-    lengths,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> dict[int, bool]:
+def girth_cycle_check(gen: GeneratorSet, lengths) -> dict[int, bool]:
     """For each requested length, whether the graph has a simple cycle of
     that length.  Vertex-transitivity means cycles exist somewhere iff they
     exist through the identity, so the search is local."""
@@ -646,7 +566,7 @@ def girth_cycle_check(
             raise ValueError(f"cycle length must be >= 3, got {length}")
         k = len(gen.gens)
         estimate = k * max(k - 1, 1) ** (length - 2)
-        if estimate > budgets.max_cycle_search:
+        if estimate > MAX_CYCLE_SEARCH:
             raise CapacityError(f"cycle search for length {length} exceeds budget")
         out[length] = _has_cycle_through_identity(gen, length)
     return out
@@ -677,13 +597,7 @@ def _has_cycle_through_identity(gen: GeneratorSet, length: int) -> bool:
     return False
 
 
-def complete_bipartite_count(
-    gen: GeneratorSet,
-    p: int,
-    q: int,
-    at: Perm,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> int:
+def complete_bipartite_count(gen: GeneratorSet, p: int, q: int, at: Perm) -> int:
     """Number of complete-bipartite K_{p,q} subgraphs through vertex ``at``.
 
     Every such subgraph lies inside the radius-2 ball around ``at``: the
@@ -771,19 +685,14 @@ class GraphReport:
         }
 
 
-def build_graph_report(
-    gen: GeneratorSet,
-    r: int,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    with_diameter: bool = True,
-) -> GraphReport:
+def build_graph_report(gen: GeneratorSet, r: int, with_diameter: bool = True) -> GraphReport:
     lam, mu = lambda_mu(gen)
-    per_radius = tuple(overlap_of_identity(gen, rr, budgets) for rr in range(1, r + 1))
+    per_radius = tuple(overlap_of_identity(gen, rr) for rr in range(1, r + 1))
     notes: list[str] = []
     diam: int | None = None
     if with_diameter:
         try:
-            diam = diameter(gen, budgets)
+            diam = diameter(gen)
         except CapacityError as exc:
             notes.append(f"diameter skipped: {exc}")
     else:

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
-from .cayley import (
-    Budgets,
-    DEFAULT_BUDGETS,
-    GeneratorSet,
-    ball_of_identity,
-    overlap_of_identity,
-)
+from .cayley import GeneratorSet, ball_of_identity, overlap_of_identity
 from .perms import (
     Perm,
     compose,
@@ -87,12 +81,7 @@ def distort(x: Perm, spec: ChannelSpec, draw_index: int = 0) -> Perm:
     return y
 
 
-def generate_patterns(
-    x: Perm,
-    spec: ChannelSpec,
-    m: int,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> list[Perm]:
+def generate_patterns(x: Perm, spec: ChannelSpec, m: int) -> list[Perm]:
     """m distinct channel outputs for source x, all within distance
     max_errors.
 
@@ -113,7 +102,7 @@ def generate_patterns(
             seen.add(y)
             out.append(y)
     if len(out) < m:
-        members = ball_of_identity(spec.gen, spec.max_errors, budgets).packed
+        members = ball_of_identity(spec.gen, spec.max_errors).packed
         ball_list = list(map(unpack, sorted(translated(members, left_table(pack(x))))))
         if m > len(ball_list):
             raise ValueError(
@@ -145,12 +134,7 @@ class ReconstructionResult:
         }
 
 
-def reconstruct(
-    patterns,
-    r: int,
-    gen: GeneratorSet,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> ReconstructionResult:
+def reconstruct(patterns, r: int, gen: GeneratorSet) -> ReconstructionResult:
     """Candidates = intersection of the radius-r balls around the patterns.
 
     Only one ball is materialized (they all have equal size, so the first
@@ -163,7 +147,7 @@ def reconstruct(
         raise ValueError("need at least one pattern")
     if any(len(p) != gen.n for p in patterns):
         raise ValueError("pattern degree mismatch")
-    members = ball_of_identity(gen, r, budgets).packed
+    members = ball_of_identity(gen, r).packed
     first, *rest = map(pack, patterns)
     found = _survivors(
         translated(members, left_table(first)),
@@ -206,15 +190,11 @@ def _subset_is_unique(
     return next(_survivors(pool, rest, members), None) is None
 
 
-def ambiguity_witness(
-    gen: GeneratorSet,
-    r: int,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> tuple[Perm, Perm, list[Perm]]:
+def ambiguity_witness(gen: GeneratorSet, r: int) -> tuple[Perm, Perm, list[Perm]]:
     """A pair of centers attaining the overlap maximum plus the full shared
     pattern set: feeding those patterns to the reconstructor leaves both
     centers as candidates, so the threshold cannot be lowered."""
-    best = overlap_of_identity(gen, r, budgets)
+    best = overlap_of_identity(gen, r)
     s = best.best_s[0]
     label = best.witnesses[s][0]
     if gen.kind == "T":
@@ -223,20 +203,16 @@ def ambiguity_witness(
         other = class_representative(parse_cycle_type(label))
     else:
         other = parse_perm(label)
-    members = ball_of_identity(gen, r, budgets).packed
+    members = ball_of_identity(gen, r).packed
     shared = _survivors(members, [left_inverse_table(pack(other))], members)
     return identity(gen.n), other, list(map(unpack, sorted(shared)))
 
 
-def exhaustive_threshold_check(
-    gen: GeneratorSet,
-    r: int,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> int:
+def exhaustive_threshold_check(gen: GeneratorSet, r: int) -> int:
     """Try every subset of threshold size from the identity ball and count
     how many fail to reconstruct uniquely (the guarantee says none do)."""
-    threshold = overlap_of_identity(gen, r, budgets).value + 1
-    members = ball_of_identity(gen, r, budgets).packed
+    threshold = overlap_of_identity(gen, r).value + 1
+    members = ball_of_identity(gen, r).packed
     source = pack(identity(gen.n))
     failures = 0
     for subset in combinations(sorted(members), threshold):
@@ -245,16 +221,10 @@ def exhaustive_threshold_check(
     return failures
 
 
-def sampled_threshold_check(
-    gen: GeneratorSet,
-    r: int,
-    samples: int,
-    seed: int,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> int:
+def sampled_threshold_check(gen: GeneratorSet, r: int, samples: int, seed: int) -> int:
     """Same as :func:`exhaustive_threshold_check` on seeded random subsets."""
-    threshold = overlap_of_identity(gen, r, budgets).value + 1
-    members = ball_of_identity(gen, r, budgets).packed
+    threshold = overlap_of_identity(gen, r).value + 1
+    members = ball_of_identity(gen, r).packed
     ball_list = sorted(members)
     source = pack(identity(gen.n))
     rng = SplitMix64(seed)
@@ -355,7 +325,6 @@ def run_experiment(
     m: int | None = None,
     adversarial: bool = False,
     exact_errors: bool = False,
-    budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ExperimentSummary:
     """Seeded reconstruction trials.
 
@@ -371,15 +340,17 @@ def run_experiment(
     if adversarial:
         # the identity-centered region shared with the maximal-overlap
         # witness; it holds exactly the overlap maximum
-        shared = ambiguity_witness(gen, r, budgets)[2]
+        shared = ambiguity_witness(gen, r)[2]
         threshold = len(shared)
     else:
-        threshold = overlap_of_identity(gen, r, budgets).value
+        threshold = overlap_of_identity(gen, r).value
     if m is None:
         m = threshold if adversarial else threshold + 1
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     if adversarial and m > threshold:
         raise ValueError(f"adversarial pool has {threshold} patterns, need {m}")
-    members = ball_of_identity(gen, r, budgets).packed
+    members = ball_of_identity(gen, r).packed
     records = []
     for trial in range(trials):
         rng = SplitMix64(derive_seed(seed, trial))
@@ -393,8 +364,8 @@ def run_experiment(
             spec = ChannelSpec(
                 gen, r, derive_seed(seed, (trial << 1) + 1), exact_errors=exact_errors
             )
-            patterns = generate_patterns(source, spec, m, budgets)
-        result = reconstruct(patterns, r, gen, budgets)
+            patterns = generate_patterns(source, spec, m)
+        result = reconstruct(patterns, r, gen)
         if not adversarial and source not in result.candidates:
             raise AssertionError("honest source fell outside the candidate set")
         min_unique = None

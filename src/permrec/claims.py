@@ -13,9 +13,9 @@ Verdicts: "pass" (measured equals expected, or satisfies it when expected
 is a :class:`Bound`), "fail" (it does not), "skip" (the measure raised
 :class:`NoClaim`, because no value is asserted at this instance or a
 bound's premises fail, or ``CapacityError``, because the instance exceeds
-the capacity budget).  A skipped row never fails a run.  Ranges reflect
-where the source formulas actually assert a value; instances outside are
-computed but reported as no-claim.
+one of the capacity caps of ``cayley``).  A skipped row never fails a run.
+Ranges reflect where the source formulas actually assert a value; instances
+outside are computed but reported as no-claim.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from math import comb, factorial
 
 from . import formulas
 from .cayley import (
-    Budgets,
-    DEFAULT_BUDGETS,
     GeneratorSet,
     bfs_levels,
     complete_bipartite_count,
@@ -116,7 +114,6 @@ class NoClaim(Exception):
 class SuiteConfig:
     min_n: int = 3
     max_n: int = 5
-    budgets: Budgets = DEFAULT_BUDGETS
 
     def span(self, lo: int, hi: int) -> range:
         return range(max(lo, self.min_n), min(hi, self.max_n) + 1)
@@ -139,7 +136,7 @@ def suite_n_values(cfg: SuiteConfig):
                 else:
                     expected = formulas.bubble_star_max_overlap(kind, n, r)
                 g = GeneratorSet.of_kind(kind, n)
-                return expected, max_ball_intersection(g, r, cfg.budgets).value
+                return expected, max_ball_intersection(g, r).value
             yield cid, stmt, f"n={n},r={r}", measure
 
 
@@ -162,7 +159,7 @@ def suite_ns_tables(cfg: SuiteConfig):
                     if expected is None:
                         raise NoClaim("no claim at this n")
                     g = GeneratorSet.of_kind(kind, n)
-                    got = max_ball_intersection_at(g, 2, s, cfg.budgets).value
+                    got = max_ball_intersection_at(g, 2, s).value
                     return expected, "absent" if got is None else got
                 yield f"nstable.{kind}.s{s}", stmt[kind], f"n={n},s={s}", measure
 
@@ -187,7 +184,7 @@ def suite_lambda_mu(cfg: SuiteConfig):
             def measure():
                 g = GeneratorSet.of_kind(kind, n)
                 lam, mu = lambda_mu(g)
-                return max(lam + 2, mu), max_ball_intersection(g, 1, cfg.budgets).value
+                return max(lam + 2, mu), max_ball_intersection(g, 1).value
             yield f"consistency.{kind}.r1", consistency, f"n={n}", measure
 
 
@@ -198,7 +195,7 @@ def suite_local_params(cfg: SuiteConfig):
     )
     for n in cfg.span(3, 6):
         def measure():
-            measured = local_params_all(GeneratorSet.all_transpositions(n), cfg.budgets)
+            measured = local_params_all(GeneratorSet.all_transpositions(n))
             bad = 0
             for p, (c, a, b) in measured.items():
                 ect, ebt = formulas.local_params_formula(cycle_type(p))
@@ -213,9 +210,7 @@ def suite_factorizations(cfg: SuiteConfig):
     for n in cfg.span(3, 8):
         # one walk serves every class of this degree; it runs on the first
         # measure, so a capacity skip still skips row by row
-        counts = cache(partial(
-            geodesic_counts, GeneratorSet.all_transpositions(n), cfg.budgets
-        ))
+        counts = cache(partial(geodesic_counts, GeneratorSet.all_transpositions(n)))
         for ct in cycle_types(n):
             if ct.min_transpositions:
                 yield "denes.count", stmt, f"n={n},ct={ct}", lambda: (
@@ -235,7 +230,7 @@ def suite_classes(cfg: SuiteConfig):
     )
     for n in cfg.span(3, 6):
         def measure():
-            levels = bfs_levels(GeneratorSet.all_transpositions(n), cfg.budgets)
+            levels = bfs_levels(GeneratorSet.all_transpositions(n))
             ok = True
             for i, level in enumerate(levels):
                 union = set()
@@ -257,7 +252,7 @@ def suite_diameters(cfg: SuiteConfig):
     for cid, kind, expect, stmt in specs:
         for n in cfg.span(3, 7):
             yield cid, stmt, f"n={n}", lambda: (
-                expect(n), len(bfs_levels(GeneratorSet.of_kind(kind, n), cfg.budgets)) - 1
+                expect(n), len(bfs_levels(GeneratorSet.of_kind(kind, n))) - 1
             )
 
 
@@ -276,9 +271,7 @@ def suite_structure(cfg: SuiteConfig):
         for n in cfg.span(3, 5):
             yield cid, stmt, f"n={n}", lambda: (
                 expect(n),
-                complete_bipartite_count(
-                    GeneratorSet.of_kind(kind, n), p, q, identity(n), cfg.budgets
-                ),
+                complete_bipartite_count(GeneratorSet.of_kind(kind, n), p, q, identity(n)),
             )
     girth_specs = [
         ("structure.st.girth", "st", (3, 4, 5, 7), "no cycles of length 3, 4, 5 or 7 (prefix swaps)"),
@@ -288,7 +281,7 @@ def suite_structure(cfg: SuiteConfig):
     for cid, kind, lengths, stmt in girth_specs:
         for n in cfg.span(3, 5):
             def measure():
-                found = girth_cycle_check(GeneratorSet.of_kind(kind, n), lengths, cfg.budgets)
+                found = girth_cycle_check(GeneratorSet.of_kind(kind, n), lengths)
                 if cid == "structure.T.girth4":
                     return "present", "present" if all(found.values()) else "absent"
                 bad = sorted(l for l, present in found.items() if present)
@@ -300,7 +293,7 @@ def suite_distance_regularity(cfg: SuiteConfig):
     for n in cfg.span(4, 4):
         for kind in KINDS:
             def measure():
-                res = is_distance_regular(GeneratorSet.of_kind(kind, n), cfg.budgets)
+                res = is_distance_regular(GeneratorSet.of_kind(kind, n))
                 found = not res.is_distance_regular and res.witness is not None
                 return "witness found", "witness found" if found else "distance-regular"
             yield (f"drg.{kind}4", "not distance-regular at n=4 (witness pair required)",
@@ -352,8 +345,8 @@ def suite_small_graphs(cfg: SuiteConfig):
 def _sym_profile(kind: str, n: int, cfg: SuiteConfig):
     g = GeneratorSet.of_kind(kind, n)
     lam, mu = lambda_mu(g)
-    n1 = max_ball_intersection(g, 1, cfg.budgets).value
-    res2 = max_ball_intersection(g, 2, cfg.budgets)
+    n1 = max_ball_intersection(g, 1).value
+    res2 = max_ball_intersection(g, 2)
     per_s = {sm.s: sm.value for sm in res2.per_s}
     return g, lam, mu, n1, per_s
 
@@ -410,7 +403,7 @@ def suite_bounds(cfg: SuiteConfig):
         for n in cfg.span(4 if kind == "st" else 3, 5):
             def measure():
                 g, lam, mu, n1, per_s = profile(kind, n)
-                found = girth_cycle_check(g, (3, 5), cfg.budgets)
+                found = girth_cycle_check(g, (3, 5))
                 premises = formulas.sphere_comparison_premises(g.k, mu, found[3], found[5])
                 if not premises.applicable:
                     raise NoClaim("premises fail: " + "; ".join(premises.reasons))
@@ -418,11 +411,7 @@ def suite_bounds(cfg: SuiteConfig):
             yield "bound.sphere-comparison", stmt10, f"{kind},n={n}", measure
 
 
-def conjecture_probe(
-    n: int,
-    r: int,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> dict:
+def conjecture_probe(n: int, r: int) -> dict:
     """Experimental probe of the r-error overlap maximum on the
     all-transpositions graph.
 
@@ -439,14 +428,14 @@ def conjecture_probe(
     if n < 2 * r + 1:
         raise ValueError(f"probe needs n >= 2r+1, got n={n}, r={r}")
     g = GeneratorSet.all_transpositions(n)
-    result = max_ball_intersection(g, r, budgets)
+    result = max_ball_intersection(g, r)
     counts = [0] * n
     counts[0] = n - 3
     counts[2] = 1
     three_cycle = CycleType(tuple(counts))
-    three_cycle_value = ball_overlap(g, r, class_representative(three_cycle), budgets)
-    reading_printed = max_ball_intersection_at(g, 2, 2, budgets).value
-    reading_same_radius = max_ball_intersection_at(g, r, 2, budgets).value
+    three_cycle_value = ball_overlap(g, r, class_representative(three_cycle))
+    reading_printed = max_ball_intersection_at(g, 2, 2).value
+    reading_same_radius = max_ball_intersection_at(g, r, 2).value
     return {
         "label": "probe",
         "n": n,

@@ -8,6 +8,8 @@ keys), csv (tabular commands only), pretty.  Exit codes: 0 success/unique,
 
 Settings precedence is defaults < config file (--config, JSON object) <
 command-line flags; the effective settings are echoed into every document.
+The two settings are the output format and the cache directory.  The
+engine's capacity caps are constants of ``cayley``, not settings.
 """
 
 from __future__ import annotations
@@ -21,11 +23,7 @@ from math import factorial
 from pathlib import Path
 
 from . import __version__
-from .cayley import (
-    Budgets,
-    GeneratorSet,
-    build_graph_report,
-)
+from .cayley import GeneratorSet, build_graph_report
 from .cache import ball_of_identity_cached, overlap_of_identity_cached, write_atomically
 from .channel import reconstruct, run_experiment
 from .claims import CSV_COLUMNS, SuiteConfig, conjecture_probe, run_suites
@@ -49,8 +47,6 @@ _FORMATS = ("json", "csv", "pretty")
 _SETTING_DEFAULTS = {
     "format": "json",
     "cache_dir": None,
-    "max_ball_size": 2_000_000,
-    "max_bfs_n": 8,
 }
 
 
@@ -71,10 +67,6 @@ def _build_parser() -> _Parser:
                         help="JSON settings file (defaults < file < flags)")
     shared.add_argument("--cache-dir", type=Path, default=None,
                         help="directory for cached balls and overlap maxima")
-    shared.add_argument("--max-ball-size", type=int, default=None,
-                        help="largest ball the engine may materialize")
-    shared.add_argument("--max-bfs-n", type=int, default=None,
-                        help="largest degree for whole-graph sweeps")
 
     parser = _Parser(prog="permrec",
                      description="metric-ball reconstruction over symmetric groups")
@@ -165,8 +157,6 @@ def _load_settings(args) -> dict:
             settings[key] = flag
     if settings["cache_dir"] is not None:
         settings["cache_dir"] = str(settings["cache_dir"])
-    if settings["max_ball_size"] < 1 or settings["max_bfs_n"] < 2:
-        raise UsageError("budgets must be positive")
     return settings
 
 
@@ -174,18 +164,8 @@ def _check_config_values(raw: dict) -> None:
     """Hold config-file values to the types the matching flags parse to."""
     if raw.get("format", "json") not in _FORMATS:
         raise UsageError(f"config format must be one of {', '.join(_FORMATS)}")
-    for key in ("max_ball_size", "max_bfs_n"):
-        if type(raw.get(key, 1)) is not int:
-            raise UsageError(f"config {key} must be an integer")
     if not isinstance(raw.get("cache_dir"), (str, type(None))):
         raise UsageError("config cache_dir must be a string or null")
-
-
-def _budgets(settings) -> Budgets:
-    return Budgets(
-        max_ball_size=settings["max_ball_size"],
-        whole_graph_max_n=settings["max_bfs_n"],
-    )
 
 
 def _envelope(command: str, settings: dict, payload: dict) -> dict:
@@ -219,29 +199,26 @@ def _pretty_table(rows: list[dict], columns) -> None:
         print("  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(columns, widths)))
 
 
-def _warm(settings, cached, gen, radius, budgets):
+def _warm(settings, cached, gen, radius):
     """Fill the memo through ``cached`` (a ball or an overlap maximum) from
     the cache directory, computing and writing the file if it is unusable."""
     if settings["cache_dir"] is None:
         return
     try:
-        cached(gen, radius, settings["cache_dir"], budgets)
+        cached(gen, radius, settings["cache_dir"])
     except OSError as exc:
         raise UsageError(f"cannot use cache directory: {exc}")
 
 
 def _cmd_report(args, settings) -> int:
-    budgets = _budgets(settings)
     if args.r < 1:
         raise UsageError("--r must be >= 1")
     reports = []
     for n in args.n:
         gen = GeneratorSet.of_kind(args.graph, n)
         for rr in range(1, args.r + 1):
-            _warm(settings, overlap_of_identity_cached, gen, rr, budgets)
-        report = build_graph_report(
-            gen, args.r, budgets, with_diameter=not args.no_diameter
-        )
+            _warm(settings, overlap_of_identity_cached, gen, rr)
+        report = build_graph_report(gen, args.r, with_diameter=not args.no_diameter)
         reports.append(report.to_doc())
     doc = _envelope("report", settings, {"reports": reports})
     if settings["format"] == "json":
@@ -260,11 +237,7 @@ def _cmd_report(args, settings) -> int:
 
 def _cmd_verify(args, settings) -> int:
     suites = args.suite or ["all"]
-    cfg = SuiteConfig(
-        min_n=args.min_n,
-        max_n=args.max_n,
-        budgets=_budgets(settings),
-    )
+    cfg = SuiteConfig(min_n=args.min_n, max_n=args.max_n)
     try:
         rows = run_suites(suites, cfg)
     except ValueError as exc:
@@ -308,11 +281,10 @@ def _read_patterns(path: Path):
 
 
 def _cmd_reconstruct(args, settings) -> int:
-    budgets = _budgets(settings)
     patterns = _read_patterns(args.patterns)
     gen = GeneratorSet.of_kind(args.graph, len(patterns[0]))
-    _warm(settings, ball_of_identity_cached, gen, args.r, budgets)
-    result = reconstruct(patterns, args.r, gen, budgets)
+    _warm(settings, ball_of_identity_cached, gen, args.r)
+    result = reconstruct(patterns, args.r, gen)
     doc = _envelope("reconstruct", settings, {"result": result.to_doc()})
     if settings["format"] == "json":
         _emit_json(doc)
@@ -335,20 +307,18 @@ _SUMMARY_COLUMNS = (
 
 
 def _cmd_simulate(args, settings) -> int:
-    budgets = _budgets(settings)
     gen = GeneratorSet.of_kind(args.graph, args.n)
     if args.transcript is not None and not args.transcript.parent.is_dir():
         raise UsageError(
             f"cannot write transcript file {args.transcript}: no such directory"
         )
-    _warm(settings, ball_of_identity_cached, gen, args.r, budgets)
-    _warm(settings, overlap_of_identity_cached, gen, args.r, budgets)
+    _warm(settings, ball_of_identity_cached, gen, args.r)
+    _warm(settings, overlap_of_identity_cached, gen, args.r)
     summary = run_experiment(
         gen, args.r, args.trials, args.seed,
         m=args.m,
         adversarial=args.adversarial,
         exact_errors=args.exact_errors,
-        budgets=budgets,
     )
     if args.transcript is not None:
         lines = (
@@ -419,9 +389,8 @@ def _cmd_classes(args, settings) -> int:
 
 
 def _cmd_probe(args, settings) -> int:
-    budgets = _budgets(settings)
     try:
-        probe = conjecture_probe(args.n, args.r, budgets)
+        probe = conjecture_probe(args.n, args.r)
     except ValueError as exc:
         raise UsageError(str(exc))
     doc = _envelope("probe-conjecture", settings, {"probe": probe})

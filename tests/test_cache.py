@@ -18,14 +18,12 @@ from permrec.cache import (
     save_overlap,
 )
 from permrec.cayley import (
-    Budgets,
     GeneratorSet,
     ball_of_identity,
     build_graph_report,
     clear_ball_memo,
     max_ball_intersection,
     overlap_of_identity,
-    scanned_radius,
 )
 from permrec.errors import CacheError, CapacityError
 from permrec.perms import rank
@@ -154,26 +152,6 @@ class TestCachedAccess:
         with_cache = build_graph_report(g, 2).to_doc()
         assert with_cache == without
 
-    def test_loaded_ball_reused_under_other_budgets(self, tmp_path, monkeypatch):
-        g = GeneratorSet.adjacent(5)
-        ball_of_identity_cached(g, 2, tmp_path)
-        clear_ball_memo()
-        builds = []
-        real_ball = cayley.ball
-        monkeypatch.setattr(
-            cayley, "ball", lambda *a, **k: builds.append(a) or real_ball(*a, **k)
-        )
-        loaded = ball_of_identity_cached(g, 2, tmp_path, Budgets(whole_graph_max_n=7))
-        assert ball_of_identity(g, 2, Budgets(whole_graph_max_n=7)) is loaded
-        assert builds == []
-
-    def test_memo_hit_over_a_tight_cap_raises(self):
-        g = GeneratorSet.adjacent(5)
-        b = ball_of_identity(g, 2)
-        with pytest.raises(CapacityError):
-            ball_of_identity(g, 2, Budgets(max_ball_size=b.size - 1))
-        assert ball_of_identity(g, 2, Budgets(max_ball_size=b.size)) is b
-
     def test_stale_file_recomputed(self, tmp_path):
         g = GeneratorSet.adjacent(4)
         path = cache_path(tmp_path, g, 1)
@@ -261,27 +239,49 @@ class TestCorruptBallFiles:
         g = GeneratorSet.adjacent(4)
         spheres = [sorted(sph) for sph in ball_of_identity(g, 1).packed_spheres]
         path = tmp_path / "ball.bin"
-        for stored in ([], spheres + [[]]):
+        # spheres[:1] is the ball cut off before its last sphere
+        for stored in ([], spheres + [[]], spheres[:1]):
             path.write_bytes(ball_blob(g, 1, stored))
             with pytest.raises(CacheError):
                 load_ball(path, g, 1)
+        # fewer spheres than radius+1 are whole when they hold all n! vertices,
+        # as past the diameter, 6
+        whole = ball_of_identity(g, 9).packed_spheres
+        path.write_bytes(ball_blob(g, 9, [sorted(sph) for sph in whole]))
+        assert load_ball(path, g, 9).packed_spheres == whole
+
+    def test_file_over_the_cap_fails_as_the_uncached_run(self, tmp_path, capsys, monkeypatch):
+        g = GeneratorSet.all_transpositions(5)
+        cache_dir = tmp_path / "cache"
+        path = cache_path(cache_dir, g, 2)
+        b = ball_of_identity(g, 2)
+        save_ball(path, b)
+        clear_ball_memo()
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", b.size - 1)
+        with pytest.raises(CacheError):
+            load_ball(path, g, 2)
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_text("[2,1,4,3,5]\n[3,2,1,5,4]\n[1,2,3,5,4]\n")
+        argv = ["reconstruct", "--graph", "T", "--r", "2", "--patterns", patterns]
+        want = (*run_cli(argv), capsys.readouterr().err)
+        assert want[:2] == (1, "") and "ball exceeds budget" in want[2]
+        clear_ball_memo()
+        assert (*run_cli(argv + ["--cache-dir", cache_dir]), capsys.readouterr().err) == want
 
 
 class TestOverlapMemo:
     @pytest.mark.parametrize("kind", ["T", "t", "st"])
-    def test_hit_is_the_same_object_under_the_same_cap(self, kind):
+    def test_hit_is_the_same_object_under_the_same_cap(self, kind, monkeypatch):
         g = GeneratorSet.of_kind(kind, 5)
         best = overlap_of_identity(g, 2)
         assert best == max_ball_intersection(g, 2)
         assert overlap_of_identity(g, 2) is best
-        size = ball_of_identity(g, scanned_radius(g, 2)).size
-        assert overlap_of_identity(g, 2, Budgets(max_ball_size=size)) is best
-        with pytest.raises(CapacityError):
-            overlap_of_identity(g, 2, Budgets(max_ball_size=size - 1))
+        # the scan reads the radius-2 ball for T and the radius-4 ball otherwise
+        size = ball_of_identity(g, 2 if kind == "T" else 4).size
         clear_ball_memo()
-        # the scan itself fails under that cap too
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", size - 1)
         with pytest.raises(CapacityError):
-            max_ball_intersection(g, 2, Budgets(max_ball_size=size - 1))
+            overlap_of_identity(g, 2)
 
     def test_scan_stays_unmemoized(self, monkeypatch):
         g = GeneratorSet.adjacent(5)
@@ -310,10 +310,9 @@ class TestOverlapFile:
     def test_first_call_writes_then_loads(self, tmp_path, kind, monkeypatch):
         g = GeneratorSet.of_kind(kind, 5)
         want = max_ball_intersection(g, 2)
-        size = ball_of_identity(g, scanned_radius(g, 2)).size
         clear_ball_memo()
         assert overlap_of_identity_cached(g, 2, tmp_path) == want
-        assert load_overlap(overlap_path(tmp_path, g, 2), g, 2) == (want, size)
+        assert load_overlap(overlap_path(tmp_path, g, 2), g, 2) == want
         clear_ball_memo()
         monkeypatch.setattr(cayley, "max_ball_intersection", None)
         monkeypatch.setattr(cayley, "ball", None)
@@ -322,47 +321,38 @@ class TestOverlapFile:
         assert loaded == want
         assert overlap_of_identity(g, 2) is loaded
 
-    def test_loaded_file_respects_the_cap(self, tmp_path):
-        g = GeneratorSet.adjacent(6)
-        overlap_of_identity_cached(g, 2, tmp_path)
-        size = ball_of_identity(g, 4).size
-        clear_ball_memo()
-        with pytest.raises(CapacityError):
-            overlap_of_identity_cached(g, 2, tmp_path, Budgets(max_ball_size=size - 1))
-        clear_ball_memo()
-        tight = Budgets(max_ball_size=size)
-        assert overlap_of_identity_cached(g, 2, tmp_path, tight) == max_ball_intersection(g, 2)
-
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         g = GeneratorSet.adjacent(5)
         best = overlap_of_identity(g, 2)
         path = overlap_path(tmp_path, g, 2)
-        save_overlap(path, g, best, 7)
+        save_overlap(path, g, best)
+        before = path.read_bytes()
         fail_writes_halfway(monkeypatch)
         with pytest.raises(OSError):
-            save_overlap(path, g, best, 8)
+            save_overlap(path, g, best)
         monkeypatch.undo()
-        assert load_overlap(path, g, 2) == (best, 7)
+        assert path.read_bytes() == before
+        assert load_overlap(path, g, 2) == best
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("defect", [
         "garbage", "empty", "truncated", "not_an_object", "other_degree",
         "other_radius", "other_kind", "wrong_version", "missing_key",
         "entry_count", "entry_order", "value_type", "value_without_witnesses",
-        "bad_witness", "short_witness", "scanned_size",
+        "bad_witness", "short_witness", "version_1",
     ])
     def test_bad_file_recomputed_and_rewritten(self, tmp_path, defect):
         g = GeneratorSet.prefix(5)
         want = max_ball_intersection(g, 2)
         path = overlap_path(tmp_path, g, 2)
-        save_overlap(path, g, want, 11)
+        save_overlap(path, g, want)
         doc = json.loads(path.read_text())
         other = {"other_degree": (g.kind, 6, 2), "other_radius": (g.kind, 5, 1),
                  "other_kind": ("t", 5, 2)}
         if defect in other:
             kind, n, r = other[defect]
             og = GeneratorSet.of_kind(kind, n)
-            save_overlap(path, og, max_ball_intersection(og, r), 11)
+            save_overlap(path, og, max_ball_intersection(og, r))
         elif defect in ("garbage", "empty", "truncated"):
             raw = path.read_bytes()
             path.write_bytes({"garbage": b"\x00garbage", "empty": b"",
@@ -374,7 +364,7 @@ class TestOverlapFile:
             elif defect == "wrong_version":
                 doc["version"] += 1
             elif defect == "missing_key":
-                del doc["scanned_ball_size"]
+                del doc["per_s"]
             elif defect == "entry_count":
                 entries.pop()
             elif defect == "entry_order":
@@ -387,12 +377,14 @@ class TestOverlapFile:
                 entries[0][2][0] = "[1,1,3,4,5]"
             elif defect == "short_witness":
                 entries[0][2][0] = "[2,1,3,4]"
-            elif defect == "scanned_size":
-                doc["scanned_ball_size"] = 0
+            elif defect == "version_1":
+                # the previous format, which also stored the scanned ball's size
+                doc["version"] = 1
+                doc["scanned_ball_size"] = ball_of_identity(g, 4).size
             path.write_text(json.dumps(doc))
         with pytest.raises(CacheError):
             load_overlap(path, g, 2)
         clear_ball_memo()
         assert overlap_of_identity_cached(g, 2, tmp_path) == want
-        size = ball_of_identity(g, 4).size
-        assert load_overlap(path, g, 2) == (want, size)
+        assert json.loads(path.read_text())["version"] == 2
+        assert load_overlap(path, g, 2) == want

@@ -2,9 +2,8 @@ from math import comb, factorial
 
 import pytest
 
-from permrec import formulas
+from permrec import cayley, formulas
 from permrec.cayley import (
-    Budgets,
     GeneratorSet,
     RegularityWitness,
     ball,
@@ -23,6 +22,7 @@ from permrec.cayley import (
     local_params_all,
     max_ball_intersection,
     max_ball_intersection_at,
+    clear_ball_memo,
     sphere,
 )
 from permrec.errors import CapacityError, UnreachableError
@@ -144,10 +144,14 @@ class TestBall:
         assert b.size == 6
         assert len(b.spheres) == 3
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, monkeypatch):
         g = GeneratorSet.all_transpositions(6)
+        clear_ball_memo()
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", 50)
+        with pytest.raises(CapacityError, match="^ball exceeds budget of 50 vertices$"):
+            ball(identity(6), 3, g)
         with pytest.raises(CapacityError):
-            ball(identity(6), 3, g, Budgets(max_ball_size=50))
+            ball_of_identity(g, 3)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -192,19 +196,22 @@ class TestDistance:
         with pytest.raises(UnreachableError):
             local_params(parse_perm("[2,3,1]"), g)
 
-    def test_capacity_is_the_ball_of_the_distance(self):
+    def test_capacity_is_the_ball_of_the_distance(self, monkeypatch):
         # x^-1 y is a 3-cycle, at distance 2; both queries hold levels 0..2
         g = GeneratorSet.all_transpositions(5)
         x = parse_perm("[2,1,3,4,5]")
         y = compose(x, parse_perm("[2,3,1,4,5]"))
         z = compose(inverse(x), y)
         size = ball(identity(5), 2, g).size
-        assert distance(x, y, g, Budgets(max_ball_size=size)) == 2
-        assert local_params(z, g, Budgets(max_ball_size=size)) == (3, 0, 7)
+        clear_ball_memo()
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", size)
+        assert distance(x, y, g) == 2
+        assert local_params(z, g) == (3, 0, 7)
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", size - 1)
         with pytest.raises(CapacityError):
-            distance(x, y, g, Budgets(max_ball_size=size - 1))
+            distance(x, y, g)
         with pytest.raises(CapacityError):
-            local_params(z, g, Budgets(max_ball_size=size - 1))
+            local_params(z, g)
 
 
 class TestIntersection:
@@ -403,13 +410,14 @@ class TestWholeGraph:
         assert diameter(GeneratorSet.adjacent(n)) == comb(n, 2)
         assert diameter(GeneratorSet.prefix(n)) == 3 * (n - 1) // 2
 
-    def test_whole_graph_cap(self):
-        capped = Budgets(whole_graph_max_n=5)
+    def test_whole_graph_cap(self, monkeypatch):
+        clear_ball_memo()
+        monkeypatch.setattr(cayley, "WHOLE_GRAPH_MAX_N", 5)
         sweeps = (bfs_levels, diameter, local_params_all, is_distance_regular, geodesic_counts)
         for sweep in sweeps:
-            sweep(GeneratorSet.adjacent(5), capped)
-            with pytest.raises(CapacityError):
-                sweep(GeneratorSet.adjacent(6), capped)
+            sweep(GeneratorSet.adjacent(5))
+            with pytest.raises(CapacityError, match="^whole-graph search capped at degree 5$"):
+                sweep(GeneratorSet.adjacent(6))
 
     @pytest.mark.parametrize("kind", [*KINDS, "explicit"])
     def test_levels_and_balls_match_oracle_distances(self, kind):
@@ -516,10 +524,12 @@ class TestSubgraphs:
     def test_all_transpositions_has_squares(self):
         assert girth_cycle_check(GeneratorSet.all_transpositions(4), (4,)) == {4: True}
 
-    def test_cycle_search_capacity(self):
+    def test_cycle_search_capacity(self, monkeypatch):
         g = GeneratorSet.all_transpositions(6)
-        with pytest.raises(CapacityError):
-            girth_cycle_check(g, (8,), Budgets(max_cycle_search=100))
+        clear_ball_memo()
+        monkeypatch.setattr(cayley, "MAX_CYCLE_SEARCH", 100)
+        with pytest.raises(CapacityError, match="^cycle search for length 8 exceeds budget$"):
+            girth_cycle_check(g, (8,))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_k33_counts(self, n):

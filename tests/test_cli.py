@@ -23,7 +23,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from permrec import cayley, claims, cli
+from permrec import cayley, claims, cli, smallgraphs
 from test_cache import fail_writes_halfway
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -176,17 +176,33 @@ def test_cached_stdout_is_byte_identical_to_golden(name, files, monkeypatch):
             assert transcript.read_text() == (GOLDEN / f"{name}.jsonl").read_text(), run
 
 
-def test_simulate_cap_fails_on_cold_and_warm_cache(files):
+def test_simulate_cap_fails_on_cold_and_warm_cache(files, capsys, monkeypatch):
     argv = ["simulate", "--graph", "t", "--n", "6", "--r", "2", "--trials", "2", "--seed", "1"]
     cayley.clear_ball_memo()
-    cap = cayley.ball_of_identity(cayley.GeneratorSet.adjacent(6), 4).size - 1
-    capped = [*argv, "--max-ball-size", str(cap)]
+    size = cayley.ball_of_identity(cayley.GeneratorSet.adjacent(6), 2).size
     cache_dir = files / "cache"
-    assert run_cli_cached(capped, files, cache_dir)[0] == 1
+
+    def run_capped(cached: bool):
+        cayley.clear_ball_memo()
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", size - 1)
+        code, out = run_cli_cached(argv, files, cache_dir) if cached else run_cli(argv, files)
+        monkeypatch.undo()
+        return code, out, capsys.readouterr().err
+
+    want = (1, "", f"error: ball exceeds budget of {size - 1} vertices\n")
+    assert run_capped(cached=True) == want
     assert run_cli_cached(argv, files, cache_dir)[0] == 0
-    assert run_cli_cached(capped, files, cache_dir)[0] == 1
-    cayley.clear_ball_memo()
-    assert run_cli(capped, files)[0] == 1
+    assert run_capped(cached=True) == want
+    assert run_capped(cached=False) == want
+
+
+@pytest.mark.parametrize("adversarial", [False, True])
+@pytest.mark.parametrize("m", [0, -3])
+def test_simulate_refuses_m_below_one(m, adversarial, files, capsys):
+    argv = ["simulate", "--graph", "st", "--n", "5", "--r", "2", "--trials", "2",
+            "--seed", "1", "--m", str(m), *(["--adversarial"] if adversarial else [])]
+    assert run_cli(argv, files) == (1, "")
+    assert capsys.readouterr().err == f"error: need m >= 1, got {m}\n"
 
 
 @pytest.mark.parametrize("kind, n", [("st", "5"), ("t", "6")])
@@ -219,21 +235,17 @@ def test_goldens_hold_under_any_hash_seed(hash_seed, tmp_path):
                     assert got.read_bytes() == want.read_bytes(), got
 
 
-DEFAULT_CONFIG = {
-    "cache_dir": None, "format": "json", "max_ball_size": 2_000_000, "max_bfs_n": 8,
-}
+DEFAULT_CONFIG = {"cache_dir": None, "format": "json"}
 
 
 # (config file, extra flags, echoed settings that differ from the defaults,
 # or None when the run must stop with a usage error)
 CONFIG_CASES = {
     "defaults": ({}, [], {}),
-    "file_over_defaults": (
-        {"max_ball_size": 500, "cache_dir": "c"}, [], {"max_ball_size": 500, "cache_dir": "c"},
-    ),
+    "file_over_defaults": ({"cache_dir": "c"}, [], {"cache_dir": "c"}),
     "flag_over_file": (
-        {"max_bfs_n": 7, "format": "csv"}, ["--max-bfs-n", "6", "--format", "json"],
-        {"max_bfs_n": 6},
+        {"cache_dir": "c", "format": "csv"}, ["--cache-dir", "d", "--format", "json"],
+        {"cache_dir": "d"},
     ),
     "format_unknown": ({"format": "xml"}, [], None),
     "budget_string": ({"max_ball_size": "x"}, [], None),
@@ -242,6 +254,9 @@ CONFIG_CASES = {
     "budget_float": ({"max_bfs_n": 7.5}, [], None),
     "cache_dir_number": ({"cache_dir": 5}, [], None),
     "unknown_key": ({"workers": 1}, [], None),
+    # the capacity caps are constants, not settings
+    "max_ball_size_key": ({"max_ball_size": 2_000_000}, [], None),
+    "max_bfs_n_key": ({"max_bfs_n": 8}, [], None),
 }
 
 
@@ -302,6 +317,8 @@ def test_cache_dir_that_is_a_file_is_a_usage_error(files, capsys):
     (["--version"], 0),
     (GOLDEN_CASES["reconstruct_ambiguous"], 2),
     (["factorizations", "--n", "3", "--workers", "2"], 64),
+    (["factorizations", "--n", "3", "--max-ball-size", "5"], 64),
+    (["factorizations", "--n", "3", "--max-bfs-n", "7"], 64),
 ])
 def test_module_entry_point_exit_codes(argv, want_code, files):
     argv = [a.replace("{dir}", str(files)) for a in argv]
@@ -346,13 +363,20 @@ def test_huge_vertex_id_is_refused_before_allocating(files):
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    (files / "huge.edges").write_text(f"0 1\n1 {10**12}\n")
-    done = subprocess.run(
-        [sys.executable, "-m", "permrec", "graph-import", "--edges", str(files / "huge.edges")],
-        env=src_env(), capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
-    )
-    assert (done.returncode, done.stdout) == (1, "")
-    assert done.stderr == "error: graph capped at 50000 vertices\n"
+    cap = smallgraphs.MAX_VERTICES
+    inputs = {
+        "huge.edges": f"0 1\n1 {10**12}\n",
+        # a path one vertex over the cap, whose report would be quadratic in v
+        "path.edges": "".join(f"{i} {i + 1}\n" for i in range(cap)),
+    }
+    for name, text in inputs.items():
+        (files / name).write_text(text)
+        done = subprocess.run(
+            [sys.executable, "-m", "permrec", "graph-import", "--edges", str(files / name)],
+            env=src_env(), capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+        )
+        assert (done.returncode, done.stdout) == (1, ""), name
+        assert done.stderr == f"error: graph capped at {cap} vertices\n", name
 
 
 def test_unknown_suite_fails_before_any_suite_runs(files, capsys, monkeypatch):
