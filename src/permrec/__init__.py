@@ -35,7 +35,7 @@ from .channel import (
     reconstruct,
     run_experiment,
 )
-from .errors import CacheError, CapacityError, UnreachableError
+from .errors import CacheError, CapacityError
 from .perms import (
     CycleType,
     Perm,

@@ -35,12 +35,14 @@ does not parse, does not match the request or does not have that shape.
 Version 1 files, which also stored the size of the ball the scan read,
 fail the version check.
 
-The cache is purely an optimization: a missing, mismatched or corrupt file
-is reported via CacheError and callers recompute and rewrite it; results
-are identical either way.  Explicit generator sets are never cached (their
-contents are not captured by the header).  Files are written to a
-temporary name in the same directory and renamed into place, so processes
-sharing a cache directory never read a half-written file.
+The cache is an optimization: a missing, mismatched or malformed file is
+reported via CacheError and callers recompute and rewrite it.  The checks
+cover format and permutation validity, not membership in the ball (that
+would cost more than computing the ball), so a file that passes them but
+holds other vertices or maxima loads and changes results: only permrec
+should write a cache directory.  Files are written to a temporary name in
+the same directory and renamed into place, so processes sharing a cache
+directory never read a half-written file.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from math import factorial
 from pathlib import Path
@@ -109,13 +111,7 @@ def _read(path: Path) -> bytes:
         raise CacheError(f"cannot read cache file {path}: {exc}")
 
 
-def _check_cacheable(gen: GeneratorSet) -> None:
-    if gen.kind not in _KIND_CODES:
-        raise CacheError("explicit generator sets are not cacheable")
-
-
 def save_ball(path: Path, ball: MetricBall) -> None:
-    _check_cacheable(ball.gen)
     if ball.center != identity(ball.gen.n):
         raise CacheError("only identity-centered balls are cacheable")
     header = _HEADER.pack(
@@ -153,8 +149,9 @@ def _all_permutations(data: bytes, n: int, count: int) -> bool:
 
 
 def load_ball(path: Path, gen: GeneratorSet, radius: int) -> MetricBall:
+    """The ball stored in ``path``, checked for format and permutation
+    validity as the module docstring lists, not for membership in the ball."""
     path = Path(path)
-    _check_cacheable(gen)
     blob = _read(path)
     if len(blob) < _HEADER.size:
         raise CacheError(f"cache file {path} is truncated")
@@ -209,21 +206,27 @@ def ball_of_identity_cached(
     later engine calls reuse it; otherwise the ball is computed and the
     file (re)written.  Either way the result, and any ``CapacityError``,
     is what :func:`cayley.ball_of_identity` gives."""
-    if cache_dir is None or gen.kind not in _KIND_CODES:
+    if cache_dir is None:
         return ball_of_identity(gen, radius)
-    path = cache_path(Path(cache_dir), gen, radius)
+    return _load_or_compute(
+        cache_path(Path(cache_dir), gen, radius), gen, radius,
+        load_ball, ball_of_identity, save_ball, prime_identity_ball,
+    )
+
+
+def _load_or_compute(path, gen, radius, load, compute, save, prime):
+    """Load and prime the memo, or on CacheError compute and save."""
     try:
-        loaded = load_ball(path, gen, radius)
+        got = load(path, gen, radius)
     except CacheError:
-        computed = ball_of_identity(gen, radius)
-        save_ball(path, computed)
-        return computed
-    prime_identity_ball(loaded)
-    return loaded
+        got = compute(gen, radius)
+        save(path, got)
+        return got
+    prime(got)
+    return got
 
 
 def save_overlap(path: Path, gen: GeneratorSet, best: IntersectionMax) -> None:
-    _check_cacheable(gen)
     doc = {
         "format": _OVERLAP_FORMAT,
         "version": _OVERLAP_VERSION,
@@ -278,7 +281,6 @@ def _sphere_max(s: int, entry, is_label) -> SphereMax:
 def load_overlap(path: Path, gen: GeneratorSet, radius: int) -> IntersectionMax:
     """The overlap maximum stored in ``path``."""
     path = Path(path)
-    _check_cacheable(gen)
     try:
         doc = json.loads(_read(path))
         request = (doc["format"], doc["version"], doc["kind"], doc["n"], doc["radius"])
@@ -304,14 +306,9 @@ def overlap_of_identity_cached(
     :func:`ball_of_identity_cached` backs the identity ball: a usable file
     is loaded and primed into the memo, otherwise the maximum is computed
     and the file (re)written."""
-    if cache_dir is None or gen.kind not in _KIND_CODES:
+    if cache_dir is None:
         return overlap_of_identity(gen, r)
-    path = overlap_path(Path(cache_dir), gen, r)
-    try:
-        best = load_overlap(path, gen, r)
-    except CacheError:
-        best = overlap_of_identity(gen, r)
-        save_overlap(path, gen, best)
-        return best
-    prime_overlap(gen, best)
-    return best
+    return _load_or_compute(
+        overlap_path(Path(cache_dir), gen, r), gen, r, load_overlap, overlap_of_identity,
+        lambda path, best: save_overlap(path, gen, best), partial(prime_overlap, gen),
+    )

@@ -1,10 +1,11 @@
 """Metric engine for Cayley graphs of the symmetric group.
 
-Supports the three transposition families (all transpositions, adjacent
-swaps, prefix swaps) plus arbitrary explicit involution sets.  Provides
-spheres, balls, distances, ball-intersection maxima, triangle/common-
-neighbor parameters, local parameters, diameters, distance-regularity and
-small-subgraph checks.
+Covers the paper's three transposition families (all transpositions,
+adjacent swaps, prefix swaps), each of which generates the whole group, so
+a walk from the identity reaches every permutation; a non-permutation
+argument raises ``ValueError`` before any walk.  Provides spheres, balls,
+distances, ball-intersection maxima, triangle/common-neighbor parameters,
+local parameters, diameters, distance-regularity and small-subgraph checks.
 
 Vertices are permutations; edges join x to x*s for generators s.
 Left translation is an automorphism, so distances satisfy
@@ -50,12 +51,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice
-from math import factorial
+from itertools import combinations, islice
+from math import comb, factorial
 
-from .errors import CapacityError, UnreachableError
+from .errors import CapacityError
 from .parallel import run_mapped
 from .perms import (
+    MAX_DEGREE,
     Perm,
     class_representative,
     compose,
@@ -74,7 +76,6 @@ from .perms import (
 KIND_ALL = "T"
 KIND_ADJACENT = "t"
 KIND_PREFIX = "st"
-KIND_EXPLICIT = "explicit"
 
 
 MAX_BALL_SIZE = 2_000_000
@@ -82,68 +83,48 @@ WHOLE_GRAPH_MAX_N = 8
 MAX_CYCLE_SEARCH = 20_000_000
 
 
+# Each family's generators as the position pairs they swap.
+_SWAPS = {
+    KIND_ALL: lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
+    KIND_ADJACENT: lambda n: [(i, i + 1) for i in range(n - 1)],
+    KIND_PREFIX: lambda n: [(0, i) for i in range(1, n)],
+}
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
-    """An involution generating set for the symmetric group of degree n.
-
-    The identity is excluded and every generator is its own inverse, so the
-    set is closed under inversion and the Cayley graph is undirected and
-    len(gens)-regular.
-    """
+    """All transpositions (``T``), adjacent swaps (``t``) or prefix swaps
+    (``st``) of degree n: involutions generating S_n, so the Cayley graph is
+    connected, undirected and k-regular.  Keyed by (kind, n) alone."""
 
     kind: str
     n: int
-    gens: tuple[Perm, ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in _SWAPS:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        if not 2 <= self.n <= MAX_DEGREE:
+            raise ValueError(f"graph degree must be in 2..{MAX_DEGREE}, got {self.n}")
 
     @classmethod
     def all_transpositions(cls, n: int) -> "GeneratorSet":
-        _check_graph_degree(n)
-        gens = tuple(
-            transposition(n, i, j) for i in range(n) for j in range(i + 1, n)
-        )
-        return cls(KIND_ALL, n, gens)
+        return cls(KIND_ALL, n)
 
     @classmethod
     def adjacent(cls, n: int) -> "GeneratorSet":
-        _check_graph_degree(n)
-        gens = tuple(transposition(n, i, i + 1) for i in range(n - 1))
-        return cls(KIND_ADJACENT, n, gens)
+        return cls(KIND_ADJACENT, n)
 
     @classmethod
     def prefix(cls, n: int) -> "GeneratorSet":
-        _check_graph_degree(n)
-        gens = tuple(transposition(n, 0, i) for i in range(1, n))
-        return cls(KIND_PREFIX, n, gens)
-
-    @classmethod
-    def explicit(cls, n: int, gens) -> "GeneratorSet":
-        _check_graph_degree(n)
-        seen = []
-        e = identity(n)
-        for g in gens:
-            g = tuple(g)
-            if len(g) != n or not is_perm(g):
-                raise ValueError(f"not a permutation of degree {n}: {g!r}")
-            if g == e:
-                raise ValueError("identity is not a valid generator")
-            if compose(g, g) != e:
-                raise ValueError(f"generator is not an involution: {g!r}")
-            if g not in seen:
-                seen.append(g)
-        if not seen:
-            raise ValueError("empty generator set")
-        return cls(KIND_EXPLICIT, n, tuple(seen))
+        return cls(KIND_PREFIX, n)
 
     @classmethod
     def of_kind(cls, kind: str, n: int) -> "GeneratorSet":
-        makers = {
-            KIND_ALL: cls.all_transpositions,
-            KIND_ADJACENT: cls.adjacent,
-            KIND_PREFIX: cls.prefix,
-        }
-        if kind not in makers:
-            raise ValueError(f"unknown generator kind {kind!r}")
-        return makers[kind](n)
+        return cls(kind, n)
+
+    @cached_property
+    def gens(self) -> tuple[Perm, ...]:
+        return tuple(transposition(self.n, i, j) for i, j in _SWAPS[self.kind](self.n))
 
     @property
     def k(self) -> int:
@@ -157,11 +138,6 @@ class GeneratorSet:
     def neighbors(self, p: Perm) -> list[Perm]:
         """p*s for each generator s, in the order of ``gens``."""
         return list(map(unpack, translated(self.packed, left_table(pack(p)))))
-
-
-def _check_graph_degree(n: int) -> None:
-    if not 2 <= n <= 12:
-        raise ValueError(f"graph degree must be in 2..12, got {n}")
 
 
 @dataclass(frozen=True)
@@ -220,6 +196,12 @@ def _levels(start: Perm, gen: GeneratorSet):
         prev, cur = cur, nxt
 
 
+def _check_vertex(p: Perm, gen: GeneratorSet) -> None:
+    """Reject p, before any walk, unless it is a vertex of gen's graph."""
+    if len(p) != gen.n or not is_perm(p):
+        raise ValueError(f"not a permutation of degree {gen.n}: {p!r}")
+
+
 def _check_ball_size(size: int) -> None:
     if size > MAX_BALL_SIZE:
         raise CapacityError(f"ball exceeds budget of {MAX_BALL_SIZE} vertices")
@@ -229,8 +211,7 @@ def ball(center: Perm, radius: int, gen: GeneratorSet) -> MetricBall:
     """Breadth-first expansion of the metric ball around ``center``."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    if len(center) != gen.n:
-        raise ValueError(f"degree mismatch: center {len(center)}, graph {gen.n}")
+    _check_vertex(center, gen)
     spheres = []
     size = 0
     for level in islice(_levels(center, gen), radius + 1):
@@ -275,8 +256,8 @@ def distance(x: Perm, y: Perm, gen: GeneratorSet) -> int:
     """Exact graph distance: the level of inverse(x)*y in the breadth-first
     walk from the identity.  Raises ``CapacityError`` exactly when
     ``ball(identity, d)`` would, d being the distance."""
-    if len(x) != len(y) or len(x) != gen.n:
-        raise ValueError("degree mismatch")
+    _check_vertex(x, gen)
+    _check_vertex(y, gen)
     return _walk_to(pack(y).translate(left_inverse_table(pack(x))), gen)[0]
 
 
@@ -298,7 +279,6 @@ def _walk_to(y: bytes, gen: GeneratorSet):
         _check_ball_size(size)
         if y in level:
             return d, prev, level
-    raise UnreachableError(f"{format_perm(unpack(y))} not reachable from the identity")
 
 
 def _split(v: bytes, gen: GeneratorSet, prev, level) -> tuple[int, int, int]:
@@ -446,8 +426,7 @@ def local_params(pi: Perm, gen: GeneratorSet) -> tuple[int, int, int]:
     """(c, a, b): neighbors of pi one step closer to / level with / one step
     farther from the identity.  They always sum to the valency.  Raises
     ``CapacityError`` as :func:`distance` does."""
-    if len(pi) != gen.n:
-        raise ValueError("degree mismatch")
+    _check_vertex(pi, gen)
     v = pack(pi)
     _, prev, level = _walk_to(v, gen)
     return _split(v, gen, prev, level)
@@ -533,7 +512,7 @@ def is_distance_regular(gen: GeneratorSet) -> RegularityResult:
     Left translations are automorphisms carrying any base vertex to the
     identity, so scanning all vertices against the identity covers every
     pair.  On failure the witness pair is returned."""
-    b_arr: list[int] = [len(gen.gens)]
+    b_arr: list[int] = [gen.k]
     c_arr: list[int] = []
     for d, y, (c, _, b) in _classified_vertices(gen):
         if d > len(c_arr):
@@ -564,7 +543,7 @@ def girth_cycle_check(gen: GeneratorSet, lengths) -> dict[int, bool]:
     for length in sorted(set(lengths)):
         if length < 3:
             raise ValueError(f"cycle length must be >= 3, got {length}")
-        k = len(gen.gens)
+        k = gen.k
         estimate = k * max(k - 1, 1) ** (length - 2)
         if estimate > MAX_CYCLE_SEARCH:
             raise CapacityError(f"cycle search for length {length} exceeds budget")
@@ -605,15 +584,11 @@ def complete_bipartite_count(gen: GeneratorSet, p: int, q: int, at: Perm) -> int
     are common neighbors of that part.  Subgraphs are counted as unordered
     part pairs with full cross-adjacency (not necessarily induced).
     """
-    from itertools import combinations
-    from math import comb
-
     if not 1 <= p <= 4 or not 1 <= q <= 4:
         raise CapacityError("part sizes capped at 4")
     if gen.n > 6:
         raise CapacityError("subgraph search capped at degree 6")
-    if len(at) != gen.n:
-        raise ValueError("degree mismatch")
+    _check_vertex(at, gen)
 
     nbr_cache: dict[Perm, frozenset[Perm]] = {}
 

@@ -26,15 +26,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
-from .cayley import GeneratorSet, ball_of_identity, overlap_of_identity
+from .cayley import KIND_ALL, GeneratorSet, ball_of_identity, overlap_of_identity
 from .perms import (
     Perm,
+    class_representative,
     compose,
     format_perm,
     identity,
     left_inverse_table,
     left_table,
     pack,
+    parse_cycle_type,
     parse_perm,
     translated,
     unpack,
@@ -197,9 +199,7 @@ def ambiguity_witness(gen: GeneratorSet, r: int) -> tuple[Perm, Perm, list[Perm]
     best = overlap_of_identity(gen, r)
     s = best.best_s[0]
     label = best.witnesses[s][0]
-    if gen.kind == "T":
-        from .perms import class_representative, parse_cycle_type
-
+    if gen.kind == KIND_ALL:
         other = class_representative(parse_cycle_type(label))
     else:
         other = parse_perm(label)

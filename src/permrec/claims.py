@@ -28,6 +28,7 @@ from math import comb, factorial
 from . import formulas
 from .cayley import (
     GeneratorSet,
+    ball_overlap,
     bfs_levels,
     complete_bipartite_count,
     geodesic_counts,
@@ -40,6 +41,7 @@ from .cayley import (
 )
 from .errors import CapacityError
 from .perms import (
+    CycleType,
     class_representative,
     conjugacy_class_size,
     cycle_type,
@@ -420,9 +422,6 @@ def conjecture_probe(n: int, r: int) -> dict:
     readings of the conjectured identity (distance-2 value at two errors as
     printed, and at r errors).  Output is informational only; nothing here
     is asserted."""
-    from .cayley import ball_overlap
-    from .perms import CycleType, class_representative
-
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if n < 2 * r + 1:

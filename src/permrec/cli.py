@@ -27,7 +27,7 @@ from .cayley import GeneratorSet, build_graph_report
 from .cache import ball_of_identity_cached, overlap_of_identity_cached, write_atomically
 from .channel import reconstruct, run_experiment
 from .claims import CSV_COLUMNS, SuiteConfig, conjecture_probe, run_suites
-from .errors import CapacityError, UnreachableError
+from .errors import CapacityError
 from .perms import (
     cycle_types,
     conjugacy_class_size,
@@ -457,7 +457,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (CapacityError, UnreachableError, ValueError) as exc:
+    except (CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_FAIL
 

@@ -5,9 +5,5 @@ class CapacityError(RuntimeError):
     """A computation would exceed the configured memory/size budget."""
 
 
-class UnreachableError(RuntimeError):
-    """No path between two vertices (degenerate explicit generator sets)."""
-
-
 class CacheError(RuntimeError):
     """A cache file is missing, corrupt, or does not match the request."""

@@ -18,19 +18,14 @@ PAIRS = {
 
 
 def sym_adjacency(kind: str, n: int) -> dict:
-    return swap_adjacency(n, [[pair] for pair in PAIRS[kind](n)])
-
-
-def swap_adjacency(n: int, moves) -> dict:
-    """Graph on the permutations of range(n) where each move swaps every
-    position pair it lists."""
+    """Graph on the permutations of range(n) where each generator swaps one
+    position pair of the family."""
     adj = {}
     for p in permutations(range(n)):
         nbrs = []
-        for move in moves:
+        for i, j in PAIRS[kind](n):
             q = list(p)
-            for i, j in move:
-                q[i], q[j] = q[j], q[i]
+            q[i], q[j] = q[j], q[i]
             nbrs.append(tuple(q))
         adj[p] = nbrs
     return adj

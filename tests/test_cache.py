@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from permrec import cayley, cli
+from permrec import cache, cayley, cli
 from permrec.cache import (
     ball_of_identity_cached,
     cache_path,
@@ -118,13 +118,6 @@ class TestBinaryFormat:
         assert load_ball(path, g, 2).spheres == original.spheres
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
-    def test_explicit_sets_not_cacheable(self, tmp_path):
-        from permrec.perms import transposition
-
-        g = GeneratorSet.explicit(4, [transposition(4, 0, 1), transposition(4, 1, 2)])
-        with pytest.raises(CacheError):
-            save_ball(tmp_path / "x.bin", ball_of_identity(g, 1))
-
 
 class TestCachedAccess:
     def test_first_call_writes_then_loads(self, tmp_path):
@@ -160,6 +153,25 @@ class TestCachedAccess:
         assert got.size == 4
         # file was rewritten with valid contents
         assert load_ball(path, g, 1).spheres == got.spheres
+
+    def test_wrappers_on_the_module_see_every_load_and_save(self, tmp_path, monkeypatch):
+        calls = []
+
+        def wrap(name):
+            inner = getattr(cache, name)
+            monkeypatch.setattr(cache, name, lambda *a: calls.append(name) or inner(*a))
+
+        for name in ("load_ball", "save_ball", "load_overlap", "save_overlap"):
+            wrap(name)
+        g = GeneratorSet.adjacent(5)
+        for _ in range(2):
+            clear_ball_memo()
+            ball_of_identity_cached(g, 1, tmp_path)
+            overlap_of_identity_cached(g, 1, tmp_path)
+        assert calls == [
+            "load_ball", "save_ball", "load_overlap", "save_overlap",
+            "load_ball", "load_overlap",
+        ]
 
 
 _HEADER = struct.Struct("<4sHBBBB")

@@ -1,3 +1,4 @@
+import dataclasses
 from math import comb, factorial
 
 import pytest
@@ -25,7 +26,7 @@ from permrec.cayley import (
     clear_ball_memo,
     sphere,
 )
-from permrec.errors import CapacityError, UnreachableError
+from permrec.errors import CapacityError
 from permrec.perms import (
     class_representative,
     compose,
@@ -46,15 +47,7 @@ KINDS = ("T", "t", "st")
 
 
 def oracle_graph(kind):
-    """(g, adj): the family at n=5, or for "explicit" the adjacent swaps of
-    degree 4 plus (0 1)(2 3).  An odd cycle through that double swap puts
-    some neighbors of a level in the same level."""
-    if kind == "explicit":
-        g = GeneratorSet.explicit(
-            4, [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
-        )
-        moves = [[(0, 1)], [(1, 2)], [(2, 3)], [(0, 1), (2, 3)]]
-        return g, oracles.swap_adjacency(4, moves)
+    """(g, adj): the family at n=5 and its brute-force adjacency."""
     return GeneratorSet.of_kind(kind, 5), oracles.sym_adjacency(kind, 5)
 
 
@@ -73,17 +66,21 @@ class TestGeneratorSet:
                 assert s != e
                 assert compose(s, s) == e
 
-    def test_explicit_rejects_non_involution(self):
-        with pytest.raises(ValueError):
-            GeneratorSet.explicit(3, [parse_perm("[2,3,1]")])
+    def test_keyed_by_kind_and_degree(self):
+        assert [f.name for f in dataclasses.fields(GeneratorSet)] == ["kind", "n"]
+        g = GeneratorSet.of_kind("T", 6)
+        assert g == GeneratorSet.all_transpositions(6)
+        assert hash(g) == hash(GeneratorSet.all_transpositions(6))
 
-    def test_explicit_rejects_identity(self):
-        with pytest.raises(ValueError):
-            GeneratorSet.explicit(3, [identity(3)])
+    def test_separately_built_sets_share_the_memo(self):
+        clear_ball_memo()
+        first = ball_of_identity(GeneratorSet.prefix(5), 2)
+        assert ball_of_identity(GeneratorSet.of_kind("st", 5), 2) is first
 
-    def test_explicit_dedupes(self):
-        g = GeneratorSet.explicit(3, [transposition(3, 0, 1), transposition(3, 0, 1)])
-        assert g.k == 1
+    @pytest.mark.parametrize("kind, n", [('explicit', 4), ("T", 1), ("T", 13)])
+    def test_rejects_unknown_kind_and_degree(self, kind, n):
+        with pytest.raises(ValueError):
+            GeneratorSet(kind, n)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -92,10 +89,9 @@ class TestGeneratorSet:
         assert sum(len(l) for l in levels) == factorial(n)
 
     def test_neighbors_match_generic_composition(self):
-        cases = [(GeneratorSet.of_kind(kind, 5), parse_perm("[3,5,1,4,2]")) for kind in KINDS]
-        # an involution that is no transposition: (0 1)(2 3)
-        cases.append((GeneratorSet.explicit(4, [(1, 0, 3, 2), (0, 2, 1, 3)]), parse_perm("[3,1,4,2]")))
-        for g, p in cases:
+        p = parse_perm("[3,5,1,4,2]")
+        for kind in KINDS:
+            g = GeneratorSet.of_kind(kind, 5)
             assert g.neighbors(p) == [compose(p, s) for s in g.gens]
 
 
@@ -189,12 +185,17 @@ class TestDistance:
         for p in itertools.permutations(range(n)):
             assert distance(e, p, g) == min_transposition_distance(e, p)
 
-    def test_unreachable_for_degenerate_explicit(self):
-        g = GeneratorSet.explicit(3, [transposition(3, 0, 1)])
-        with pytest.raises(UnreachableError):
-            distance(identity(3), parse_perm("[2,3,1]"), g)
-        with pytest.raises(UnreachableError):
-            local_params(parse_perm("[2,3,1]"), g)
+    def test_non_permutations_rejected_before_any_walk(self, monkeypatch):
+        monkeypatch.setattr(cayley, "_levels", None)
+        g = GeneratorSet.prefix(9)
+        with pytest.raises(ValueError, match="not a permutation"):
+            distance(identity(9), (0,) * 9, g)
+        with pytest.raises(ValueError, match="not a permutation"):
+            distance((0,) * 9, identity(9), g)
+        with pytest.raises(ValueError, match="not a permutation"):
+            local_params((1, 1, 2, 3, 4, 5, 6, 7, 8), g)
+        with pytest.raises(ValueError, match="not a permutation"):
+            ball((0, 0, 1, 1), 1, GeneratorSet.all_transpositions(4))
 
     def test_capacity_is_the_ball_of_the_distance(self, monkeypatch):
         # x^-1 y is a 3-cycle, at distance 2; both queries hold levels 0..2
@@ -333,14 +334,6 @@ class TestOverlapMaxima:
         parallel = max_ball_intersection(g, 2, workers=2)
         assert serial == parallel
 
-    def test_generator_order_does_not_change_results(self):
-        base = GeneratorSet.all_transpositions(4)
-        shuffled = GeneratorSet.explicit(4, list(reversed(base.gens)))
-        a = max_ball_intersection(base, 2)
-        b = max_ball_intersection(shuffled, 2)
-        assert a.value == b.value
-        assert [sm.value for sm in a.per_s] == [sm.value for sm in b.per_s]
-
     def test_bad_arguments(self):
         g = GeneratorSet.adjacent(4)
         with pytest.raises(ValueError):
@@ -388,7 +381,7 @@ class TestLocalParams:
             assert len(values) == 1
 
 
-    @pytest.mark.parametrize("kind", [*KINDS, "explicit"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_walk_matches_oracle_counts(self, kind):
         g, adj = oracle_graph(kind)
         e = identity(g.n)
@@ -399,8 +392,8 @@ class TestLocalParams:
             want = tuple(sum(dist[w] == d + step for w in adj[p]) for step in (-1, 0, 1))
             assert local_params(p, g) == want
             assert every.get(p, want) == want
-        # T, t and st are bipartite, so only the explicit set has level neighbors
-        assert any(a for _, a, _ in every.values()) == (kind == "explicit")
+        # T, t and st are bipartite, so no vertex has neighbors on its own level
+        assert not any(a for _, a, _ in every.values())
 
 
 class TestWholeGraph:
@@ -419,7 +412,7 @@ class TestWholeGraph:
             with pytest.raises(CapacityError, match="^whole-graph search capped at degree 5$"):
                 sweep(GeneratorSet.adjacent(6))
 
-    @pytest.mark.parametrize("kind", [*KINDS, "explicit"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_levels_and_balls_match_oracle_distances(self, kind):
         g, adj = oracle_graph(kind)
         n = g.n
@@ -427,17 +420,14 @@ class TestWholeGraph:
         levels = bfs_levels(g)
         assert sum(len(lvl) for lvl in levels) == len(dist)
         assert {p: d for d, lvl in enumerate(levels) for p in lvl} == dist
-        if kind == "explicit":
-            assert any(dist[w] == dist[p] for p in adj for w in adj[p])
         b = ball(identity(n), len(levels) + 1, g)
         assert b.spheres == tuple(frozenset(lvl) for lvl in levels)
-        center = (1, 3, 0, 2, 4)[:n]
+        center = (1, 3, 0, 2, 4)
         around = oracles.bfs_dist(adj, center)
         b = ball(center, 2, g)
         for d in range(3):
             assert b.spheres[d] == {p for p, dp in around.items() if dp == d}
-        if kind != "explicit":
-            g, adj = GeneratorSet.of_kind(kind, 4), oracles.sym_adjacency(kind, 4)
+        g, adj = GeneratorSet.of_kind(kind, 4), oracles.sym_adjacency(kind, 4)
         for x in adj:
             from_x = oracles.bfs_dist(adj, x)
             for y in adj:

@@ -140,6 +140,19 @@ def test_stdout_matches_schema(command, files):
     jsonschema.validate(doc, schema)
 
 
+@pytest.mark.parametrize("command", ["report", "graph-import"])
+def test_schema_requires_every_emitted_key(command, files):
+    _, out = run_cli(SCHEMA_CASES[command][0], files)
+    doc = json.loads(out)
+    schema = json.loads((SCHEMAS / f"{command}.schema.json").read_text())
+    report = doc["reports"][0] if command == "report" else doc["report"]
+    for key in list(report):
+        value = report.pop(key)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+        report[key] = value
+
+
 def test_transcript_records_match_schema(files):
     code, _ = run_cli(GOLDEN_CASES["simulate_honest"], files)
     assert code == 0
