@@ -57,6 +57,7 @@ from math import comb, factorial
 from .errors import CapacityError
 from .parallel import run_mapped
 from .perms import (
+    IDENT,
     MAX_DEGREE,
     Perm,
     class_representative,
@@ -552,15 +553,16 @@ def girth_cycle_check(gen: GeneratorSet, lengths) -> dict[int, bool]:
 
 
 def _has_cycle_through_identity(gen: GeneratorSet, length: int) -> bool:
-    e = identity(gen.n)
-    closing = set(gen.neighbors(e))
+    # the identity's neighbors are the generators themselves
+    e = IDENT[gen.n]
+    closing = set(gen.packed)
     on_path = {e}
 
-    def dfs(v: Perm, steps: int) -> bool:
+    def dfs(v: bytes, steps: int) -> bool:
         if steps == length - 1:
             return v in closing
-        for w in gen.neighbors(v):
-            if w == e or w in on_path:
+        for w in translated(gen.packed, left_table(v)):
+            if w in on_path:
                 continue
             on_path.add(w)
             if dfs(w, steps + 1):
@@ -568,7 +570,7 @@ def _has_cycle_through_identity(gen: GeneratorSet, length: int) -> bool:
             on_path.remove(w)
         return False
 
-    for v in gen.neighbors(e):
+    for v in gen.packed:
         on_path.add(v)
         if dfs(v, 1):
             return True
@@ -589,13 +591,13 @@ def complete_bipartite_count(gen: GeneratorSet, p: int, q: int, at: Perm) -> int
     if gen.n > 6:
         raise CapacityError("subgraph search capped at degree 6")
     _check_vertex(at, gen)
+    at = pack(at)
+    nbr_cache: dict[bytes, frozenset[bytes]] = {}
 
-    nbr_cache: dict[Perm, frozenset[Perm]] = {}
-
-    def nbrs(v: Perm) -> frozenset[Perm]:
+    def nbrs(v: bytes) -> frozenset[bytes]:
         got = nbr_cache.get(v)
         if got is None:
-            got = nbr_cache[v] = frozenset(gen.neighbors(v))
+            got = nbr_cache[v] = frozenset(translated(gen.packed, left_table(v)))
         return got
 
     def one_side(own_size: int, other_size: int) -> int:

@@ -10,6 +10,15 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, permutations, product
 
+# result types only, so the small-graph oracles compare as whole results
+from permrec.cayley import (
+    IntersectionMax,
+    RegularityResult,
+    RegularityWitness,
+    SphereMax,
+)
+from permrec.smallgraphs import SmallGraphReport
+
 PAIRS = {
     "T": lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
     "t": lambda n: [(i, i + 1) for i in range(n - 1)],
@@ -191,3 +200,143 @@ def complete_bipartite_count_bruteforce(adj: dict, p: int, q: int, at) -> int:
             seen.add(key)
             count += 1
     return count
+
+
+def girth_has_cycle(adj: dict, length: int) -> bool:
+    """Whether a simple cycle of the given length passes through the
+    identity, by depth-first search over permutation tuples."""
+    e = tuple(range(len(next(iter(adj)))))
+    on_path = {e}
+
+    def extend(v, size: int) -> bool:
+        if size == length:
+            return e in adj[v]
+        for w in adj[v]:
+            if w not in on_path:
+                on_path.add(w)
+                if extend(w, size + 1):
+                    return True
+                on_path.remove(w)
+        return False
+
+    return extend(e, 1)
+
+
+# The small-graph scans as they stood before the bitset rewrite: one deque
+# BFS per vertex, then frozenset intersections for every pair and radius.
+
+
+def small_graph_bfs(graph, src: int) -> list[int]:
+    """Distances from src; -1 marks unreachable vertices."""
+    dist = [-1] * graph.v
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for w in graph.adj[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def small_graph_report(graph, r: int):
+    if r < 1:
+        raise ValueError(f"radius must be >= 1, got {r}")
+    dist = [small_graph_bfs(graph, u) for u in range(graph.v)]
+    if any(d < 0 for row in dist for d in row):
+        raise ValueError(f"graph {graph.name} is disconnected")
+    diam = max(max(row) for row in dist)
+
+    lam = 0
+    mu = 0
+    for u in range(graph.v):
+        for w in range(u + 1, graph.v):
+            if dist[u][w] in (1, 2):
+                shared = len(graph.adj[u] & graph.adj[w])
+                if dist[u][w] == 1:
+                    lam = max(lam, shared)
+                else:
+                    mu = max(mu, shared)
+
+    per_radius = []
+    for rr in range(1, r + 1):
+        balls = [
+            frozenset(z for z in range(graph.v) if row[z] <= rr) for row in dist
+        ]
+        best: dict[int, tuple[int, list[str]]] = {}
+        for u in range(graph.v):
+            for w in range(u + 1, graph.v):
+                s = dist[u][w]
+                if not 1 <= s <= 2 * rr:
+                    continue
+                overlap = len(balls[u] & balls[w])
+                cur = best.get(s)
+                if cur is None or overlap > cur[0]:
+                    best[s] = (overlap, [f"{u}-{w}"])
+                elif overlap == cur[0]:
+                    cur[1].append(f"{u}-{w}")
+        per_s = tuple(
+            SphereMax(s, best[s][0], tuple(best[s][1]))
+            if s in best
+            else SphereMax(s, None, ())
+            for s in range(1, 2 * rr + 1)
+        )
+        values = [sm.value for sm in per_s if sm.value is not None]
+        per_radius.append(IntersectionMax(rr, max(values), per_s))
+
+    return SmallGraphReport(
+        graph=graph.name,
+        v=graph.v,
+        k=graph.valency,
+        lam=lam,
+        mu=mu,
+        diameter=diam,
+        per_radius=tuple(per_radius),
+    )
+
+
+def small_graph_is_distance_regular(graph):
+    dist = [small_graph_bfs(graph, u) for u in range(graph.v)]
+    if any(d < 0 for row in dist for d in row):
+        raise ValueError(f"graph {graph.name} is disconnected")
+    if graph.valency is None:
+        u = min(range(graph.v), key=lambda x: graph.degrees[x])
+        w = max(range(graph.v), key=lambda x: graph.degrees[x])
+        witness = RegularityWitness(
+            base=str(u),
+            dist=0,
+            first=str(u),
+            first_params=(0, graph.degrees[u]),
+            second=str(w),
+            second_params=(0, graph.degrees[w]),
+        )
+        return RegularityResult(False, witness)
+    diam = max(max(row) for row in dist)
+    ref: dict[int, tuple[int, int]] = {}
+    ref_pair: dict[int, tuple[int, int]] = {}
+    b_arr = [graph.valency]
+    for u in range(graph.v):
+        for w in range(graph.v):
+            d = dist[u][w]
+            if d == 0:
+                continue
+            c = sum(1 for z in graph.adj[w] if dist[u][z] == d - 1)
+            b = sum(1 for z in graph.adj[w] if dist[u][z] == d + 1)
+            if d not in ref:
+                ref[d] = (c, b)
+                ref_pair[d] = (u, w)
+            elif ref[d] != (c, b):
+                pu, pw = ref_pair[d]
+                witness = RegularityWitness(
+                    base=f"{pu}",
+                    dist=d,
+                    first=f"{pw}",
+                    first_params=ref[d],
+                    second=f"{w} (from {u})",
+                    second_params=(c, b),
+                )
+                return RegularityResult(False, witness)
+    c_arr = [ref[d][0] for d in range(1, diam + 1)]
+    b_arr += [ref[d][1] for d in range(1, diam)]
+    return RegularityResult(True, None, (tuple(b_arr), tuple(c_arr)))

@@ -514,6 +514,21 @@ class TestSubgraphs:
     def test_all_transpositions_has_squares(self):
         assert girth_cycle_check(GeneratorSet.all_transpositions(4), (4,)) == {4: True}
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_girth_matches_path_search_oracle(self, kind, n):
+        g = GeneratorSet.of_kind(kind, n)
+        adj = oracles.sym_adjacency(kind, n)
+        checked = 0
+        for length in range(3, 9):
+            try:
+                found = girth_cycle_check(g, (length,))
+            except CapacityError:  # the estimate is over MAX_CYCLE_SEARCH
+                continue
+            assert found == {length: oracles.girth_has_cycle(adj, length)}, length
+            checked += 1
+        assert checked >= 5
+
     def test_cycle_search_capacity(self, monkeypatch):
         g = GeneratorSet.all_transpositions(6)
         clear_ball_memo()

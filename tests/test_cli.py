@@ -35,6 +35,12 @@ FILES = {
     "unique.txt": "[1,2,3,4]\n[2,1,3,4]\n[1,3,2,4]\n[1,2,4,3]\n",
     "ambiguous.txt": "# two patterns one swap from the identity\n[2,1,3,4]\n[1,2,4,3]\n",
     "square.edges": "0 1\n1 2\n2 3\n3 0\n",
+    # the Petersen graph: outer 5-cycle, spokes, inner pentagram
+    "petersen.edges": "".join(
+        f"{u} {w}\n"
+        for i in range(5)
+        for u, w in ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))
+    ),
     # the region two T n=7 r=2 balls at maximal overlap share
     "threshold.txt": (GOLDEN.parent / "patterns_T7_r2_threshold.txt").read_text(),
 }
@@ -73,6 +79,7 @@ GOLDEN_CASES = {
         "--seed", "11", "--m", "8", "--adversarial",
         "--transcript", "{dir}/trials.jsonl",
     ],
+    "graph_import_petersen": ["graph-import", "--edges", "{dir}/petersen.edges", "--r", "2"],
 }
 
 # the golden cases whose commands read or fill a cache directory

@@ -1,5 +1,7 @@
+import random
 from math import comb
 
+import oracles
 import pytest
 
 from permrec.errors import CapacityError
@@ -122,6 +124,10 @@ class TestReport:
         wit = report.final.per_s[1].witnesses
         assert wit  # same-part pairs attain the maximum
 
+    def test_single_vertex_has_no_pairs(self):
+        with pytest.raises(ValueError, match="no vertex pairs at any distance in 1..2r"):
+            small_graph_report(SmallGraph("one", (frozenset(),)), 1)
+
 
 class TestDistanceRegularity:
     def test_cube_is_distance_regular(self):
@@ -136,7 +142,8 @@ class TestDistanceRegularity:
     def test_irregular_graph_witnessed_by_degrees(self):
         res = small_graph_is_distance_regular(parse_edge_list("0 1\n1 2\n"))
         assert not res.is_distance_regular
-        assert res.witness is not None
+        assert (res.witness.first, res.witness.first_params) == ("0", (0, 1))
+        assert (res.witness.second, res.witness.second_params) == ("1", (0, 2))
 
     def test_regular_but_not_distance_regular(self):
         # two triangles joined by a perfect matching (the 3-prism): regular,
@@ -144,4 +151,69 @@ class TestDistanceRegularity:
         prism = parse_edge_list("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5\n")
         res = small_graph_is_distance_regular(prism)
         assert not res.is_distance_regular
-        assert res.witness is not None
+        assert (res.witness.base, res.witness.dist) == ("0", 1)
+        assert (res.witness.first, res.witness.first_params) == ("1", (1, 1))
+        assert (res.witness.second, res.witness.second_params) == ("3 (from 0)", (1, 2))
+
+
+# every graph the small-graphs, bounds and distance-regularity suites build
+SUITE_GRAPHS = [
+    *(hamming_graph(n, q) for n in range(2, 5) for q in (2, 3)),
+    *(johnson_graph(n, e) for n in range(2, 9) for e in range(1, n)),
+    *(lattice_graph(q) for q in (2, 3)),
+    *(triangular_graph(n) for n in range(4, 8)),
+    *(complete_multipartite_graph(t, m) for t in (2, 3) for m in (2, 3)),
+]
+
+# the two cases of TestDistanceRegularity that fail, with their witnesses
+IRREGULAR = [
+    parse_edge_list("0 1\n1 2\n"),
+    parse_edge_list("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5\n"),
+]
+
+
+def outcome(fn, *args):
+    """fn's result, or the text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def random_graphs(count: int, seed: int):
+    """Seeded graphs on 2..40 vertices: every other one grows from a random
+    spanning tree, so it is connected; the rest are plain random edge sets,
+    many of them disconnected."""
+    rng = random.Random(seed)
+    for i in range(count):
+        v = rng.randint(2, 40)
+        density = rng.choice((0.05, 0.1, 0.2, 0.5, 0.9))
+        edges = {(u, w) for u in range(v) for w in range(u + 1, v) if rng.random() < density}
+        if i % 2 == 0:
+            edges |= {(rng.randrange(w), w) for w in range(1, v)}
+        yield graph_from_edges(f"random-{i}", v, sorted(edges))
+
+
+class TestAgainstOracle:
+    """The bitmask scans against the frozenset and BFS scans they replaced,
+    compared as whole results: values, witnesses and witness order."""
+
+    @pytest.mark.parametrize("graph", SUITE_GRAPHS + IRREGULAR, ids=lambda g: g.name)
+    def test_suite_graphs(self, graph):
+        for r in (1, 2, 3):
+            assert small_graph_report(graph, r) == oracles.small_graph_report(graph, r)
+        assert small_graph_is_distance_regular(graph) == (
+            oracles.small_graph_is_distance_regular(graph)
+        )
+
+    def test_random_graphs(self):
+        disconnected = 0
+        for i, graph in enumerate(random_graphs(240, seed=2024)):
+            r = 1 + i % 3
+            got = outcome(small_graph_report, graph, r)
+            assert got == outcome(oracles.small_graph_report, graph, r), graph.name
+            assert outcome(small_graph_is_distance_regular, graph) == (
+                outcome(oracles.small_graph_is_distance_regular, graph)
+            ), graph.name
+            disconnected += got == f"ValueError: graph {graph.name} is disconnected"
+        assert 20 <= disconnected <= 220
