@@ -51,7 +51,6 @@ import json
 import os
 import struct
 from functools import cache, partial
-from itertools import combinations
 from math import factorial
 from pathlib import Path
 
@@ -70,7 +69,7 @@ from .cayley import (
     prime_overlap,
 )
 from .errors import CacheError
-from .perms import IDENT, cycle_types, identity, parse_perm
+from .perms import all_permutations, cycle_types, identity, parse_perm
 
 _MAGIC = b"PBAL"
 _VERSION = 2
@@ -134,20 +133,6 @@ def save_ball(path: Path, ball: MetricBall) -> None:
     write_atomically(path, chunks())
 
 
-def _all_permutations(data: bytes, n: int, count: int) -> bool:
-    """Whether each of the ``count`` n-byte records in ``data`` is a
-    permutation of 0..n-1: no byte is n or more, and no two positions of a
-    record hold the same byte.  The second test compares the records'
-    positions pairwise, as columns of all records at once: two columns
-    agree in a record iff their XOR has a zero byte there."""
-    if data.translate(None, IDENT[n]):
-        return False
-    cols = [int.from_bytes(data[i::n], "little") for i in range(n)]
-    return not any(
-        b"\0" in (a ^ b).to_bytes(count, "little") for a, b in combinations(cols, 2)
-    )
-
-
 def load_ball(path: Path, gen: GeneratorSet, radius: int) -> MetricBall:
     """The ball stored in ``path``, checked for format and permutation
     validity as the module docstring lists, not for membership in the ball."""
@@ -187,7 +172,7 @@ def load_ball(path: Path, gen: GeneratorSet, radius: int) -> MetricBall:
         sph = frozenset(records)
         if len(sph) != count or records != sorted(records):
             raise CacheError(f"cache file {path} has unsorted or repeated records")
-        if not _all_permutations(data, n, count):
+        if not all_permutations(data, n):
             raise CacheError(f"cache file {path} holds a non-permutation")
         spheres.append(sph)
     if offset != len(blob):

@@ -136,10 +136,6 @@ class GeneratorSet:
         """The generators in packed form, in the order of ``gens``."""
         return tuple(map(pack, self.gens))
 
-    def neighbors(self, p: Perm) -> list[Perm]:
-        """p*s for each generator s, in the order of ``gens``."""
-        return list(map(unpack, translated(self.packed, left_table(pack(p)))))
-
 
 @dataclass(frozen=True)
 class MetricBall:

@@ -139,6 +139,9 @@ class ReconstructionResult:
 def reconstruct(patterns, r: int, gen: GeneratorSet) -> ReconstructionResult:
     """Candidates = intersection of the radius-r balls around the patterns.
 
+    The patterns may be permutation tuples or packed records (``pack``
+    returns a packed record as it is).
+
     Only one ball is materialized (they all have equal size, so the first
     pattern serves); the rest of the intersection is distance filtering via
     membership in the identity ball: z lies in B_r(y) iff y^-1 z does in

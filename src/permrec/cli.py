@@ -10,6 +10,16 @@ Settings precedence is defaults < config file (--config, JSON object) <
 command-line flags; the effective settings are echoed into every document.
 The two settings are the output format and the cache directory.  The
 engine's capacity caps are constants of ``cayley``, not settings.
+
+Each call builds a parser that declares only the command it names, and
+``reconstruct`` reads its pattern file on one of two paths.  A file in
+plain form (one literal per line, all of one degree, ASCII digits, spaces
+and newlines only) is checked by one regex pass over the whole file,
+converted to packed records by one token lookup and checked for
+permutations column by column (see ``perms.all_permutations``).  Any other
+file, comments and blank lines included, goes to the line parser, which is
+also the only source of error messages and their line numbers.  Both paths
+give the same records, which go to ``channel.reconstruct`` packed.
 """
 
 from __future__ import annotations
@@ -18,9 +28,12 @@ import argparse
 import csv
 import io
 import json
+import re
+import struct
 import sys
 from math import factorial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .cayley import GeneratorSet, build_graph_report
@@ -29,10 +42,14 @@ from .channel import reconstruct, run_experiment
 from .claims import CSV_COLUMNS, SuiteConfig, conjecture_probe, run_suites
 from .errors import CapacityError
 from .perms import (
+    MAX_DEGREE,
+    Perm,
+    all_permutations,
     cycle_types,
     conjugacy_class_size,
     enumerate_class,
     minimal_factorization_count,
+    pack,
     parse_perm,
 )
 from .smallgraphs import parse_edge_list, small_graph_report
@@ -59,7 +76,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv) -> _Parser:
+    """The parser for ``argv``.  It declares only the command ``argv[0]``
+    names, or every command when ``argv[0]`` names none (help, version, no
+    arguments, an unknown name), so that messages listing the commands list
+    them all.  Each option declared builds argparse a help formatter, which
+    asks for the terminal size, so one command's options cost a fraction of
+    all eight commands' options."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=_FORMATS, default=None,
                         help="output format (default json)")
@@ -72,68 +95,10 @@ def _build_parser() -> _Parser:
                      description="metric-ball reconstruction over symmetric groups")
     parser.add_argument("--version", action="version", version=f"permrec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("report", parents=[shared],
-                       help="metric profile of Cayley graph instances")
-    p.add_argument("--graph", choices=("T", "t", "st"), required=True,
-                   help="generator family: all / adjacent / prefix transpositions")
-    p.add_argument("--n", type=int, nargs="+", required=True, help="degree(s)")
-    p.add_argument("--r", type=int, default=1, help="max error radius (default 1)")
-    p.add_argument("--no-diameter", action="store_true",
-                   help="skip the whole-graph diameter sweep")
-
-    p = sub.add_parser("verify", parents=[shared],
-                       help="check closed forms against brute force")
-    p.add_argument("--suite", action="append", default=None,
-                   help="suite name or 'all' (repeatable)")
-    p.add_argument("--min-n", type=int, default=3)
-    p.add_argument("--max-n", type=int, default=5)
-
-    p = sub.add_parser("reconstruct", parents=[shared],
-                       help="recover a source permutation from patterns")
-    p.add_argument("--graph", choices=("T", "t", "st"), required=True)
-    p.add_argument("--r", type=int, required=True, help="max errors per pattern")
-    p.add_argument("--patterns", type=Path, required=True,
-                   help="file with one [2,3,1]-style permutation per line")
-
-    p = sub.add_parser("simulate", parents=[shared],
-                       help="seeded reconstruction experiments")
-    p.add_argument("--graph", choices=("T", "t", "st"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, default=None,
-                   help="patterns per trial (default: overlap max + 1, or the "
-                        "overlap max with --adversarial)")
-    p.add_argument("--adversarial", action="store_true",
-                   help="draw patterns only from a maximal shared region")
-    p.add_argument("--exact-errors", action="store_true",
-                   help="always exactly r errors instead of uniform 0..r")
-    p.add_argument("--transcript", type=Path, default=None,
-                   help="write one JSON record per trial to this file")
-
-    p = sub.add_parser("factorizations", parents=[shared],
-                       help="minimal transposition factorization counts")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("classes", parents=[shared],
-                       help="conjugacy classes by cycle type")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="cross-check sizes by explicit enumeration")
-
-    p = sub.add_parser("probe-conjecture", parents=[shared],
-                       help="informational probe of the r-error overlap maximum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-
-    p = sub.add_parser("graph-import", parents=[shared],
-                       help="metric profile of an explicit edge-list graph")
-    p.add_argument("--edges", type=Path, required=True,
-                   help="file with one 'u v' pair per line (0-based)")
-    p.add_argument("--r", type=int, default=1)
-
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        command = _COMMANDS[name]
+        command.declare(sub.add_parser(name, parents=[shared], help=command.help))
     return parser
 
 
@@ -210,6 +175,15 @@ def _warm(settings, cached, gen, radius):
         raise UsageError(f"cannot use cache directory: {exc}")
 
 
+def _report_arguments(p) -> None:
+    p.add_argument("--graph", choices=("T", "t", "st"), required=True,
+                   help="generator family: all / adjacent / prefix transpositions")
+    p.add_argument("--n", type=int, nargs="+", required=True, help="degree(s)")
+    p.add_argument("--r", type=int, default=1, help="max error radius (default 1)")
+    p.add_argument("--no-diameter", action="store_true",
+                   help="skip the whole-graph diameter sweep")
+
+
 def _cmd_report(args, settings) -> int:
     if args.r < 1:
         raise UsageError("--r must be >= 1")
@@ -233,6 +207,13 @@ def _cmd_report(args, settings) -> int:
             for s, wit in sorted(rep["witnesses"]["n_s"].items()):
                 print(f"  attained at s={s} by: {', '.join(wit)}")
     return EX_OK
+
+
+def _verify_arguments(p) -> None:
+    p.add_argument("--suite", action="append", default=None,
+                   help="suite name or 'all' (repeatable)")
+    p.add_argument("--min-n", type=int, default=3)
+    p.add_argument("--max-n", type=int, default=5)
 
 
 def _cmd_verify(args, settings) -> int:
@@ -259,11 +240,56 @@ def _cmd_verify(args, settings) -> int:
     return EX_FAIL if summary["fail"] else EX_OK
 
 
-def _read_patterns(path: Path):
+def _read_patterns(path: Path) -> list[bytes]:
+    """The patterns in ``path`` as packed records, in file order."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise UsageError(f"cannot read pattern file: {exc}")
+    packed = _packed_patterns(text)
+    if packed is None:
+        packed = list(map(pack, _parse_pattern_lines(text)))
+    return packed
+
+
+# turns the commas of a pattern file into token separators
+_COMMAS_TO_SPACES = bytes.maketrans(b",", b" ")
+
+
+def _packed_patterns(text: str) -> list[bytes] | None:
+    """The records of a file in plain form, or None for any other file.
+
+    A plain file holds one literal per line, all of the first line's degree,
+    with ASCII digits, spaces and newlines only, and every literal a
+    permutation.  The whole file is checked by one regex pass and converted
+    by one token lookup; a None sends the file to the line parser, which
+    names the first bad line."""
+    n = text.partition("\n")[0].count(",") + 1
+    if n > MAX_DEGREE:
+        return None
+    # the symbol pattern written out n times matches faster than a {n}
+    line = r" *\[ *[0-9]+" + r" *, *[0-9]+" * (n - 1) + r" *\] *\n"
+    if not text.endswith("\n"):
+        text += "\n"
+    # the file is plain iff its lines, matched one after another, leave
+    # nothing over; a fullmatch of (?:line)+ would do the same but keep
+    # backtracking state per line, 5 MB for 2,485 lines
+    if re.sub(line, "", text):
+        return None
+    symbols = {str(v + 1).encode(): v for v in range(n)}
+    tokens = text.encode().translate(_COMMAS_TO_SPACES, b"[]").split()
+    try:
+        data = bytes([symbols[token] for token in tokens])
+    except KeyError:  # a symbol outside 1..n, or one with a leading zero
+        return None
+    if not all_permutations(data, n):
+        return None
+    return [record for (record,) in struct.iter_unpack(f"{n}s", data)]
+
+
+def _parse_pattern_lines(text: str) -> list[Perm]:
+    """The patterns in a pattern file's text, parsed line by line; the
+    UsageError names the first bad line."""
     patterns = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -278,6 +304,13 @@ def _read_patterns(path: Path):
     if len({len(p) for p in patterns}) != 1:
         raise UsageError("patterns have mixed degrees")
     return patterns
+
+
+def _reconstruct_arguments(p) -> None:
+    p.add_argument("--graph", choices=("T", "t", "st"), required=True)
+    p.add_argument("--r", type=int, required=True, help="max errors per pattern")
+    p.add_argument("--patterns", type=Path, required=True,
+                   help="file with one [2,3,1]-style permutation per line")
 
 
 def _cmd_reconstruct(args, settings) -> int:
@@ -304,6 +337,23 @@ _SUMMARY_COLUMNS = (
     "adversarial", "unique", "ambiguous", "inconsistent", "unique_rate",
     "min_unique_m_max", "min_unique_m_mean",
 )
+
+
+def _simulate_arguments(p) -> None:
+    p.add_argument("--graph", choices=("T", "t", "st"), required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--m", type=int, default=None,
+                   help="patterns per trial (default: overlap max + 1, or the "
+                        "overlap max with --adversarial)")
+    p.add_argument("--adversarial", action="store_true",
+                   help="draw patterns only from a maximal shared region")
+    p.add_argument("--exact-errors", action="store_true",
+                   help="always exactly r errors instead of uniform 0..r")
+    p.add_argument("--transcript", type=Path, default=None,
+                   help="write one JSON record per trial to this file")
 
 
 def _cmd_simulate(args, settings) -> int:
@@ -340,6 +390,10 @@ def _cmd_simulate(args, settings) -> int:
     return EX_OK
 
 
+def _factorizations_arguments(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+
+
 def _cmd_factorizations(args, settings) -> int:
     rows = []
     for ct in cycle_types(args.n):
@@ -357,6 +411,12 @@ def _cmd_factorizations(args, settings) -> int:
     else:
         _pretty_table(rows, columns)
     return EX_OK
+
+
+def _classes_arguments(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--check", action="store_true",
+                   help="cross-check sizes by explicit enumeration")
 
 
 def _cmd_classes(args, settings) -> int:
@@ -388,6 +448,11 @@ def _cmd_classes(args, settings) -> int:
     return EX_OK
 
 
+def _probe_arguments(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+
+
 def _cmd_probe(args, settings) -> int:
     try:
         probe = conjecture_probe(args.n, args.r)
@@ -400,6 +465,12 @@ def _cmd_probe(args, settings) -> int:
         for key in sorted(probe):
             print(f"{key}: {probe[key]}")
     return EX_OK
+
+
+def _graph_import_arguments(p) -> None:
+    p.add_argument("--edges", type=Path, required=True,
+                   help="file with one 'u v' pair per line (0-based)")
+    p.add_argument("--r", type=int, default=1)
 
 
 def _cmd_graph_import(args, settings) -> int:
@@ -432,28 +503,52 @@ def _cmd_graph_import(args, settings) -> int:
 
 _NOT_TABULAR = ("json", "pretty")
 
-# command -> (handler, the output formats it supports)
+
+class _Command(NamedTuple):
+    run: Callable  # (args, settings) -> exit code
+    formats: tuple[str, ...]  # the output formats it supports
+    help: str
+    declare: Callable  # adds the command's own options to its parser
+
+
+# in the order the help lists them
 _COMMANDS = {
-    "report": (_cmd_report, _NOT_TABULAR),
-    "verify": (_cmd_verify, _FORMATS),
-    "reconstruct": (_cmd_reconstruct, _NOT_TABULAR),
-    "simulate": (_cmd_simulate, _FORMATS),
-    "factorizations": (_cmd_factorizations, _FORMATS),
-    "classes": (_cmd_classes, _FORMATS),
-    "probe-conjecture": (_cmd_probe, _NOT_TABULAR),
-    "graph-import": (_cmd_graph_import, _NOT_TABULAR),
+    "report": _Command(_cmd_report, _NOT_TABULAR,
+                       "metric profile of Cayley graph instances", _report_arguments),
+    "verify": _Command(_cmd_verify, _FORMATS,
+                       "check closed forms against brute force", _verify_arguments),
+    "reconstruct": _Command(_cmd_reconstruct, _NOT_TABULAR,
+                            "recover a source permutation from patterns",
+                            _reconstruct_arguments),
+    "simulate": _Command(_cmd_simulate, _FORMATS,
+                         "seeded reconstruction experiments", _simulate_arguments),
+    "factorizations": _Command(_cmd_factorizations, _FORMATS,
+                               "minimal transposition factorization counts",
+                               _factorizations_arguments),
+    "classes": _Command(_cmd_classes, _FORMATS,
+                        "conjugacy classes by cycle type", _classes_arguments),
+    "probe-conjecture": _Command(_cmd_probe, _NOT_TABULAR,
+                                 "informational probe of the r-error overlap maximum",
+                                 _probe_arguments),
+    "graph-import": _Command(_cmd_graph_import, _NOT_TABULAR,
+                             "metric profile of an explicit edge-list graph",
+                             _graph_import_arguments),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         settings = _load_settings(args)
-        command, formats = _COMMANDS[args.command]
-        if settings["format"] not in formats:
-            raise UsageError(f"{args.command} supports --format {' or '.join(formats)}")
-        return command(args, settings)
+        command = _COMMANDS[args.command]
+        if settings["format"] not in command.formats:
+            raise UsageError(
+                f"{args.command} supports --format {' or '.join(command.formats)}"
+            )
+        return command.run(args, settings)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -122,6 +122,28 @@ def translated(packed, table: bytes):
     return map(bytes.translate, packed, itertools.repeat(table))
 
 
+def all_permutations(data: bytes, n: int) -> bool:
+    """Whether each n-byte record of ``data`` is a packed permutation of
+    degree n: no byte is n or more, and no two positions of a record hold
+    the same byte.  The second test compares the records' positions
+    pairwise, as columns of all records at once: two columns agree in a
+    record iff their XOR has a zero byte there.
+
+    >>> all_permutations(bytes([1, 0, 2, 2, 0, 1]), 3)
+    True
+    >>> all_permutations(bytes([1, 0, 2, 2, 0, 0]), 3)
+    False
+    """
+    if data.translate(None, IDENT[n]):
+        return False
+    count = len(data) // n
+    cols = [int.from_bytes(data[i::n], "little") for i in range(n)]
+    return not any(
+        b"\0" in (a ^ b).to_bytes(count, "little")
+        for a, b in itertools.combinations(cols, 2)
+    )
+
+
 def transposition(n: int, i: int, j: int) -> Perm:
     """The swap of 0-based positions i < j as a permutation of degree n."""
     if not 0 <= i < j < n:

@@ -195,7 +195,7 @@ class SmallGraphReport:
             "n_r": {str(im.radius): im.value for im in self.per_radius},
             "witnesses": {
                 "n_s": {
-                    str(sm.s): sorted(sm.witnesses)
+                    str(sm.s): list(sm.witnesses)
                     for sm in final.per_s
                     if sm.value == final.value
                 }

@@ -2,7 +2,9 @@
 
 Everything here recomputes from first principles over explicitly built
 graphs (itertools.permutations + plain BFS), sharing no code path with the
-package's engine, so agreement is meaningful.
+package's engine, so agreement is meaningful.  The one exception is the
+pattern-file reader, which is the CLI's line parser as it stood before the
+CLI gained its whole-file path, kept as that path's reference.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from permrec.cayley import (
     RegularityWitness,
     SphereMax,
 )
+from permrec.cli import UsageError
+from permrec.perms import parse_perm
 from permrec.smallgraphs import SmallGraphReport
 
 PAIRS = {
@@ -340,3 +344,26 @@ def small_graph_is_distance_regular(graph):
     c_arr = [ref[d][0] for d in range(1, diam + 1)]
     b_arr += [ref[d][1] for d in range(1, diam)]
     return RegularityResult(True, None, (tuple(b_arr), tuple(c_arr)))
+
+
+def read_patterns_by_line(path):
+    """The permutation tuples in a pattern file, parsed line by line, or the
+    CLI's UsageError for an unreadable or malformed file."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read pattern file: {exc}")
+    patterns = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            patterns.append(parse_perm(line))
+        except ValueError as exc:
+            raise UsageError(f"pattern file line {lineno}: {exc}")
+    if not patterns:
+        raise UsageError("pattern file holds no patterns")
+    if len({len(p) for p in patterns}) != 1:
+        raise UsageError("patterns have mixed degrees")
+    return patterns

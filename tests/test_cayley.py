@@ -35,10 +35,14 @@ from permrec.perms import (
     enumerate_class,
     identity,
     inverse,
+    left_table,
+    pack,
     parity,
     parse_cycle_type,
     parse_perm,
+    translated,
     transposition,
+    unpack,
 )
 
 import oracles
@@ -92,7 +96,8 @@ class TestGeneratorSet:
         p = parse_perm("[3,5,1,4,2]")
         for kind in KINDS:
             g = GeneratorSet.of_kind(kind, 5)
-            assert g.neighbors(p) == [compose(p, s) for s in g.gens]
+            packed = translated(g.packed, left_table(pack(p)))
+            assert list(map(unpack, packed)) == [compose(p, s) for s in g.gens]
 
 
 class TestBall:

@@ -22,7 +22,9 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from permrec import cayley, claims, cli, smallgraphs
 from test_cache import fail_writes_halfway
 
@@ -41,6 +43,8 @@ FILES = {
         for i in range(5)
         for u, w in ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))
     ),
+    # a 12-cycle: its witnesses have two-digit vertices
+    "cycle12.edges": "".join(f"{i} {(i + 1) % 12}\n" for i in range(12)),
     # the region two T n=7 r=2 balls at maximal overlap share
     "threshold.txt": (GOLDEN.parent / "patterns_T7_r2_threshold.txt").read_text(),
 }
@@ -80,6 +84,7 @@ GOLDEN_CASES = {
         "--transcript", "{dir}/trials.jsonl",
     ],
     "graph_import_petersen": ["graph-import", "--edges", "{dir}/petersen.edges", "--r", "2"],
+    "graph_import_cycle12": ["graph-import", "--edges", "{dir}/cycle12.edges", "--r", "2"],
 }
 
 # the golden cases whose commands read or fill a cache directory
@@ -331,6 +336,162 @@ def test_cache_dir_that_is_a_file_is_a_usage_error(files, capsys):
     assert (code, out) == (64, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert str(not_a_dir) in err
+
+
+# pattern file -> the usage error reconstruct stops with
+PATTERN_FILE_ERRORS = {
+    "empty": ("", "pattern file holds no patterns"),
+    "comment_only": ("# nothing here\n\n   # still nothing\n", "pattern file holds no patterns"),
+    "mixed_degrees": ("[1,2,3]\n[2,1,3,4]\n", "patterns have mixed degrees"),
+    # the line number counts the comment and the blank line above
+    "bad_literal": (
+        "# header\n[1,2,3]\n\n[2,1,3]\n[1,2;3]\n",
+        "pattern file line 5: not a permutation literal: '[1,2;3]'",
+    ),
+    "symbol_0": (
+        "[1,2,3]\n[0,1,2]\n",
+        "pattern file line 2: symbols are not 1..3 exactly once: '[0,1,2]'",
+    ),
+    "repeated_symbol": (
+        "[1,2,3]\n[1,1,3]\n",
+        "pattern file line 2: symbols are not 1..3 exactly once: '[1,1,3]'",
+    ),
+    "degree_13": (
+        "[" + ",".join(map(str, range(1, 14))) + "]\n",
+        "pattern file line 1: degree must be in 1..12, got 13",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_FILE_ERRORS))
+def test_pattern_file_errors(name, files, capsys):
+    text, message = PATTERN_FILE_ERRORS[name]
+    (files / "bad.txt").write_text(text)
+    argv = ["reconstruct", "--graph", "T", "--r", "1", "--patterns", "{dir}/bad.txt"]
+    assert run_cli(argv, files) == (64, "")
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.txt", "[Errno 2] No such file or directory"),
+    ("", "[Errno 21] Is a directory"),
+])
+def test_unreadable_pattern_file(name, reason, files, capsys):
+    path = files / name
+    argv = ["reconstruct", "--graph", "T", "--r", "1", "--patterns", str(path)]
+    assert run_cli(argv, files) == (64, "")
+    assert capsys.readouterr().err == (
+        f"usage error: cannot read pattern file: {reason}: '{path}'\n"
+    )
+
+
+def test_plain_pattern_files_take_the_whole_file_path():
+    assert cli._packed_patterns(" [2, 1,3]\n[1,3 ,2] \n[3,2,1]") == [
+        b"\1\0\2", b"\0\2\1", b"\2\1\0",
+    ]
+    for text in ("# a comment\n[2,1,3]\n", "[2,1,3]\n\n[1,3,2]\n", "[01,2]\n",
+                 "[2,1,3]\n[1,3,2,4]\n", "[2,2,3]\n", "[1,2,4]\n", "[2,\t1]\n"):
+        assert cli._packed_patterns(text) is None, text
+
+
+@st.composite
+def pattern_files(draw) -> str:
+    """Pattern files in plain form or near it.  Half are plain: literals of
+    one degree in plain digits, spaced by spaces.  The rest add tabs, zero
+    padding, Arabic-Indic digits (which ``int`` reads as well), comments,
+    blank lines, wrong degrees and wrong symbols.  Line ends are LF or
+    CRLF, and the last line may have none."""
+    n = draw(st.integers(1, 4))
+    plain = draw(st.booleans())
+    pad = st.sampled_from(["", " "] if plain else ["", "", " ", "  ", "\t"])
+    kinds = ["literal"] if plain else ["literal"] * 6 + ["comment", "blank", "bad"]
+    spellings = ["plain"] if plain else ["plain"] * 4 + ["padded", "arabic"]
+
+    def spell(v: int) -> str:
+        spelling = draw(st.sampled_from(spellings))
+        if spelling == "padded":
+            return f"0{v}"
+        if spelling == "arabic":
+            return "".join(chr(0x660 + int(c)) for c in str(v))
+        return str(v)
+
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "comment":
+            lines.append(draw(pad) + "# note, [1]")
+        elif kind == "blank":
+            lines.append(draw(pad))
+        else:
+            degree = n if kind == "literal" else draw(st.integers(1, n + 1))
+            values = list(draw(st.permutations(range(1, degree + 1))))
+            if kind == "bad":
+                values[draw(st.integers(0, degree - 1))] = draw(st.integers(0, degree + 1))
+            parts = [draw(pad) + spell(v) + draw(pad) for v in values]
+            tail = "" if plain else draw(st.sampled_from(["", "", " # trailing"]))
+            lines.append(draw(pad) + "[" + ",".join(parts) + "]" + draw(pad) + tail)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def read_outcome(read, path):
+    try:
+        return [tuple(p) for p in read(path)]
+    except cli.UsageError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=pattern_files())
+def test_pattern_reader_matches_line_parser(text, tmp_path):
+    path = tmp_path / "patterns.txt"
+    path.write_bytes(text.encode())
+    assert read_outcome(cli._read_patterns, path) == read_outcome(
+        oracles.read_patterns_by_line, path
+    )
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of cli.main, argparse's own exits
+    (help, version) included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# argv whose outcome must not depend on which commands the parser declares
+PARSER_CASES = {
+    "help": ["--help"],
+    "version": ["--version"],
+    "no_arguments": [],
+    **{f"help_{name}": [name, "--help"] for name in cli._COMMANDS},
+    "unknown_command": ["bogus"],
+    "missing_flag": ["reconstruct", "--graph", "T", "--r", "1"],
+    "bad_graph_choice": ["reconstruct", "--graph", "X", "--r", "1", "--patterns", "p"],
+    "extra_positional": ["report", "extra", "--graph", "T", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_CASES))
+def test_parser_for_one_command_matches_the_full_parser(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = PARSER_CASES[name]
+    got = run_main(argv)
+    assert got[0] in (0, 64)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+    assert got == run_main(argv)
+
+
+def test_parser_declares_only_the_named_command():
+    assert "{report}" in cli._build_parser(["report"]).format_usage()
+    for argv in ([], ["bogus"], ["--help"], ["--version", "report"]):
+        assert "{report,verify," in cli._build_parser(argv).format_usage()
 
 
 @pytest.mark.parametrize("argv, want_code", [
