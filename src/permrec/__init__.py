@@ -48,7 +48,6 @@ from .perms import (
     format_perm,
     identity,
     inverse,
-    min_transposition_distance,
     minimal_factorization_count,
     parse_cycle_type,
     parse_perm,

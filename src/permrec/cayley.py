@@ -10,19 +10,20 @@ local parameters, diameters, distance-regularity and small-subgraph checks.
 Vertices are permutations; edges join x to x*s for generators s.
 Left translation is an automorphism, so distances satisfy
 d(x, y) = d(e, inverse(x)*y) and every ball is a translate of a ball around
-the identity; the engine leans on this throughout.  Every metric question
-is answered from one breadth-first level expansion around the identity,
-which keeps only three levels in hand because the graph is undirected:
+the identity; the engine leans on this throughout.
 
-* balls and spheres keep the levels up to their radius;
-* :func:`distance` and :func:`local_params` walk to the level d that holds
-  the vertex and keep levels d-1 and d, which is all a vertex's (c, a, b)
-  needs.  They raise ``CapacityError`` exactly when ``ball(identity, d)``
-  would, that is when levels 0..d hold more than ``MAX_BALL_SIZE`` vertices;
-* the whole-graph queries (:func:`diameter`, :func:`local_params_all`,
-  :func:`is_distance_regular`, :func:`geodesic_counts`) walk every level
-  the same way, capped at degree ``WHOLE_GRAPH_MAX_N``.  Only
-  :func:`bfs_levels` keeps them all.
+* :func:`distance` and :func:`local_params` evaluate each family's distance
+  from the identity in closed form: n minus the number of cycles for all
+  transpositions (Cayley), the inversion count for adjacent swaps, and
+  Akers and Krishnamurthy's m + c - 2[p(0) != 0] for prefix swaps (m moved
+  points, c cycles of length two or more).  A vertex's (c, a, b) is the
+  formula on its k neighbors, so neither query walks the graph;
+* balls, spheres and the whole-graph queries (:func:`diameter`,
+  :func:`local_params_all`, :func:`is_distance_regular`,
+  :func:`geodesic_counts`) come from one breadth-first level expansion
+  around the identity, which keeps only three levels in hand because the
+  graph is undirected.  The whole-graph queries are capped at degree
+  ``WHOLE_GRAPH_MAX_N``, and only :func:`bfs_levels` keeps every level.
 
 The capacity caps are module constants: ``MAX_BALL_SIZE`` vertices in a
 ball, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
@@ -62,7 +63,9 @@ from .perms import (
     Perm,
     class_representative,
     compose,
+    cycle_count,
     cycle_types,
+    cycles,
     format_perm,
     identity,
     is_perm,
@@ -89,6 +92,17 @@ _SWAPS = {
     KIND_ALL: lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
     KIND_ADJACENT: lambda n: [(i, i + 1) for i in range(n - 1)],
     KIND_PREFIX: lambda n: [(0, i) for i in range(1, n)],
+}
+
+# Each family's distance from the identity to p (a tuple or packed), by the
+# closed forms named in the module docstring.  A cycle of length two or more
+# adds its length and one to the prefix-swap sum, which is m + c.
+_DISTANCE = {
+    KIND_ALL: lambda p: len(p) - cycle_count(p),
+    KIND_ADJACENT: lambda p: sum(a > b for a, b in combinations(p, 2)),
+    KIND_PREFIX: lambda p: (
+        sum(len(cyc) + 1 for cyc in cycles(p) if len(cyc) > 1) - 2 * (p[0] != 0)
+    ),
 }
 
 
@@ -199,11 +213,6 @@ def _check_vertex(p: Perm, gen: GeneratorSet) -> None:
         raise ValueError(f"not a permutation of degree {gen.n}: {p!r}")
 
 
-def _check_ball_size(size: int) -> None:
-    if size > MAX_BALL_SIZE:
-        raise CapacityError(f"ball exceeds budget of {MAX_BALL_SIZE} vertices")
-
-
 def ball(center: Perm, radius: int, gen: GeneratorSet) -> MetricBall:
     """Breadth-first expansion of the metric ball around ``center``."""
     if radius < 0:
@@ -213,7 +222,8 @@ def ball(center: Perm, radius: int, gen: GeneratorSet) -> MetricBall:
     size = 0
     for level in islice(_levels(center, gen), radius + 1):
         size += len(level)
-        _check_ball_size(size)
+        if size > MAX_BALL_SIZE:
+            raise CapacityError(f"ball exceeds budget of {MAX_BALL_SIZE} vertices")
         spheres.append(frozenset(level))
     return MetricBall(gen, center, radius, tuple(spheres))
 
@@ -250,12 +260,17 @@ def sphere(gen: GeneratorSet, s: int) -> frozenset[Perm]:
 
 
 def distance(x: Perm, y: Perm, gen: GeneratorSet) -> int:
-    """Exact graph distance: the level of inverse(x)*y in the breadth-first
-    walk from the identity.  Raises ``CapacityError`` exactly when
-    ``ball(identity, d)`` would, d being the distance."""
+    """Exact graph distance: the family's closed form on inverse(x)*y.
+
+    >>> e, rev = identity(12), tuple(range(11, -1, -1))
+    >>> distance(e, rev, GeneratorSet.adjacent(12)), distance(e, rev, GeneratorSet.prefix(12))
+    (66, 16)
+    >>> distance(e, (*range(1, 12), 0), GeneratorSet.all_transpositions(12))
+    11
+    """
     _check_vertex(x, gen)
     _check_vertex(y, gen)
-    return _walk_to(pack(y).translate(left_inverse_table(pack(x))), gen)[0]
+    return _DISTANCE[gen.kind](pack(y).translate(left_inverse_table(pack(x))))
 
 
 def _walk(gen: GeneratorSet):
@@ -265,17 +280,6 @@ def _walk(gen: GeneratorSet):
     for d, level in enumerate(_levels(identity(gen.n), gen)):
         yield d, prev, level
         prev = level
-
-
-def _walk_to(y: bytes, gen: GeneratorSet):
-    """(d, level d-1, level d) for the packed vertex y at distance d from the
-    identity, checking the running size as :func:`ball` does."""
-    size = 0
-    for d, prev, level in _walk(gen):
-        size += len(level)
-        _check_ball_size(size)
-        if y in level:
-            return d, prev, level
 
 
 def _split(v: bytes, gen: GeneratorSet, prev, level) -> tuple[int, int, int]:
@@ -421,12 +425,13 @@ def prime_overlap(gen: GeneratorSet, best: IntersectionMax) -> None:
 
 def local_params(pi: Perm, gen: GeneratorSet) -> tuple[int, int, int]:
     """(c, a, b): neighbors of pi one step closer to / level with / one step
-    farther from the identity.  They always sum to the valency.  Raises
-    ``CapacityError`` as :func:`distance` does."""
+    farther from the identity, by the family's distance formula.  They
+    always sum to the valency."""
     _check_vertex(pi, gen)
-    v = pack(pi)
-    _, prev, level = _walk_to(v, gen)
-    return _split(v, gen, prev, level)
+    dist = _DISTANCE[gen.kind]
+    d = dist(pi)
+    steps = Counter(dist(w) - d for w in translated(gen.packed, left_table(pack(pi))))
+    return steps[-1], steps[0], steps[1]
 
 
 def _check_whole_graph(gen: GeneratorSet) -> None:

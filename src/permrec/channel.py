@@ -23,7 +23,6 @@ sort before converting back, so no output depends on set iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import factorial
 
 from .cayley import KIND_ALL, GeneratorSet, ball_of_identity, overlap_of_identity
@@ -181,20 +180,6 @@ def _survivors(pool, tables, members: frozenset[bytes]):
             yield z
 
 
-def _subset_is_unique(
-    members: frozenset[bytes], patterns: list[bytes], source: bytes
-) -> bool:
-    """True if the packed patterns pin down a single candidate (which must
-    then be the source).  Fast path for sharpness sweeps: intersect two
-    translated balls, then filter survivors with early abort."""
-    y1, y2 = patterns[0], patterns[1] if len(patterns) > 1 else patterns[0]
-    pool = set(translated(members, left_table(y1)))
-    pool.intersection_update(translated(members, left_table(y2)))
-    pool.discard(source)
-    rest = [left_inverse_table(y) for y in patterns[2:]]
-    return next(_survivors(pool, rest, members), None) is None
-
-
 def ambiguity_witness(gen: GeneratorSet, r: int) -> tuple[Perm, Perm, list[Perm]]:
     """A pair of centers attaining the overlap maximum plus the full shared
     pattern set: feeding those patterns to the reconstructor leaves both
@@ -209,34 +194,6 @@ def ambiguity_witness(gen: GeneratorSet, r: int) -> tuple[Perm, Perm, list[Perm]
     members = ball_of_identity(gen, r).packed
     shared = _survivors(members, [left_inverse_table(pack(other))], members)
     return identity(gen.n), other, list(map(unpack, sorted(shared)))
-
-
-def exhaustive_threshold_check(gen: GeneratorSet, r: int) -> int:
-    """Try every subset of threshold size from the identity ball and count
-    how many fail to reconstruct uniquely (the guarantee says none do)."""
-    threshold = overlap_of_identity(gen, r).value + 1
-    members = ball_of_identity(gen, r).packed
-    source = pack(identity(gen.n))
-    failures = 0
-    for subset in combinations(sorted(members), threshold):
-        if not _subset_is_unique(members, list(subset), source):
-            failures += 1
-    return failures
-
-
-def sampled_threshold_check(gen: GeneratorSet, r: int, samples: int, seed: int) -> int:
-    """Same as :func:`exhaustive_threshold_check` on seeded random subsets."""
-    threshold = overlap_of_identity(gen, r).value + 1
-    members = ball_of_identity(gen, r).packed
-    ball_list = sorted(members)
-    source = pack(identity(gen.n))
-    rng = SplitMix64(seed)
-    failures = 0
-    for _ in range(samples):
-        picks = _sample_distinct(rng, ball_list, threshold)
-        if not _subset_is_unique(members, picks, source):
-            failures += 1
-    return failures
 
 
 def _sample_distinct(rng: SplitMix64, items: list, m: int) -> list:

@@ -41,6 +41,7 @@ from .cayley import (
 )
 from .errors import CapacityError
 from .perms import (
+    MAX_DEGREE,
     CycleType,
     class_representative,
     conjugacy_class_size,
@@ -123,15 +124,17 @@ class SuiteConfig:
 
 def suite_n_values(cfg: SuiteConfig):
     specs = [
-        ("nvalue.T.r1", "T", 1, 3, 7, "one-error overlap max = 3 (all transpositions)"),
-        ("nvalue.T.r2", "T", 2, 3, 6, "two-error overlap max = 3(n-2)(n+1)/2 (all transpositions)"),
-        ("nvalue.t.r1", "t", 1, 3, 7, "one-error overlap max = 2 (adjacent swaps)"),
-        ("nvalue.t.r2", "t", 2, 3, 7, "two-error overlap max = 2(n-1) (adjacent swaps)"),
-        ("nvalue.st.r1", "st", 1, 4, 7, "one-error overlap max = 2 (prefix swaps)"),
-        ("nvalue.st.r2", "st", 2, 4, 7, "two-error overlap max = 2(n-1) (prefix swaps)"),
+        ("nvalue.T.r1", "T", 1, 3, "one-error overlap max = 3 (all transpositions)"),
+        ("nvalue.T.r2", "T", 2, 3, "two-error overlap max = 3(n-2)(n+1)/2 (all transpositions)"),
+        ("nvalue.t.r1", "t", 1, 3, "one-error overlap max = 2 (adjacent swaps)"),
+        ("nvalue.t.r2", "t", 2, 3, "two-error overlap max = 2(n-1) (adjacent swaps)"),
+        ("nvalue.st.r1", "st", 1, 4, "one-error overlap max = 2 (prefix swaps)"),
+        ("nvalue.st.r2", "st", 2, 4, "two-error overlap max = 2(n-1) (prefix swaps)"),
     ]
-    for cid, kind, r, lo, hi, stmt in specs:
-        for n in cfg.span(lo, hi):
+    # each formula claims every n from lo on, so each is checked up to the
+    # largest degree the package takes
+    for cid, kind, r, lo, stmt in specs:
+        for n in cfg.span(lo, MAX_DEGREE):
             def measure():
                 if kind == "T":
                     expected = formulas.transposition_max_overlap(n, r)
@@ -143,15 +146,13 @@ def suite_n_values(cfg: SuiteConfig):
 
 
 def suite_ns_tables(cfg: SuiteConfig):
-    ranges = {"T": (3, 6), "t": (3, 8), "st": (3, 7)}
     stmt = {
         "T": "per-distance two-error overlap maxima (all transpositions)",
         "t": "per-distance two-error overlap maxima (adjacent swaps)",
         "st": "per-distance two-error overlap maxima (prefix swaps)",
     }
     for kind in KINDS:
-        lo, hi = ranges[kind]
-        for n in cfg.span(lo, hi):
+        for n in cfg.span(3, MAX_DEGREE):
             if kind == "T":
                 table = formulas.transposition_sphere_overlaps(n)
             else:
@@ -168,21 +169,21 @@ def suite_ns_tables(cfg: SuiteConfig):
 
 def suite_lambda_mu(cfg: SuiteConfig):
     specs = [
-        ("lambda.T", "T", 0, 0, 3, 8, "max triangles per edge = 0 (all transpositions)"),
-        ("mu.T", "T", 1, 3, 3, 8, "max common neighbors at distance 2 = 3 (all transpositions)"),
-        ("lambda.t", "t", 0, 0, 3, 8, "max triangles per edge = 0 (adjacent swaps)"),
-        ("mu.t", "t", 1, 2, 4, 8, "max common neighbors at distance 2 = 2 (adjacent swaps)"),
-        ("lambda.st", "st", 0, 0, 4, 8, "max triangles per edge = 0 (prefix swaps)"),
-        ("mu.st", "st", 1, 1, 4, 8, "max common neighbors at distance 2 = 1 (prefix swaps)"),
+        ("lambda.T", "T", 0, 0, 3, "max triangles per edge = 0 (all transpositions)"),
+        ("mu.T", "T", 1, 3, 3, "max common neighbors at distance 2 = 3 (all transpositions)"),
+        ("lambda.t", "t", 0, 0, 3, "max triangles per edge = 0 (adjacent swaps)"),
+        ("mu.t", "t", 1, 2, 4, "max common neighbors at distance 2 = 2 (adjacent swaps)"),
+        ("lambda.st", "st", 0, 0, 4, "max triangles per edge = 0 (prefix swaps)"),
+        ("mu.st", "st", 1, 1, 4, "max common neighbors at distance 2 = 1 (prefix swaps)"),
     ]
-    for cid, kind, which, expected, lo, hi, stmt in specs:
-        for n in cfg.span(lo, hi):
+    for cid, kind, which, expected, lo, stmt in specs:
+        for n in cfg.span(lo, MAX_DEGREE):
             yield cid, stmt, f"n={n}", lambda: (
                 expected, lambda_mu(GeneratorSet.of_kind(kind, n))[which]
             )
     consistency = "one-error overlap max equals max(lambda+2, mu)"
     for kind in KINDS:
-        for n in cfg.span(4 if kind == "st" else 3, 8):
+        for n in cfg.span(4 if kind == "st" else 3, MAX_DEGREE):
             def measure():
                 g = GeneratorSet.of_kind(kind, n)
                 lam, mu = lambda_mu(g)

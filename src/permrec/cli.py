@@ -4,7 +4,8 @@ Commands: report, verify, reconstruct, simulate, factorizations, classes,
 probe-conjecture, graph-import.  Output formats: json (byte-stable, sorted
 keys), csv (tabular commands only), pretty.  Exit codes: 0 success/unique,
 1 failed verification or inconsistent patterns, 2 ambiguous reconstruction,
-64 usage error.
+64 usage error, which includes an input file (config, patterns, edges)
+that cannot be read, decoded or parsed.
 
 Settings precedence is defaults < config file (--config, JSON object) <
 command-line flags; the effective settings are echoed into every document.
@@ -107,7 +108,7 @@ def _load_settings(args) -> dict:
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}")
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
@@ -244,7 +245,7 @@ def _read_patterns(path: Path) -> list[bytes]:
     """The patterns in ``path`` as packed records, in file order."""
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read pattern file: {exc}")
     packed = _packed_patterns(text)
     if packed is None:
@@ -315,6 +316,8 @@ def _reconstruct_arguments(p) -> None:
 
 def _cmd_reconstruct(args, settings) -> int:
     patterns = _read_patterns(args.patterns)
+    if len(patterns[0]) < 2:
+        raise UsageError("pattern degree must be 2 or more, got 1")
     gen = GeneratorSet.of_kind(args.graph, len(patterns[0]))
     _warm(settings, ball_of_identity_cached, gen, args.r)
     result = reconstruct(patterns, args.r, gen)
@@ -478,7 +481,7 @@ def _cmd_graph_import(args, settings) -> int:
         raise UsageError("--r must be >= 1")
     try:
         text = args.edges.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read edge file: {exc}")
     try:
         graph = parse_edge_list(text, name=args.edges.name)

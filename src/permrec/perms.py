@@ -176,11 +176,6 @@ def cycle_count(p: Perm) -> int:
     return len(cycles(p))
 
 
-def parity(p: Perm) -> int:
-    """0 for even permutations, 1 for odd."""
-    return (len(p) - cycle_count(p)) % 2
-
-
 @dataclass(frozen=True)
 class CycleType:
     """Cycle-length multiset of a permutation: ``counts[j-1]`` is the number
@@ -316,13 +311,6 @@ def iter_class(ct: CycleType):
             counts_left[j - 1] += 1
 
     yield from build(tuple(range(n)), list(ct.counts))
-
-
-def min_transposition_distance(p: Perm, q: Perm) -> int:
-    """Least number of transpositions turning p into q by right
-    multiplication: the degree minus the number of cycles of p^-1 q."""
-    _check_same_degree(p, q)
-    return len(p) - cycle_count(compose(inverse(p), q))
 
 
 def rank(p: Perm) -> int:

@@ -2,9 +2,12 @@
 
 Everything here recomputes from first principles over explicitly built
 graphs (itertools.permutations + plain BFS), sharing no code path with the
-package's engine, so agreement is meaningful.  The one exception is the
-pattern-file reader, which is the CLI's line parser as it stood before the
-CLI gained its whole-file path, kept as that path's reference.
+package's engine, so agreement is meaningful.  There are two exceptions.
+The pattern-file reader is the CLI's line parser as it stood before the
+CLI gained its whole-file path, kept as that path's reference.  The
+threshold checks test the decoding guarantee (one pattern more than the
+overlap maximum always decodes uniquely) with the engine's own balls and
+survivor filter, over many more pattern sets than a decode would see.
 """
 
 from __future__ import annotations
@@ -19,8 +22,19 @@ from permrec.cayley import (
     RegularityWitness,
     SphereMax,
 )
+# the engine pieces the threshold checks run on
+from permrec.cayley import GeneratorSet, ball_of_identity, overlap_of_identity
+from permrec.channel import _sample_distinct, _survivors
 from permrec.cli import UsageError
-from permrec.perms import parse_perm
+from permrec.perms import (
+    identity,
+    left_inverse_table,
+    left_table,
+    pack,
+    parse_perm,
+    translated,
+)
+from permrec.rng import SplitMix64
 from permrec.smallgraphs import SmallGraphReport
 
 PAIRS = {
@@ -367,3 +381,45 @@ def read_patterns_by_line(path):
     if len({len(p) for p in patterns}) != 1:
         raise UsageError("patterns have mixed degrees")
     return patterns
+
+
+def _subset_is_unique(
+    members: frozenset[bytes], patterns: list[bytes], source: bytes
+) -> bool:
+    """True if the packed patterns pin down a single candidate (which must
+    then be the source).  Fast path for sharpness sweeps: intersect two
+    translated balls, then filter survivors with early abort."""
+    y1, y2 = patterns[0], patterns[1] if len(patterns) > 1 else patterns[0]
+    pool = set(translated(members, left_table(y1)))
+    pool.intersection_update(translated(members, left_table(y2)))
+    pool.discard(source)
+    rest = [left_inverse_table(y) for y in patterns[2:]]
+    return next(_survivors(pool, rest, members), None) is None
+
+
+def exhaustive_threshold_check(gen: GeneratorSet, r: int) -> int:
+    """Try every subset of threshold size from the identity ball and count
+    how many fail to reconstruct uniquely (the guarantee says none do)."""
+    threshold = overlap_of_identity(gen, r).value + 1
+    members = ball_of_identity(gen, r).packed
+    source = pack(identity(gen.n))
+    failures = 0
+    for subset in combinations(sorted(members), threshold):
+        if not _subset_is_unique(members, list(subset), source):
+            failures += 1
+    return failures
+
+
+def sampled_threshold_check(gen: GeneratorSet, r: int, samples: int, seed: int) -> int:
+    """Same as :func:`exhaustive_threshold_check` on seeded random subsets."""
+    threshold = overlap_of_identity(gen, r).value + 1
+    members = ball_of_identity(gen, r).packed
+    ball_list = sorted(members)
+    source = pack(identity(gen.n))
+    rng = SplitMix64(seed)
+    failures = 0
+    for _ in range(samples):
+        picks = _sample_distinct(rng, ball_list, threshold)
+        if not _subset_is_unique(members, picks, source):
+            failures += 1
+    return failures

@@ -30,6 +30,7 @@ from permrec.errors import CapacityError
 from permrec.perms import (
     class_representative,
     compose,
+    cycle_count,
     cycle_type,
     cycle_types,
     enumerate_class,
@@ -37,7 +38,6 @@ from permrec.perms import (
     inverse,
     left_table,
     pack,
-    parity,
     parse_cycle_type,
     parse_perm,
     translated,
@@ -179,17 +179,6 @@ class TestDistance:
         reversal = tuple(reversed(range(n)))
         assert distance(identity(n), reversal, g) == comb(n, 2)
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_matches_cycle_formula_for_all_transpositions(self, n):
-        from permrec.perms import min_transposition_distance
-
-        g = GeneratorSet.all_transpositions(n)
-        e = identity(n)
-        import itertools
-
-        for p in itertools.permutations(range(n)):
-            assert distance(e, p, g) == min_transposition_distance(e, p)
-
     def test_non_permutations_rejected_before_any_walk(self, monkeypatch):
         monkeypatch.setattr(cayley, "_levels", None)
         g = GeneratorSet.prefix(9)
@@ -202,22 +191,41 @@ class TestDistance:
         with pytest.raises(ValueError, match="not a permutation"):
             ball((0, 0, 1, 1), 1, GeneratorSet.all_transpositions(4))
 
-    def test_capacity_is_the_ball_of_the_distance(self, monkeypatch):
-        # x^-1 y is a 3-cycle, at distance 2; both queries hold levels 0..2
-        g = GeneratorSet.all_transpositions(5)
-        x = parse_perm("[2,1,3,4,5]")
-        y = compose(x, parse_perm("[2,3,1,4,5]"))
-        z = compose(inverse(x), y)
-        size = ball(identity(5), 2, g).size
-        clear_ball_memo()
-        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", size)
-        assert distance(x, y, g) == 2
-        assert local_params(z, g) == (3, 0, 7)
-        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", size - 1)
-        with pytest.raises(CapacityError):
-            distance(x, y, g)
-        with pytest.raises(CapacityError):
-            local_params(z, g)
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_point_queries_match_oracle_everywhere(self, kind, n):
+        g, adj = GeneratorSet.of_kind(kind, n), oracles.sym_adjacency(kind, n)
+        e = identity(n)
+        dist = oracles.bfs_dist(adj, e)
+        assert len(dist) == factorial(n)
+        for p, d in dist.items():
+            assert distance(e, p, g) == d
+            want = tuple(sum(dist[w] == d + step for w in adj[p]) for step in (-1, 0, 1))
+            assert local_params(p, g) == want
+            if kind == "T":
+                c, b = formulas.local_params_formula(cycle_type(p))
+                assert want == (c, 0, b)
+        # distances from a center other than the identity
+        x = tuple(reversed(range(n)))
+        for p, d in oracles.bfs_dist(adj, x).items():
+            assert distance(x, p, g) == d
+
+    def test_far_vertices_need_no_walk(self, monkeypatch):
+        monkeypatch.setattr(cayley, "_levels", None)
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", 1)
+        for n, want in ((10, 9), (12, 11)):
+            g = GeneratorSet.all_transpositions(n)
+            cycle = (*range(1, n), 0)
+            assert distance(identity(n), cycle, g) == want
+            assert local_params(cycle, g) == (comb(n, 2), 0, 0)
+        reversal = tuple(reversed(range(12)))
+        for kind, want in (("t", 66), ("st", 16)):
+            g = GeneratorSet.of_kind(kind, 12)
+            assert distance(identity(12), reversal, g) == want
+            c, a, b = local_params(reversal, g)
+            assert a == 0 and c + b == g.k and c >= 1
+        # the reversal is the adjacent-swap graph's one antipode
+        assert local_params(reversal, GeneratorSet.adjacent(12)) == (11, 0, 0)
 
 
 class TestIntersection:
@@ -460,7 +468,7 @@ class TestWholeGraph:
         g = GeneratorSet.of_kind(kind, 5)
         for lvl_index, lvl in enumerate(bfs_levels(g)):
             for p in lvl:
-                assert parity(p) == lvl_index % 2
+                assert (len(p) - cycle_count(p)) % 2 == lvl_index % 2
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [4, 5])

@@ -61,6 +61,8 @@ GOLDEN_CASES = {
         "--suite", "local-params", "--suite", "distance-regularity",
     ],
     "verify_all": ["verify"],
+    # every closed form up to the largest degree the package takes
+    "verify_n12": ["verify", "--max-n", "12"],
     "reconstruct_unique": [
         "reconstruct", "--graph", "T", "--r", "1", "--patterns", "{dir}/unique.txt",
     ],
@@ -360,6 +362,8 @@ PATTERN_FILE_ERRORS = {
         "[" + ",".join(map(str, range(1, 14))) + "]\n",
         "pattern file line 1: degree must be in 1..12, got 13",
     ),
+    # a permutation of degree 1, but no Cayley graph of the three families
+    "degree_1": ("[1]\n[1]\n", "pattern degree must be 2 or more, got 1"),
 }
 
 
@@ -382,6 +386,21 @@ def test_unreadable_pattern_file(name, reason, files, capsys):
     assert run_cli(argv, files) == (64, "")
     assert capsys.readouterr().err == (
         f"usage error: cannot read pattern file: {reason}: '{path}'\n"
+    )
+
+
+@pytest.mark.parametrize("argv, what, at", [
+    (["reconstruct", "--graph", "T", "--r", "1", "--patterns"], "pattern", 6),
+    (["graph-import", "--edges"], "edge", 4),
+    (["factorizations", "--n", "3", "--config"], "config", 4),
+])
+def test_undecodable_input_file(argv, what, at, files, capsys):
+    # a valid first line, then a byte that is not UTF-8
+    (files / "bad").write_bytes(b"[1,2]\n\xff\n" if what == "pattern" else b"0 1\n\xff\n")
+    assert run_cli([*argv, "{dir}/bad"], files) == (64, "")
+    assert capsys.readouterr().err == (
+        f"usage error: cannot read {what} file: 'utf-8' codec can't decode "
+        f"byte 0xff in position {at}: invalid start byte\n"
     )
 
 
@@ -571,7 +590,7 @@ def test_unknown_suite_fails_before_any_suite_runs(files, capsys, monkeypatch):
 
 
 def test_verify_defaults_pass(files):
-    for extra in ([], ["--max-n", "7"], ["--max-n", "8"]):
+    for extra in ([], ["--max-n", "7"], ["--max-n", "8"], ["--max-n", "12"]):
         code, out = run_cli(["verify", *extra], files)
         assert code == 0, [r for r in json.loads(out)["rows"] if r["verdict"] == "fail"]
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permrec import perms
+from permrec.cayley import GeneratorSet, distance
 from permrec.perms import (
     CycleType,
     compose,
     conjugacy_class_size,
+    cycle_count,
     cycle_type,
     cycle_types,
     enumerate_class,
@@ -18,10 +20,8 @@ from permrec.perms import (
     inverse,
     left_inverse_table,
     left_table,
-    min_transposition_distance,
     minimal_factorization_count,
     pack,
-    parity,
     parse_cycle_type,
     parse_perm,
     rank,
@@ -75,7 +75,8 @@ class TestCompose:
 
     @given(any_perm)
     def test_parity_consistent_with_cycles(self, p):
-        assert parity(p) == (len(p) - cycle_type(p).cycle_count) % 2
+        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+        assert (len(p) - cycle_count(p)) % 2 == inversions % 2
 
 
 class TestPacked:
@@ -132,32 +133,35 @@ class TestCycleType:
 
 
 class TestDistance:
+    """The all-transpositions distance, n minus the cycles of x^-1 y."""
+
     def test_zero(self):
         e = identity(5)
-        assert min_transposition_distance(e, e) == 0
+        assert distance(e, e, GeneratorSet.all_transpositions(5)) == 0
 
     def test_one(self):
         e = identity(5)
-        assert min_transposition_distance(e, transposition(5, 1, 3)) == 1
+        assert distance(e, transposition(5, 1, 3), GeneratorSet.all_transpositions(5)) == 1
 
     def test_example(self):
-        assert min_transposition_distance(identity(5), parse_perm("[2,3,1,5,4]")) == 3
+        g = GeneratorSet.all_transpositions(5)
+        assert distance(identity(5), parse_perm("[2,3,1,5,4]"), g) == 3
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_bfs(self, n):
         adj = oracles.sym_adjacency("T", n)
         dist = oracles.bfs_dist(adj, tuple(range(n)))
         e = identity(n)
+        g = GeneratorSet.all_transpositions(n)
         for p, d in dist.items():
-            assert min_transposition_distance(e, p) == d
+            assert distance(e, p, g) == d
 
     def test_left_invariance(self):
         x = parse_perm("[3,1,4,2]")
         y = parse_perm("[2,4,1,3]")
-        g = parse_perm("[4,3,2,1]")
-        assert min_transposition_distance(
-            compose(g, x), compose(g, y)
-        ) == min_transposition_distance(x, y)
+        h = parse_perm("[4,3,2,1]")
+        g = GeneratorSet.all_transpositions(4)
+        assert distance(compose(h, x), compose(h, y), g) == distance(x, y, g)
 
 
 class TestClasses:
