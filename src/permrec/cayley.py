@@ -12,18 +12,22 @@ Left translation is an automorphism, so distances satisfy
 d(x, y) = d(e, inverse(x)*y) and every ball is a translate of a ball around
 the identity; the engine leans on this throughout.
 
-* :func:`distance` and :func:`local_params` evaluate each family's distance
-  from the identity in closed form: n minus the number of cycles for all
-  transpositions (Cayley), the inversion count for adjacent swaps, and
-  Akers and Krishnamurthy's m + c - 2[p(0) != 0] for prefix swaps (m moved
-  points, c cycles of length two or more).  A vertex's (c, a, b) is the
-  formula on its k neighbors, so neither query walks the graph;
-* balls, spheres and the whole-graph queries (:func:`diameter`,
-  :func:`local_params_all`, :func:`is_distance_regular`,
-  :func:`geodesic_counts`) come from one breadth-first level expansion
-  around the identity, which keeps only three levels in hand because the
-  graph is undirected.  The whole-graph queries are capped at degree
-  ``WHOLE_GRAPH_MAX_N``, and only :func:`bfs_levels` keeps every level.
+* :func:`distance`, :func:`local_params` and :func:`diameter` evaluate each
+  family's closed forms and never walk.  The distance from the identity is
+  n minus the number of cycles for all transpositions (Cayley), the
+  inversion count for adjacent swaps, and Akers and Krishnamurthy's
+  m + c - 2[p(0) != 0] for prefix swaps (m moved points, c cycles of length
+  two or more).  The diameter, its maximum, is n - 1 (an n-cycle), n(n-1)/2
+  (the reversal) and Akers and Krishnamurthy's floor(3(n-1)/2);
+* balls, spheres and the whole-graph queries (:func:`local_params_all`,
+  :func:`is_distance_regular`, :func:`geodesic_counts`) come from one
+  breadth-first level expansion around the identity, which keeps only
+  three levels in hand because the graph is undirected.  The whole-graph
+  queries are capped at degree ``WHOLE_GRAPH_MAX_N``, and only
+  :func:`bfs_levels` keeps every level;
+* each generator is a transposition, an odd permutation, so every edge
+  flips the sign and no cycle has odd length: :func:`girth_cycle_check`
+  answers odd lengths without a search.
 
 The capacity caps are module constants: ``MAX_BALL_SIZE`` vertices in a
 ball, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
@@ -103,6 +107,13 @@ _DISTANCE = {
     KIND_PREFIX: lambda p: (
         sum(len(cyc) + 1 for cyc in cycles(p) if len(cyc) > 1) - 2 * (p[0] != 0)
     ),
+}
+
+# Each family's diameter at degree n: the largest _DISTANCE value over S_n.
+_DIAMETER = {
+    KIND_ALL: lambda n: n - 1,
+    KIND_ADJACENT: lambda n: n * (n - 1) // 2,
+    KIND_PREFIX: lambda n: 3 * (n - 1) // 2,
 }
 
 
@@ -463,11 +474,12 @@ def bfs_levels(gen: GeneratorSet) -> list[list[Perm]]:
 
 
 def diameter(gen: GeneratorSet) -> int:
-    """Graph diameter: the eccentricity of the identity, which equals the
-    diameter by vertex-transitivity.  Counts the levels without keeping
-    them."""
-    _check_whole_graph(gen)
-    return sum(1 for _ in _levels(identity(gen.n), gen)) - 1
+    """Graph diameter, by the family's closed form.
+
+    >>> [diameter(GeneratorSet.of_kind(kind, 12)) for kind in ("T", "t", "st")]
+    [11, 66, 16]
+    """
+    return _DIAMETER[gen.kind](gen.n)
 
 
 def geodesic_counts(gen: GeneratorSet) -> dict[Perm, int]:
@@ -539,12 +551,16 @@ def is_distance_regular(gen: GeneratorSet) -> RegularityResult:
 
 def girth_cycle_check(gen: GeneratorSet, lengths) -> dict[int, bool]:
     """For each requested length, whether the graph has a simple cycle of
-    that length.  Vertex-transitivity means cycles exist somewhere iff they
-    exist through the identity, so the search is local."""
+    that length.  Each generator is a transposition, so every edge flips
+    the sign and no odd length has one.  Vertex-transitivity means an even
+    cycle exists somewhere iff one passes through the identity."""
     out = {}
     for length in sorted(set(lengths)):
         if length < 3:
             raise ValueError(f"cycle length must be >= 3, got {length}")
+        if length % 2:
+            out[length] = False
+            continue
         k = gen.k
         estimate = k * max(k - 1, 1) ** (length - 2)
         if estimate > MAX_CYCLE_SEARCH:
@@ -665,24 +681,9 @@ class GraphReport:
 
 def build_graph_report(gen: GeneratorSet, r: int, with_diameter: bool = True) -> GraphReport:
     lam, mu = lambda_mu(gen)
-    per_radius = tuple(overlap_of_identity(gen, rr) for rr in range(1, r + 1))
-    notes: list[str] = []
-    diam: int | None = None
-    if with_diameter:
-        try:
-            diam = diameter(gen)
-        except CapacityError as exc:
-            notes.append(f"diameter skipped: {exc}")
-    else:
-        notes.append("diameter skipped: disabled")
     return GraphReport(
-        kind=gen.kind,
-        n=gen.n,
-        v=factorial(gen.n),
-        k=gen.k,
-        lam=lam,
-        mu=mu,
-        diameter=diam,
-        per_radius=per_radius,
-        notes=tuple(notes),
+        kind=gen.kind, n=gen.n, v=factorial(gen.n), k=gen.k, lam=lam, mu=mu,
+        diameter=diameter(gen) if with_diameter else None,
+        per_radius=tuple(overlap_of_identity(gen, rr) for rr in range(1, r + 1)),
+        notes=() if with_diameter else ("diameter skipped: disabled",),
     )

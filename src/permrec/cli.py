@@ -165,6 +165,16 @@ def _pretty_table(rows: list[dict], columns) -> None:
         print("  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(columns, widths)))
 
 
+def _emit_table(settings, doc: dict, rows: list[dict], columns) -> None:
+    """``doc`` as JSON, or ``rows`` as a CSV or pretty table of ``columns``."""
+    if settings["format"] == "json":
+        _emit_json(doc)
+    elif settings["format"] == "csv":
+        _emit_csv(rows, columns)
+    else:
+        _pretty_table(rows, columns)
+
+
 def _warm(settings, cached, gen, radius):
     """Fill the memo through ``cached`` (a ball or an overlap maximum) from
     the cache directory, computing and writing the file if it is unusable."""
@@ -182,12 +192,10 @@ def _report_arguments(p) -> None:
     p.add_argument("--n", type=int, nargs="+", required=True, help="degree(s)")
     p.add_argument("--r", type=int, default=1, help="max error radius (default 1)")
     p.add_argument("--no-diameter", action="store_true",
-                   help="skip the whole-graph diameter sweep")
+                   help="leave the diameter out of the report")
 
 
 def _cmd_report(args, settings) -> int:
-    if args.r < 1:
-        raise UsageError("--r must be >= 1")
     reports = []
     for n in args.n:
         gen = GeneratorSet.of_kind(args.graph, n)
@@ -231,12 +239,8 @@ def _cmd_verify(args, settings) -> int:
         "skip": sum(1 for r in rows if r.verdict == "skip"),
     }
     doc = _envelope("verify", settings, {"rows": row_docs, "summary": summary})
-    if settings["format"] == "json":
-        _emit_json(doc)
-    elif settings["format"] == "csv":
-        _emit_csv(row_docs, CSV_COLUMNS)
-    else:
-        _pretty_table(row_docs, CSV_COLUMNS)
+    _emit_table(settings, doc, row_docs, CSV_COLUMNS)
+    if settings["format"] == "pretty":
         print(f"pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}")
     return EX_FAIL if summary["fail"] else EX_OK
 
@@ -406,13 +410,7 @@ def _cmd_factorizations(args, settings) -> int:
             "count": minimal_factorization_count(ct),
         })
     doc = _envelope("factorizations", settings, {"degree": args.n, "rows": rows})
-    columns = ("cycle_type", "min_transpositions", "count")
-    if settings["format"] == "json":
-        _emit_json(doc)
-    elif settings["format"] == "csv":
-        _emit_csv(rows, columns)
-    else:
-        _pretty_table(rows, columns)
+    _emit_table(settings, doc, rows, ("cycle_type", "min_transpositions", "count"))
     return EX_OK
 
 
@@ -439,12 +437,8 @@ def _cmd_classes(args, settings) -> int:
     columns = ("cycle_type", "size", "sphere") + (
         ("enumerated", "check") if args.check else ()
     )
-    if settings["format"] == "json":
-        _emit_json(doc)
-    elif settings["format"] == "csv":
-        _emit_csv(rows, columns)
-    else:
-        _pretty_table(rows, columns)
+    _emit_table(settings, doc, rows, columns)
+    if settings["format"] == "pretty":
         print(f"total {sum(r['size'] for r in rows)} of {factorial(args.n)}")
     if args.check and any(r.get("check") == "MISMATCH" for r in rows):
         return EX_FAIL
@@ -477,8 +471,6 @@ def _graph_import_arguments(p) -> None:
 
 
 def _cmd_graph_import(args, settings) -> int:
-    if args.r < 1:
-        raise UsageError("--r must be >= 1")
     try:
         text = args.edges.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -505,6 +497,9 @@ def _cmd_graph_import(args, settings) -> int:
 
 
 _NOT_TABULAR = ("json", "pretty")
+
+# the least --r of each command that checks it before any work
+_MIN_RADIUS = {"report": 1, "reconstruct": 0, "simulate": 1, "graph-import": 1}
 
 
 class _Command(NamedTuple):
@@ -551,6 +546,9 @@ def main(argv=None) -> int:
             raise UsageError(
                 f"{args.command} supports --format {' or '.join(command.formats)}"
             )
+        low = _MIN_RADIUS.get(args.command)
+        if low is not None and args.r < low:
+            raise UsageError(f"--r must be >= {low}")
         return command.run(args, settings)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

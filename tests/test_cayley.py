@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -410,16 +411,27 @@ class TestLocalParams:
 
 
 class TestWholeGraph:
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_diameters(self, n):
-        assert diameter(GeneratorSet.all_transpositions(n)) == n - 1
-        assert diameter(GeneratorSet.adjacent(n)) == comb(n, 2)
-        assert diameter(GeneratorSet.prefix(n)) == 3 * (n - 1) // 2
+        # the largest distance over all of S_n by the family's distance
+        # formula, and up to n=6 the identity's eccentricity by brute force
+        for kind in KINDS:
+            got = diameter(GeneratorSet.of_kind(kind, n))
+            assert got == max(map(cayley._DISTANCE[kind], permutations(range(n)))), kind
+            if n <= 6:
+                dist = oracles.bfs_dist(oracles.sym_adjacency(kind, n), identity(n))
+                assert got == max(dist.values()), kind
+
+    def test_diameter_needs_no_walk(self, monkeypatch):
+        monkeypatch.setattr(cayley, "_levels", None)
+        monkeypatch.setattr(cayley, "WHOLE_GRAPH_MAX_N", 2)
+        got = [diameter(GeneratorSet.of_kind(kind, 12)) for kind in KINDS]
+        assert got == [11, 66, 16]
 
     def test_whole_graph_cap(self, monkeypatch):
         clear_ball_memo()
         monkeypatch.setattr(cayley, "WHOLE_GRAPH_MAX_N", 5)
-        sweeps = (bfs_levels, diameter, local_params_all, is_distance_regular, geodesic_counts)
+        sweeps = (bfs_levels, local_params_all, is_distance_regular, geodesic_counts)
         for sweep in sweeps:
             sweep(GeneratorSet.adjacent(5))
             with pytest.raises(CapacityError, match="^whole-graph search capped at degree 5$"):
@@ -542,6 +554,15 @@ class TestSubgraphs:
             checked += 1
         assert checked >= 5
 
+    def test_odd_cycles_need_no_search(self, monkeypatch):
+        # each edge flips the sign, so no family has a cycle of odd length;
+        # a search for length 9 at T n=12 would be far over MAX_CYCLE_SEARCH
+        monkeypatch.setattr(cayley, "_has_cycle_through_identity", None)
+        assert girth_cycle_check(GeneratorSet.all_transpositions(12), (9,)) == {9: False}
+        for kind in KINDS:
+            found = girth_cycle_check(GeneratorSet.of_kind(kind, 12), (3, 5, 7, 11))
+            assert found == {3: False, 5: False, 7: False, 11: False}
+
     def test_cycle_search_capacity(self, monkeypatch):
         g = GeneratorSet.all_transpositions(6)
         clear_ball_memo()
@@ -601,8 +622,10 @@ class TestGraphReport:
         assert doc["witnesses"]["n_s"] == {"2": ["1^1 3^1"]}
 
     def test_diameter_skip_note(self):
-        report = build_graph_report(
-            GeneratorSet.adjacent(4), 1, with_diameter=False
-        )
-        assert report.diameter is None
-        assert any("diameter skipped" in note for note in report.notes)
+        for n in (4, 9):
+            g = GeneratorSet.adjacent(n)
+            report = build_graph_report(g, 1, with_diameter=False)
+            assert report.diameter is None
+            assert report.notes == ("diameter skipped: disabled",)
+            # past the whole-graph cap the diameter is still reported
+            assert build_graph_report(g, 1).to_doc()["notes"] == []

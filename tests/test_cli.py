@@ -2,8 +2,9 @@
 
 Every command runs in-process through ``cli.main``; its JSON stdout is
 validated against the command's schema in ``docs/schemas``.  A fixed list
-of commands is also pinned byte for byte, with any trial transcript they
-write, against goldens in ``tests/golden/cli`` (regenerate them with ``python tests/test_cli.py``,
+of commands, some in the csv and pretty formats, is also pinned byte for
+byte, with any trial transcript they write, against goldens in
+``tests/golden/cli`` (regenerate them with ``python tests/test_cli.py``,
 and only when an output change is intended), both in-process and in fresh
 interpreters under two hash seeds (``python tests/test_cli.py DIR`` writes
 the outputs to DIR instead).  The report, reconstruct and simulate goldens
@@ -87,7 +88,25 @@ GOLDEN_CASES = {
     ],
     "graph_import_petersen": ["graph-import", "--edges", "{dir}/petersen.edges", "--r", "2"],
     "graph_import_cycle12": ["graph-import", "--edges", "{dir}/cycle12.edges", "--r", "2"],
+    # degrees past the whole-graph cap, whose diameters come from the formula
+    "report_T9_10": ["report", "--graph", "T", "--n", "9", "10", "--r", "1"],
 }
+# the csv and pretty formats, pinned as .txt goldens
+GOLDEN_CASES.update(
+    (f"{name}_{fmt}", [*argv, "--format", fmt])
+    for name, argv, formats in [
+        ("report_t5", ["report", "--graph", "t", "--n", "5", "--r", "2"], ["pretty"]),
+        ("verify_diameters", ["verify", "--suite", "diameters"], ["csv", "pretty"]),
+        ("reconstruct_ambiguous", GOLDEN_CASES["reconstruct_ambiguous"], ["pretty"]),
+        # without the transcript, which the plain case pins
+        ("simulate_honest", GOLDEN_CASES["simulate_honest"][:-2], ["csv", "pretty"]),
+        ("factorizations_n5", ["factorizations", "--n", "5"], ["csv", "pretty"]),
+        ("classes_n5", ["classes", "--n", "5", "--check"], ["csv", "pretty"]),
+        ("probe_conjecture", ["probe-conjecture", "--n", "5", "--r", "2"], ["pretty"]),
+        ("graph_import_petersen", GOLDEN_CASES["graph_import_petersen"], ["pretty"]),
+    ]
+    for fmt in formats
+)
 
 # the golden cases whose commands read or fill a cache directory
 CACHED_CASES = tuple(
@@ -106,6 +125,12 @@ SCHEMA_CASES = {
     "probe-conjecture": (["probe-conjecture", "--n", "5", "--r", "2"], 0),
     "graph-import": (["graph-import", "--edges", "{dir}/square.edges", "--r", "1"], 0),
 }
+
+
+def golden_name(name: str) -> str:
+    """The file holding a golden case's stdout: JSON unless the case asks
+    for another format."""
+    return name + (".txt" if "--format" in GOLDEN_CASES[name] else ".json")
 
 
 def write_files(directory: Path) -> None:
@@ -180,7 +205,7 @@ def test_transcript_records_match_schema(files):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_stdout_is_byte_identical_to_golden(name, files):
     _, out = run_cli(GOLDEN_CASES[name], files)
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    assert out == (GOLDEN / golden_name(name)).read_text()
     transcript = files / "trials.jsonl"
     if transcript.exists():
         assert transcript.read_text() == (GOLDEN / f"{name}.jsonl").read_text()
@@ -198,7 +223,7 @@ def test_cached_stdout_is_byte_identical_to_golden(name, files, monkeypatch):
             monkeypatch.setattr(cayley, "max_ball_intersection", None)
         transcript.unlink(missing_ok=True)
         _, out = run_cli_cached(GOLDEN_CASES[name], files, cache_dir)
-        assert out == (GOLDEN / f"{name}.json").read_text(), run
+        assert out == (GOLDEN / golden_name(name)).read_text(), run
         if transcript.exists():
             assert transcript.read_text() == (GOLDEN / f"{name}.jsonl").read_text(), run
 
@@ -232,6 +257,24 @@ def test_simulate_refuses_m_below_one(m, adversarial, files, capsys):
     assert capsys.readouterr().err == f"error: need m >= 1, got {m}\n"
 
 
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("argv, low", [
+    (["simulate", "--graph", "t", "--n", "5", "--r", "0", "--trials", "2", "--seed", "1"], 1),
+    (["simulate", "--graph", "st", "--n", "5", "--r", "-2", "--trials", "2", "--seed", "1"], 1),
+    (["reconstruct", "--graph", "t", "--r", "-1", "--patterns", "{dir}/ambiguous.txt"], 0),
+    (["report", "--graph", "T", "--n", "5", "--r", "0"], 1),
+    (["graph-import", "--edges", "{dir}/square.edges", "--r", "0"], 1),
+], ids=["simulate_r0", "simulate_r-2", "reconstruct_r-1", "report_r0", "graph_import_r0"])
+def test_radius_below_the_least_is_a_usage_error(argv, low, cached, files, capsys):
+    cache_dir = files / "cache"
+    cache_dir.mkdir()
+    before = sorted(files.rglob("*"))
+    code, out = run_cli_cached(argv, files, cache_dir) if cached else run_cli(argv, files)
+    assert (code, out) == (64, "")
+    assert capsys.readouterr().err == f"usage error: --r must be >= {low}\n"
+    assert sorted(files.rglob("*")) == before
+
+
 @pytest.mark.parametrize("kind, n", [("st", "5"), ("t", "6")])
 def test_adversarial_m_defaults_to_the_pool(kind, n, files):
     argv = ["simulate", "--graph", kind, "--n", n, "--r", "2", "--trials", "4",
@@ -255,8 +298,8 @@ def test_goldens_hold_under_any_hash_seed(hash_seed, tmp_path):
     runs += [(tmp_path / run, CACHED_CASES) for run in ("cold", "warm")]
     for out_dir, names in runs:
         for name in names:
-            for suffix in (".json", ".jsonl"):
-                want, got = GOLDEN / f"{name}{suffix}", out_dir / f"{name}{suffix}"
+            for file in (golden_name(name), f"{name}.jsonl"):
+                want, got = GOLDEN / file, out_dir / file
                 assert got.exists() == want.exists(), got
                 if want.exists():
                     assert got.read_bytes() == want.read_bytes(), got
@@ -597,7 +640,7 @@ def test_verify_defaults_pass(files):
 
 def write_outputs(out_dir: Path, cached: bool = False) -> None:
     """Run every golden case and write its stdout, and any transcript, to
-    ``<name>.json`` and ``<name>.jsonl`` in out_dir.  With ``cached``, also
+    ``golden_name(name)`` and ``<name>.jsonl`` in out_dir.  With ``cached``, also
     run each of CACHED_CASES with ``--cache-dir``, on an empty cache
     directory and then on the filled one, and write those outputs, the
     echoed directory put back to null, to out_dir/cold and out_dir/warm."""
@@ -605,7 +648,7 @@ def write_outputs(out_dir: Path, cached: bool = False) -> None:
 
     def save(target: Path, name: str, out: str, tmp: Path) -> None:
         target.mkdir(parents=True, exist_ok=True)
-        (target / f"{name}.json").write_text(out)
+        (target / golden_name(name)).write_text(out)
         transcript = tmp / "trials.jsonl"
         if transcript.exists():
             (target / f"{name}.jsonl").write_text(transcript.read_text())
