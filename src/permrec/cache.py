@@ -31,7 +31,9 @@ object: the format name and version (currently 2), the request (kind, n,
 radius), and per center distance s = 1..2r the maximum (null beyond the
 diameter) with its witnesses in scan order, whose first entry is the pair
 ``channel.ambiguity_witness`` uses.  ``load_overlap`` rejects a file that
-does not parse, does not match the request or does not have that shape.
+does not parse, does not match the request or does not have that shape,
+and checks each witness with ``cayley.witness_vertex``, which owns the
+label format.
 Version 1 files, which also stored the size of the ball the scan read,
 fail the version check.
 
@@ -50,7 +52,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from functools import cache, partial
+from functools import partial
 from math import factorial
 from pathlib import Path
 
@@ -67,9 +69,10 @@ from .cayley import (
     overlap_of_identity,
     prime_identity_ball,
     prime_overlap,
+    witness_vertex,
 )
 from .errors import CacheError
-from .perms import all_permutations, cycle_types, identity, parse_perm
+from .perms import all_permutations, identity
 
 _MAGIC = b"PBAL"
 _VERSION = 2
@@ -225,28 +228,7 @@ def save_overlap(path: Path, gen: GeneratorSet, best: IntersectionMax) -> None:
     write_atomically(path, [json.dumps(doc).encode()])
 
 
-@cache
-def _class_labels(n: int) -> frozenset[str]:
-    return frozenset(str(ct) for ct in cycle_types(n))
-
-
-def _label_check(gen: GeneratorSet):
-    """Predicate for the witness labels an overlap scan of ``gen`` gives:
-    cycle types of degree n for the all-transpositions family, vertices
-    otherwise."""
-    if gen.kind == KIND_ALL:
-        return _class_labels(gen.n).__contains__
-
-    def is_vertex(label) -> bool:
-        try:
-            return len(parse_perm(label)) == gen.n
-        except ValueError:
-            return False
-
-    return is_vertex
-
-
-def _sphere_max(s: int, entry, is_label) -> SphereMax:
+def _sphere_max(s: int, entry, gen: GeneratorSet) -> SphereMax:
     """The SphereMax a per-s entry of an overlap file describes, or
     ValueError if the entry is malformed."""
     got_s, value, witnesses = entry
@@ -256,10 +238,12 @@ def _sphere_max(s: int, entry, is_label) -> SphereMax:
         and isinstance(witnesses, list)
         and (value is None) == (not witnesses)
         and (value is None or type(value) is int and value >= 0)
-        and all(isinstance(w, str) and is_label(w) for w in witnesses)
+        and all(isinstance(w, str) for w in witnesses)
     )
     if not valid:
         raise ValueError(f"bad entry for s={s}")
+    for w in witnesses:
+        witness_vertex(gen, w)
     return SphereMax(s, value, tuple(witnesses))
 
 
@@ -274,10 +258,7 @@ def load_overlap(path: Path, gen: GeneratorSet, radius: int) -> IntersectionMax:
         entries = doc["per_s"]
         if len(entries) != 2 * radius:
             raise ValueError("bad entry count")
-        is_label = _label_check(gen)
-        per_s = tuple(
-            _sphere_max(s, e, is_label) for s, e in enumerate(entries, start=1)
-        )
+        per_s = tuple(_sphere_max(s, e, gen) for s, e in enumerate(entries, start=1))
         value = max(sm.value for sm in per_s if sm.value is not None)
     except (ValueError, TypeError, KeyError) as exc:
         raise CacheError(f"cache file {path} is malformed: {exc}")

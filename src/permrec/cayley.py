@@ -36,7 +36,8 @@ raises ``CapacityError`` instead of thrashing.  Every check reads the
 constant when it runs.  Since the caps never vary, one memo entry per
 (generator set, radius) serves every call.
 
-Every public function takes and returns permutation tuples.  The
+Every public function takes and returns permutation tuples, except
+:func:`witness_label`, which names a packed scan candidate.  The
 expansion and the overlap scans run on the packed form of ``perms``
 instead.  Balls are packed first: a ``MetricBall`` holds its spheres as
 frozensets of packed vertices, exactly as the expansion left them, and
@@ -49,6 +50,13 @@ the scan itself and is never memoized: the brute-force oracles call it, and
 timing it must time a scan.  :func:`overlap_of_identity` is to it what
 :func:`ball_of_identity` is to :func:`ball`: the same answer, memoized per
 (generator set, radius), and the form the decoder and the reports use.
+
+The overlap witnesses are named here and nowhere else.  A scan labels only
+its attaining packed candidates, by :func:`witness_label`: the conjugacy
+class for all transpositions, the vertex otherwise.  :func:`witness_vertex` reads a
+label back and refuses any string :func:`witness_label` cannot give; the
+disk cache checks stored witnesses with it, and the decoder finds its
+ambiguity witness through it.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from .perms import (
     class_representative,
     compose,
     cycle_count,
+    cycle_type,
     cycle_types,
     cycles,
     format_perm,
@@ -76,6 +85,8 @@ from .perms import (
     left_inverse_table,
     left_table,
     pack,
+    parse_cycle_type,
+    parse_perm,
     translated,
     transposition,
     unpack,
@@ -186,15 +197,11 @@ class MetricBall:
     @cached_property
     def packed(self) -> frozenset[bytes]:
         """The packed members."""
-        return self.packed_within(self.radius)
+        return frozenset().union(*self.packed_spheres)
 
     @property
     def size(self) -> int:
         return sum(map(len, self.packed_spheres))
-
-    def packed_within(self, radius: int) -> frozenset[bytes]:
-        """Packed members at distance at most ``radius`` from the center."""
-        return frozenset().union(*self.packed_spheres[: radius + 1])
 
 
 def _levels(start: Perm, gen: GeneratorSet):
@@ -331,9 +338,8 @@ class SphereMax:
     """Largest r-ball overlap over center pairs at one distance s.
 
     ``value`` is None when the sphere is empty (s beyond the diameter), which
-    is reported as absent rather than zero.  ``witnesses`` lists every
-    attaining candidate: conjugacy-class strings for the all-transpositions
-    graph, vertex strings otherwise.
+    is reported as absent rather than zero.  ``witnesses`` labels every
+    attaining candidate, in scan order, by :func:`witness_label`.
     """
 
     s: int
@@ -363,6 +369,33 @@ def _overlap_count(members: frozenset[bytes], y: bytes) -> int:
     return len(members.intersection(translated(members, left_inverse_table(y))))
 
 
+def witness_label(gen: GeneratorSet, y: bytes) -> str:
+    """The label naming the packed overlap candidate y: its conjugacy class
+    (``1^2 3^1``) for all transpositions, whose scan reads one
+    representative per class, and the vertex itself (``[2,1,3]``)
+    otherwise."""
+    if gen.kind == KIND_ALL:
+        return str(cycle_type(y))
+    return format_perm(y)
+
+
+def witness_vertex(gen: GeneratorSet, label: str) -> Perm:
+    """The vertex a :func:`witness_label` label names, the class
+    representative for all transpositions.  Any string that
+    :func:`witness_label` cannot give at gen's degree, a class or vertex of
+    another degree, a class written out of order or a malformed literal,
+    raises ``ValueError``."""
+    if gen.kind == KIND_ALL:
+        ct = parse_cycle_type(label)
+        vertex, canonical = class_representative(ct), str(ct)
+    else:
+        vertex = parse_perm(label)
+        canonical = format_perm(vertex)
+    if len(vertex) != gen.n or label != canonical:
+        raise ValueError(f"not a witness label of degree {gen.n}: {label!r}")
+    return vertex
+
+
 def ball_overlap(gen: GeneratorSet, r: int, other: Perm) -> int:
     """|B_r(e) ∩ B_r(other)| without materializing the second ball."""
     return _overlap_count(ball_of_identity(gen, r).packed, pack(other))
@@ -384,23 +417,21 @@ def max_ball_intersection_at(
         raise ValueError(f"radius must be >= 1, got {r}")
     if not 1 <= s <= 2 * r:
         raise ValueError(f"need 1 <= s <= 2r, got s={s}, r={r}")
+    members = ball_of_identity(gen, r).packed
     if gen.kind == KIND_ALL:
-        members = ball_of_identity(gen, r).packed
         cands = [
-            (str(ct), pack(class_representative(ct)))
+            pack(class_representative(ct))
             for ct in cycle_types(gen.n)
             if ct.min_transpositions == s
         ]
     else:
-        big = ball_of_identity(gen, 2 * r)
-        members = big.packed_within(r)
-        sph = big.packed_spheres[s] if s < len(big.packed_spheres) else ()
-        cands = [(format_perm(unpack(y)), y) for y in sorted(sph)]
+        spheres = ball_of_identity(gen, 2 * r).packed_spheres
+        cands = sorted(spheres[s]) if s < len(spheres) else []
     if not cands:
         return SphereMax(s, None, ())
-    counts = run_mapped(partial(_overlap_count, members), [y for _, y in cands], workers)
+    counts = run_mapped(partial(_overlap_count, members), cands, workers)
     best = max(counts)
-    wits = tuple(label for (label, _), c in zip(cands, counts) if c == best)
+    wits = tuple(witness_label(gen, y) for y, c in zip(cands, counts) if c == best)
     return SphereMax(s, best, wits)
 
 

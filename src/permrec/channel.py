@@ -25,18 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .cayley import KIND_ALL, GeneratorSet, ball_of_identity, overlap_of_identity
+from .cayley import GeneratorSet, ball_of_identity, overlap_of_identity, witness_vertex
 from .perms import (
     Perm,
-    class_representative,
     compose,
     format_perm,
     identity,
     left_inverse_table,
     left_table,
     pack,
-    parse_cycle_type,
-    parse_perm,
     translated,
     unpack,
     unrank,
@@ -186,11 +183,7 @@ def ambiguity_witness(gen: GeneratorSet, r: int) -> tuple[Perm, Perm, list[Perm]
     centers as candidates, so the threshold cannot be lowered."""
     best = overlap_of_identity(gen, r)
     s = best.best_s[0]
-    label = best.witnesses[s][0]
-    if gen.kind == KIND_ALL:
-        other = class_representative(parse_cycle_type(label))
-    else:
-        other = parse_perm(label)
+    other = witness_vertex(gen, best.witnesses[s][0])
     members = ball_of_identity(gen, r).packed
     shared = _survivors(members, [left_inverse_table(pack(other))], members)
     return identity(gen.n), other, list(map(unpack, sorted(shared)))

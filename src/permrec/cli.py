@@ -12,6 +12,14 @@ command-line flags; the effective settings are echoed into every document.
 The two settings are the output format and the cache directory.  The
 engine's capacity caps are constants of ``cayley``, not settings.
 
+``main`` alone writes stdout.  Each command returns its exit code and its
+payload, with its pretty lines and, if tabular, its CSV rows; ``main`` adds
+the envelope (command, version, settings) and writes the one format asked
+for.  ``main`` also checks the argument ranges before any work: the least
+values of ``--r`` and ``--trials`` from one table, and ``--n`` by building
+each command's graphs or cycle types first.  A value out of range is a
+usage error that leaves no output and writes no cache file.
+
 Each call builds a parser that declares only the command it names, and
 ``reconstruct`` reads its pattern file on one of two paths.  A file in
 plain form (one literal per line, all of one degree, ASCII digits, spaces
@@ -27,11 +35,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import struct
 import sys
+from collections.abc import Sequence
 from math import factorial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -134,45 +142,39 @@ def _check_config_values(raw: dict) -> None:
         raise UsageError("config cache_dir must be a string or null")
 
 
-def _envelope(command: str, settings: dict, payload: dict) -> dict:
-    doc = {"command": command, "version": __version__, "config": settings}
-    doc.update(payload)
-    return doc
+class _Result(NamedTuple):
+    """What a command hands ``main`` to write: its exit code, its JSON
+    payload (``main`` adds the envelope), a function giving its pretty
+    lines, called in pretty mode only, and for a tabular command its CSV
+    rows and columns."""
+
+    code: int
+    payload: dict
+    pretty: Callable[[], list[str]]
+    rows: Sequence[dict] = ()
+    columns: tuple[str, ...] = ()
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
-
-
-def _emit_csv(rows: list[dict], columns) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row.get(col, "") for col in columns])
-    sys.stdout.write(out.getvalue())
-
-
-def _pretty_table(rows: list[dict], columns) -> None:
+def _pretty_table(rows: list[dict], columns) -> list[str]:
     widths = [
         max(len(str(col)), *(len(str(r.get(col, ""))) for r in rows)) if rows else len(col)
         for col in columns
     ]
     header = "  ".join(str(c).ljust(w) for c, w in zip(columns, widths))
-    print(header)
-    print("-" * len(header))
-    for r in rows:
-        print("  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(columns, widths)))
+    return [
+        header,
+        "-" * len(header),
+        *("  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(columns, widths)) for r in rows),
+    ]
 
 
-def _emit_table(settings, doc: dict, rows: list[dict], columns) -> None:
-    """``doc`` as JSON, or ``rows`` as a CSV or pretty table of ``columns``."""
-    if settings["format"] == "json":
-        _emit_json(doc)
-    elif settings["format"] == "csv":
-        _emit_csv(rows, columns)
-    else:
-        _pretty_table(rows, columns)
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose ValueError, a bad argument, is
+    raised as a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _warm(settings, cached, gen, radius):
@@ -195,27 +197,30 @@ def _report_arguments(p) -> None:
                    help="leave the diameter out of the report")
 
 
-def _cmd_report(args, settings) -> int:
+def _cmd_report(args, settings) -> _Result:
+    gens = [_checked(GeneratorSet.of_kind, args.graph, n) for n in args.n]
     reports = []
-    for n in args.n:
-        gen = GeneratorSet.of_kind(args.graph, n)
+    for gen in gens:
         for rr in range(1, args.r + 1):
             _warm(settings, overlap_of_identity_cached, gen, rr)
         report = build_graph_report(gen, args.r, with_diameter=not args.no_diameter)
         reports.append(report.to_doc())
-    doc = _envelope("report", settings, {"reports": reports})
-    if settings["format"] == "json":
-        _emit_json(doc)
-    else:
+
+    def pretty():
+        lines = []
         for rep in reports:
-            print(f"graph {rep['generator_kind']} n={rep['n']}: v={rep['v']} "
-                  f"k={rep['k']} lambda={rep['lambda']} mu={rep['mu']} "
-                  f"diameter={rep['diameter']}")
-            print(f"  overlap max by radius: {rep['n_r']}")
-            print(f"  overlap max by center distance (r={args.r}): {rep['n_s']}")
-            for s, wit in sorted(rep["witnesses"]["n_s"].items()):
-                print(f"  attained at s={s} by: {', '.join(wit)}")
-    return EX_OK
+            lines += [
+                f"graph {rep['generator_kind']} n={rep['n']}: v={rep['v']} "
+                f"k={rep['k']} lambda={rep['lambda']} mu={rep['mu']} "
+                f"diameter={rep['diameter']}",
+                f"  overlap max by radius: {rep['n_r']}",
+                f"  overlap max by center distance (r={args.r}): {rep['n_s']}",
+            ]
+            lines += [f"  attained at s={s} by: {', '.join(wit)}"
+                      for s, wit in sorted(rep["witnesses"]["n_s"].items())]
+        return lines
+
+    return _Result(EX_OK, {"reports": reports}, pretty)
 
 
 def _verify_arguments(p) -> None:
@@ -225,24 +230,23 @@ def _verify_arguments(p) -> None:
     p.add_argument("--max-n", type=int, default=5)
 
 
-def _cmd_verify(args, settings) -> int:
+def _cmd_verify(args, settings) -> _Result:
     suites = args.suite or ["all"]
     cfg = SuiteConfig(min_n=args.min_n, max_n=args.max_n)
-    try:
-        rows = run_suites(suites, cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    rows = _checked(run_suites, suites, cfg)
     row_docs = [r.to_doc() for r in rows]
     summary = {
         "pass": sum(1 for r in rows if r.verdict == "pass"),
         "fail": sum(1 for r in rows if r.verdict == "fail"),
         "skip": sum(1 for r in rows if r.verdict == "skip"),
     }
-    doc = _envelope("verify", settings, {"rows": row_docs, "summary": summary})
-    _emit_table(settings, doc, row_docs, CSV_COLUMNS)
-    if settings["format"] == "pretty":
-        print(f"pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}")
-    return EX_FAIL if summary["fail"] else EX_OK
+    return _Result(
+        EX_FAIL if summary["fail"] else EX_OK,
+        {"rows": row_docs, "summary": summary},
+        lambda: [*_pretty_table(row_docs, CSV_COLUMNS),
+                 f"pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}"],
+        row_docs, CSV_COLUMNS,
+    )
 
 
 def _read_patterns(path: Path) -> list[bytes]:
@@ -318,32 +322,23 @@ def _reconstruct_arguments(p) -> None:
                    help="file with one [2,3,1]-style permutation per line")
 
 
-def _cmd_reconstruct(args, settings) -> int:
+def _cmd_reconstruct(args, settings) -> _Result:
     patterns = _read_patterns(args.patterns)
     if len(patterns[0]) < 2:
         raise UsageError("pattern degree must be 2 or more, got 1")
     gen = GeneratorSet.of_kind(args.graph, len(patterns[0]))
     _warm(settings, ball_of_identity_cached, gen, args.r)
-    result = reconstruct(patterns, args.r, gen)
-    doc = _envelope("reconstruct", settings, {"result": result.to_doc()})
-    if settings["format"] == "json":
-        _emit_json(doc)
-    else:
-        print(f"status: {result.status}")
-        for c in result.to_doc()["candidates"]:
-            print(f"  candidate {c}")
-    return {
+    result = reconstruct(patterns, args.r, gen).to_doc()
+    code = {
         "unique": EX_OK,
         "ambiguous": EX_AMBIGUOUS,
         "inconsistent": EX_FAIL,
-    }[result.status]
-
-
-_SUMMARY_COLUMNS = (
-    "generator_kind", "n", "r", "trials", "m", "threshold", "seed",
-    "adversarial", "unique", "ambiguous", "inconsistent", "unique_rate",
-    "min_unique_m_max", "min_unique_m_mean",
-)
+    }[result["status"]]
+    return _Result(
+        code, {"result": result},
+        lambda: [f"status: {result['status']}",
+                 *(f"  candidate {c}" for c in result["candidates"])],
+    )
 
 
 def _simulate_arguments(p) -> None:
@@ -363,8 +358,8 @@ def _simulate_arguments(p) -> None:
                    help="write one JSON record per trial to this file")
 
 
-def _cmd_simulate(args, settings) -> int:
-    gen = GeneratorSet.of_kind(args.graph, args.n)
+def _cmd_simulate(args, settings) -> _Result:
+    gen = _checked(GeneratorSet.of_kind, args.graph, args.n)
     if args.transcript is not None and not args.transcript.parent.is_dir():
         raise UsageError(
             f"cannot write transcript file {args.transcript}: no such directory"
@@ -386,32 +381,31 @@ def _cmd_simulate(args, settings) -> int:
             write_atomically(args.transcript, lines)
         except OSError as exc:
             raise UsageError(f"cannot write transcript file: {exc}")
-    doc = _envelope("simulate", settings, {"summary": summary.to_doc()})
-    if settings["format"] == "json":
-        _emit_json(doc)
-    elif settings["format"] == "csv":
-        _emit_csv([summary.to_doc()], _SUMMARY_COLUMNS)
-    else:
-        for key in _SUMMARY_COLUMNS:
-            print(f"{key}: {summary.to_doc()[key]}")
-    return EX_OK
+    doc = summary.to_doc()
+    return _Result(
+        EX_OK, {"summary": doc},
+        lambda: [f"{key}: {value}" for key, value in doc.items()],
+        [doc], tuple(doc),
+    )
 
 
 def _factorizations_arguments(p) -> None:
     p.add_argument("--n", type=int, required=True)
 
 
-def _cmd_factorizations(args, settings) -> int:
+def _cmd_factorizations(args, settings) -> _Result:
     rows = []
-    for ct in cycle_types(args.n):
+    for ct in _checked(cycle_types, args.n):
         rows.append({
             "cycle_type": str(ct),
             "min_transpositions": ct.min_transpositions,
             "count": minimal_factorization_count(ct),
         })
-    doc = _envelope("factorizations", settings, {"degree": args.n, "rows": rows})
-    _emit_table(settings, doc, rows, ("cycle_type", "min_transpositions", "count"))
-    return EX_OK
+    columns = ("cycle_type", "min_transpositions", "count")
+    return _Result(
+        EX_OK, {"degree": args.n, "rows": rows},
+        lambda: _pretty_table(rows, columns), rows, columns,
+    )
 
 
 def _classes_arguments(p) -> None:
@@ -420,9 +414,9 @@ def _classes_arguments(p) -> None:
                    help="cross-check sizes by explicit enumeration")
 
 
-def _cmd_classes(args, settings) -> int:
+def _cmd_classes(args, settings) -> _Result:
     rows = []
-    for ct in cycle_types(args.n):
+    for ct in _checked(cycle_types, args.n):
         row = {
             "cycle_type": str(ct),
             "size": conjugacy_class_size(ct),
@@ -432,17 +426,17 @@ def _cmd_classes(args, settings) -> int:
             row["enumerated"] = len(enumerate_class(ct))
             row["check"] = "ok" if row["enumerated"] == row["size"] else "MISMATCH"
         rows.append(row)
-    payload = {"degree": args.n, "rows": rows, "total": factorial(args.n)}
-    doc = _envelope("classes", settings, payload)
     columns = ("cycle_type", "size", "sphere") + (
         ("enumerated", "check") if args.check else ()
     )
-    _emit_table(settings, doc, rows, columns)
-    if settings["format"] == "pretty":
-        print(f"total {sum(r['size'] for r in rows)} of {factorial(args.n)}")
-    if args.check and any(r.get("check") == "MISMATCH" for r in rows):
-        return EX_FAIL
-    return EX_OK
+    mismatch = any(r.get("check") == "MISMATCH" for r in rows)
+    return _Result(
+        EX_FAIL if mismatch else EX_OK,
+        {"degree": args.n, "rows": rows, "total": factorial(args.n)},
+        lambda: [*_pretty_table(rows, columns),
+                 f"total {sum(r['size'] for r in rows)} of {factorial(args.n)}"],
+        rows, columns,
+    )
 
 
 def _probe_arguments(p) -> None:
@@ -450,18 +444,11 @@ def _probe_arguments(p) -> None:
     p.add_argument("--r", type=int, required=True)
 
 
-def _cmd_probe(args, settings) -> int:
-    try:
-        probe = conjecture_probe(args.n, args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    doc = _envelope("probe-conjecture", settings, {"probe": probe})
-    if settings["format"] == "json":
-        _emit_json(doc)
-    else:
-        for key in sorted(probe):
-            print(f"{key}: {probe[key]}")
-    return EX_OK
+def _cmd_probe(args, settings) -> _Result:
+    probe = _checked(conjecture_probe, args.n, args.r)
+    return _Result(
+        EX_OK, {"probe": probe}, lambda: [f"{key}: {probe[key]}" for key in sorted(probe)]
+    )
 
 
 def _graph_import_arguments(p) -> None:
@@ -470,40 +457,35 @@ def _graph_import_arguments(p) -> None:
     p.add_argument("--r", type=int, default=1)
 
 
-def _cmd_graph_import(args, settings) -> int:
+def _cmd_graph_import(args, settings) -> _Result:
     try:
         text = args.edges.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read edge file: {exc}")
-    try:
-        graph = parse_edge_list(text, name=args.edges.name)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    try:
-        report = small_graph_report(graph, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_FAIL
-    doc = _envelope("graph-import", settings, {"report": report.to_doc()})
-    if settings["format"] == "json":
-        _emit_json(doc)
-    else:
-        rep = report.to_doc()
-        print(f"graph {rep['graph']}: v={rep['v']} k={rep['k']} "
-              f"lambda={rep['lambda']} mu={rep['mu']} diameter={rep['diameter']}")
-        print(f"  overlap max by radius: {rep['n_r']}")
-        print(f"  overlap max by center distance: {rep['n_s']}")
-    return EX_OK
+    graph = _checked(parse_edge_list, text, name=args.edges.name)
+    rep = small_graph_report(graph, args.r).to_doc()
+    return _Result(
+        EX_OK, {"report": rep},
+        lambda: [f"graph {rep['graph']}: v={rep['v']} k={rep['k']} "
+                 f"lambda={rep['lambda']} mu={rep['mu']} diameter={rep['diameter']}",
+                 f"  overlap max by radius: {rep['n_r']}",
+                 f"  overlap max by center distance: {rep['n_s']}"],
+    )
 
 
 _NOT_TABULAR = ("json", "pretty")
 
-# the least --r of each command that checks it before any work
-_MIN_RADIUS = {"report": 1, "reconstruct": 0, "simulate": 1, "graph-import": 1}
+# the least value of each option a command checks before any work
+_LEAST = {
+    "report": {"r": 1},
+    "reconstruct": {"r": 0},
+    "simulate": {"r": 1, "trials": 1},
+    "graph-import": {"r": 1},
+}
 
 
 class _Command(NamedTuple):
-    run: Callable  # (args, settings) -> exit code
+    run: Callable  # (args, settings) -> _Result
     formats: tuple[str, ...]  # the output formats it supports
     help: str
     declare: Callable  # adds the command's own options to its parser
@@ -546,16 +528,27 @@ def main(argv=None) -> int:
             raise UsageError(
                 f"{args.command} supports --format {' or '.join(command.formats)}"
             )
-        low = _MIN_RADIUS.get(args.command)
-        if low is not None and args.r < low:
-            raise UsageError(f"--r must be >= {low}")
-        return command.run(args, settings)
+        for option, low in _LEAST.get(args.command, {}).items():
+            if getattr(args, option) < low:
+                raise UsageError(f"--{option} must be >= {low}")
+        result = command.run(args, settings)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     except (CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_FAIL
+    if settings["format"] == "json":
+        doc = {"command": args.command, "version": __version__, "config": settings}
+        print(json.dumps({**doc, **result.payload}, sort_keys=True, indent=2))
+    elif settings["format"] == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(result.columns)
+        writer.writerows([row.get(col, "") for col in result.columns] for row in result.rows)
+    else:
+        for line in result.pretty():
+            print(line)
+    return result.code
 
 
 def entry() -> None:

@@ -413,8 +413,8 @@ def parse_cycle_type(text: str) -> CycleType:
             raise ValueError(f"bad cycle-type token: {tok!r}")
         pairs.append((int(m.group(1)), int(m.group(2))))
     n = sum(j * h for j, h in pairs)
-    if n == 0:
-        raise ValueError(f"cycle type sums to degree 0: {text!r}")
+    # before the n counts are allocated
+    _check_degree(n)
     counts = [0] * n
     for j, h in pairs:
         if counts[j - 1]:

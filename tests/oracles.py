@@ -222,15 +222,20 @@ def complete_bipartite_count_bruteforce(adj: dict, p: int, q: int, at) -> int:
 
 def girth_has_cycle(adj: dict, length: int) -> bool:
     """Whether a simple cycle of the given length passes through the
-    identity, by depth-first search over permutation tuples."""
+    identity, by depth-first search over permutation tuples.
+
+    A path of ``size`` vertices from e extends to w only if w lies within
+    ``length - size`` steps of e: closing the cycle from w takes that many
+    more edges, so no branch it prunes could have closed."""
     e = tuple(range(len(next(iter(adj)))))
+    dist = bfs_dist(adj, e)
     on_path = {e}
 
     def extend(v, size: int) -> bool:
         if size == length:
             return e in adj[v]
         for w in adj[v]:
-            if w not in on_path:
+            if w not in on_path and dist[w] <= length - size:
                 on_path.add(w)
                 if extend(w, size + 1):
                     return True

@@ -317,6 +317,16 @@ class TestOverlapMemo:
         assert again == first and again is not first
 
 
+# witnesses a T n=5 overlap file must not hold: the class 1^2 3^1 written
+# out of order, a class of degree 6, a vertex, and a non-string
+T_WITNESS_DEFECTS = {
+    "class_not_canonical": "3^1 1^2",
+    "class_of_other_degree": "1^3 3^1",
+    "vertex_in_class_file": "[2,3,1,4,5]",
+    "integer_witness": 7,
+}
+
+
 class TestOverlapFile:
     @pytest.mark.parametrize("kind", ["T", "t", "st"])
     def test_first_call_writes_then_loads(self, tmp_path, kind, monkeypatch):
@@ -352,9 +362,10 @@ class TestOverlapFile:
         "other_radius", "other_kind", "wrong_version", "missing_key",
         "entry_count", "entry_order", "value_type", "value_without_witnesses",
         "bad_witness", "short_witness", "version_1",
+        *T_WITNESS_DEFECTS,
     ])
     def test_bad_file_recomputed_and_rewritten(self, tmp_path, defect):
-        g = GeneratorSet.prefix(5)
+        g = GeneratorSet.of_kind("T" if defect in T_WITNESS_DEFECTS else "st", 5)
         want = max_ball_intersection(g, 2)
         path = overlap_path(tmp_path, g, 2)
         save_overlap(path, g, want)
@@ -389,6 +400,9 @@ class TestOverlapFile:
                 entries[0][2][0] = "[1,1,3,4,5]"
             elif defect == "short_witness":
                 entries[0][2][0] = "[2,1,3,4]"
+            elif defect in T_WITNESS_DEFECTS:
+                # s=2 is where T n=5 r=2 attains its maximum, at class 1^2 3^1
+                entries[1][2][0] = T_WITNESS_DEFECTS[defect]
             elif defect == "version_1":
                 # the previous format, which also stored the scanned ball's size
                 doc["version"] = 1

@@ -342,6 +342,32 @@ class TestOverlapMaxima:
         got = max_ball_intersection_at(GeneratorSet.adjacent(4), 1, 2)
         assert all(w.startswith("[") for w in got.witnesses)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_witness_labels_read_back_to_their_vertices(self, kind):
+        # every candidate a scan can label: a representative of each class
+        # but the identity's for T, each vertex but the identity otherwise
+        for n in range(2, 7):
+            g = GeneratorSet.of_kind(kind, n)
+            if kind == "T":
+                cands = [pack(class_representative(ct)) for ct in cycle_types(n)
+                         if ct.min_transpositions]
+            else:
+                cands = [y for sph in ball_of_identity(g, diameter(g)).packed_spheres[1:]
+                         for y in sph]
+            for y in cands:
+                label = cayley.witness_label(g, y)
+                assert cayley.witness_vertex(g, label) == unpack(y), (n, label)
+
+    @pytest.mark.parametrize("kind, label", [
+        ("T", "3^1 1^2"), ("T", "1^2  3^1"), ("T", "1^2 3^1 2^0"), ("T", "1^3 3^1"),
+        ("T", "1^1 4^2"), ("T", "[2,3,1,4,5]"), ("T", ""),
+        ("t", "[2,1,3,4]"), ("t", "[2, 1,3,4,5]"), ("t", "[02,1,3,4,5]"),
+        ("t", "[2,1,3,4,6]"), ("st", "1^3 2^1"), ("st", " [2,1,3,4,5]"),
+    ])
+    def test_witness_vertex_refuses_what_no_scan_labels(self, kind, label):
+        with pytest.raises(ValueError):
+            cayley.witness_vertex(GeneratorSet.of_kind(kind, 5), label)
+
     def test_workers_do_not_change_results(self):
         g = GeneratorSet.adjacent(5)
         serial = max_ball_intersection(g, 2, workers=1)

@@ -266,12 +266,36 @@ def test_simulate_refuses_m_below_one(m, adversarial, files, capsys):
     (["graph-import", "--edges", "{dir}/square.edges", "--r", "0"], 1),
 ], ids=["simulate_r0", "simulate_r-2", "reconstruct_r-1", "report_r0", "graph_import_r0"])
 def test_radius_below_the_least_is_a_usage_error(argv, low, cached, files, capsys):
+    check_refused_before_any_work(argv, f"--r must be >= {low}", cached, files, capsys)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("argv, message", [
+    (["report", "--graph", "T", "--n", "13"], "graph degree must be in 2..12, got 13"),
+    # the degree in range comes first, and nothing may be written for it
+    (["report", "--graph", "t", "--n", "5", "13", "--r", "2"],
+     "graph degree must be in 2..12, got 13"),
+    (["simulate", "--graph", "T", "--n", "1", "--r", "1", "--trials", "2", "--seed", "1"],
+     "graph degree must be in 2..12, got 1"),
+    (["simulate", "--graph", "T", "--n", "5", "--r", "1", "--trials", "0", "--seed", "1"],
+     "--trials must be >= 1"),
+    (["factorizations", "--n", "13"], "degree must be in 1..12, got 13"),
+    (["classes", "--n", "0"], "degree must be in 1..12, got 0"),
+], ids=["report_n13", "report_n5_13", "simulate_n1", "simulate_trials0",
+        "factorizations_n13", "classes_n0"])
+def test_value_out_of_range_is_a_usage_error(argv, message, cached, files, capsys):
+    check_refused_before_any_work(argv, message, cached, files, capsys)
+
+
+def check_refused_before_any_work(argv, message, cached, files, capsys):
+    """argv, with or without a cache directory, exits 64 with ``message`` as
+    its usage error, prints nothing and writes no file."""
     cache_dir = files / "cache"
     cache_dir.mkdir()
     before = sorted(files.rglob("*"))
     code, out = run_cli_cached(argv, files, cache_dir) if cached else run_cli(argv, files)
     assert (code, out) == (64, "")
-    assert capsys.readouterr().err == f"usage error: --r must be >= {low}\n"
+    assert capsys.readouterr().err == f"usage error: {message}\n"
     assert sorted(files.rglob("*")) == before
 
 
@@ -620,6 +644,14 @@ def test_huge_vertex_id_is_refused_before_allocating(files):
         )
         assert (done.returncode, done.stdout) == (1, ""), name
         assert done.stderr == f"error: graph capped at {cap} vertices\n", name
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_disconnected_graph_fails_without_output(fmt, files, capsys):
+    (files / "two.edges").write_text("0 1\n2 3\n")
+    argv = ["graph-import", "--edges", "{dir}/two.edges", "--format", fmt]
+    assert run_cli(argv, files) == (1, "")
+    assert capsys.readouterr().err == "error: graph two.edges is disconnected\n"
 
 
 def test_unknown_suite_fails_before_any_suite_runs(files, capsys, monkeypatch):

@@ -287,7 +287,8 @@ class TestTextFormats:
             for ct in cycle_types(n):
                 assert parse_cycle_type(format_cycle_type(ct)) == ct
 
-    @pytest.mark.parametrize("bad", ["", "1^", "0^2", "1^2 1^1", "2"])
+    # the last two have degree 13, past MAX_DEGREE
+    @pytest.mark.parametrize("bad", ["", "1^", "0^2", "1^2 1^1", "2", "13^1", "1^13"])
     def test_cycle_type_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_cycle_type(bad)
