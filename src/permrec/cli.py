@@ -15,10 +15,12 @@ engine's capacity caps are constants of ``cayley``, not settings.
 ``main`` alone writes stdout.  Each command returns its exit code and its
 payload, with its pretty lines and, if tabular, its CSV rows; ``main`` adds
 the envelope (command, version, settings) and writes the one format asked
-for.  ``main`` also checks the argument ranges before any work: the least
-values of ``--r`` and ``--trials`` from one table, and ``--n`` by building
-each command's graphs or cycle types first.  A value out of range is a
-usage error that leaves no output and writes no cache file.
+for.  Before any work, ``main`` checks the least values of ``--r`` and
+``--trials`` from one table, and each command builds its graphs or cycle
+types from ``--n`` through ``_checked``.  Either check turns a value out of
+range into a usage error that leaves no output and writes no cache file.
+``reconstruct`` has no ``--n``: its pattern reader refuses a degree out of
+range as a usage error.
 
 Each call builds a parser that declares only the command it names, and
 ``reconstruct`` reads its pattern file on one of two paths.  A file in
@@ -144,13 +146,12 @@ def _check_config_values(raw: dict) -> None:
 
 class _Result(NamedTuple):
     """What a command hands ``main`` to write: its exit code, its JSON
-    payload (``main`` adds the envelope), a function giving its pretty
-    lines, called in pretty mode only, and for a tabular command its CSV
-    rows and columns."""
+    payload (``main`` adds the envelope), its pretty lines and, for a
+    tabular command, its CSV rows and columns."""
 
     code: int
     payload: dict
-    pretty: Callable[[], list[str]]
+    pretty: list[str]
     rows: Sequence[dict] = ()
     columns: tuple[str, ...] = ()
 
@@ -205,22 +206,18 @@ def _cmd_report(args, settings) -> _Result:
             _warm(settings, overlap_of_identity_cached, gen, rr)
         report = build_graph_report(gen, args.r, with_diameter=not args.no_diameter)
         reports.append(report.to_doc())
-
-    def pretty():
-        lines = []
-        for rep in reports:
-            lines += [
-                f"graph {rep['generator_kind']} n={rep['n']}: v={rep['v']} "
-                f"k={rep['k']} lambda={rep['lambda']} mu={rep['mu']} "
-                f"diameter={rep['diameter']}",
-                f"  overlap max by radius: {rep['n_r']}",
-                f"  overlap max by center distance (r={args.r}): {rep['n_s']}",
-            ]
-            lines += [f"  attained at s={s} by: {', '.join(wit)}"
-                      for s, wit in sorted(rep["witnesses"]["n_s"].items())]
-        return lines
-
-    return _Result(EX_OK, {"reports": reports}, pretty)
+    lines = []
+    for rep in reports:
+        lines += [
+            f"graph {rep['generator_kind']} n={rep['n']}: v={rep['v']} "
+            f"k={rep['k']} lambda={rep['lambda']} mu={rep['mu']} "
+            f"diameter={rep['diameter']}",
+            f"  overlap max by radius: {rep['n_r']}",
+            f"  overlap max by center distance (r={args.r}): {rep['n_s']}",
+        ]
+        lines += [f"  attained at s={s} by: {', '.join(wit)}"
+                  for s, wit in sorted(rep["witnesses"]["n_s"].items())]
+    return _Result(EX_OK, {"reports": reports}, lines)
 
 
 def _verify_arguments(p) -> None:
@@ -243,8 +240,8 @@ def _cmd_verify(args, settings) -> _Result:
     return _Result(
         EX_FAIL if summary["fail"] else EX_OK,
         {"rows": row_docs, "summary": summary},
-        lambda: [*_pretty_table(row_docs, CSV_COLUMNS),
-                 f"pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}"],
+        [*_pretty_table(row_docs, CSV_COLUMNS),
+         f"pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}"],
         row_docs, CSV_COLUMNS,
     )
 
@@ -336,8 +333,7 @@ def _cmd_reconstruct(args, settings) -> _Result:
     }[result["status"]]
     return _Result(
         code, {"result": result},
-        lambda: [f"status: {result['status']}",
-                 *(f"  candidate {c}" for c in result["candidates"])],
+        [f"status: {result['status']}", *(f"  candidate {c}" for c in result["candidates"])],
     )
 
 
@@ -384,7 +380,7 @@ def _cmd_simulate(args, settings) -> _Result:
     doc = summary.to_doc()
     return _Result(
         EX_OK, {"summary": doc},
-        lambda: [f"{key}: {value}" for key, value in doc.items()],
+        [f"{key}: {value}" for key, value in doc.items()],
         [doc], tuple(doc),
     )
 
@@ -404,7 +400,7 @@ def _cmd_factorizations(args, settings) -> _Result:
     columns = ("cycle_type", "min_transpositions", "count")
     return _Result(
         EX_OK, {"degree": args.n, "rows": rows},
-        lambda: _pretty_table(rows, columns), rows, columns,
+        _pretty_table(rows, columns), rows, columns,
     )
 
 
@@ -433,8 +429,8 @@ def _cmd_classes(args, settings) -> _Result:
     return _Result(
         EX_FAIL if mismatch else EX_OK,
         {"degree": args.n, "rows": rows, "total": factorial(args.n)},
-        lambda: [*_pretty_table(rows, columns),
-                 f"total {sum(r['size'] for r in rows)} of {factorial(args.n)}"],
+        [*_pretty_table(rows, columns),
+         f"total {sum(r['size'] for r in rows)} of {factorial(args.n)}"],
         rows, columns,
     )
 
@@ -447,7 +443,7 @@ def _probe_arguments(p) -> None:
 def _cmd_probe(args, settings) -> _Result:
     probe = _checked(conjecture_probe, args.n, args.r)
     return _Result(
-        EX_OK, {"probe": probe}, lambda: [f"{key}: {probe[key]}" for key in sorted(probe)]
+        EX_OK, {"probe": probe}, [f"{key}: {probe[key]}" for key in sorted(probe)]
     )
 
 
@@ -466,10 +462,10 @@ def _cmd_graph_import(args, settings) -> _Result:
     rep = small_graph_report(graph, args.r).to_doc()
     return _Result(
         EX_OK, {"report": rep},
-        lambda: [f"graph {rep['graph']}: v={rep['v']} k={rep['k']} "
-                 f"lambda={rep['lambda']} mu={rep['mu']} diameter={rep['diameter']}",
-                 f"  overlap max by radius: {rep['n_r']}",
-                 f"  overlap max by center distance: {rep['n_s']}"],
+        [f"graph {rep['graph']}: v={rep['v']} k={rep['k']} "
+         f"lambda={rep['lambda']} mu={rep['mu']} diameter={rep['diameter']}",
+         f"  overlap max by radius: {rep['n_r']}",
+         f"  overlap max by center distance: {rep['n_s']}"],
     )
 
 
@@ -546,7 +542,7 @@ def main(argv=None) -> int:
         writer.writerow(result.columns)
         writer.writerows([row.get(col, "") for col in result.columns] for row in result.rows)
     else:
-        for line in result.pretty():
+        for line in result.pretty:
             print(line)
     return result.code
 

@@ -417,6 +417,9 @@ def parse_cycle_type(text: str) -> CycleType:
     _check_degree(n)
     counts = [0] * n
     for j, h in pairs:
+        # a zero count leaves j out of n, so j may still lie outside 1..n
+        if not 1 <= j <= n:
+            raise ValueError(f"cycle length {j} outside 1..{n} in {text!r}")
         if counts[j - 1]:
             raise ValueError(f"duplicate cycle length {j} in {text!r}")
         counts[j - 1] = h

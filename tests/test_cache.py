@@ -324,6 +324,8 @@ T_WITNESS_DEFECTS = {
     "class_of_other_degree": "1^3 3^1",
     "vertex_in_class_file": "[2,3,1,4,5]",
     "integer_witness": 7,
+    # a zero count for a cycle longer than the degree it sums to
+    "cycle_longer_than_degree": "1^5 6^0",
 }
 
 

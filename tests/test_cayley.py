@@ -360,7 +360,7 @@ class TestOverlapMaxima:
 
     @pytest.mark.parametrize("kind, label", [
         ("T", "3^1 1^2"), ("T", "1^2  3^1"), ("T", "1^2 3^1 2^0"), ("T", "1^3 3^1"),
-        ("T", "1^1 4^2"), ("T", "[2,3,1,4,5]"), ("T", ""),
+        ("T", "1^1 4^2"), ("T", "[2,3,1,4,5]"), ("T", ""), ("T", "1^5 6^0"),
         ("t", "[2,1,3,4]"), ("t", "[2, 1,3,4,5]"), ("t", "[02,1,3,4,5]"),
         ("t", "[2,1,3,4,6]"), ("st", "1^3 2^1"), ("st", " [2,1,3,4,5]"),
     ])

@@ -287,8 +287,10 @@ class TestTextFormats:
             for ct in cycle_types(n):
                 assert parse_cycle_type(format_cycle_type(ct)) == ct
 
-    # the last two have degree 13, past MAX_DEGREE
-    @pytest.mark.parametrize("bad", ["", "1^", "0^2", "1^2 1^1", "2", "13^1", "1^13"])
+    # 13^1 and 1^13 have degree 13, past MAX_DEGREE; the last two name a
+    # cycle length outside the degree their counts sum to
+    @pytest.mark.parametrize("bad", ["", "1^", "0^2", "1^2 1^1", "2", "13^1", "1^13",
+                                     "1^5 6^0", "0^1 1^3"])
     def test_cycle_type_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_cycle_type(bad)
