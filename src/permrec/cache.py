@@ -11,9 +11,9 @@ Ball files, ``ball_<kind>_n<n>_r<radius>.bin`` (little-endian):
     version H    format version (currently 2)
     kind    B    0 = all transpositions, 1 = adjacent, 2 = prefix
     n       B    degree
-    radius  B    requested radius
-    spheres B    number of stored spheres, radius+1, or fewer when the
-                 radius exceeds the diameter and they hold all n! vertices
+    radius  B    ``cayley.ball_radius`` of the request, so one file serves
+                 every radius at or past the diameter
+    spheres B    number of stored spheres, exactly radius+1
     then per sphere:  count I, then count n-byte records, sorted ascending
 
 A record is a vertex in the packed form of ``perms`` (byte i is p(i)), so
@@ -53,7 +53,6 @@ import json
 import os
 import struct
 from functools import partial
-from math import factorial
 from pathlib import Path
 
 from . import cayley
@@ -66,6 +65,7 @@ from .cayley import (
     MetricBall,
     SphereMax,
     ball_of_identity,
+    ball_radius,
     overlap_of_identity,
     prime_identity_ball,
     prime_overlap,
@@ -150,7 +150,7 @@ def load_ball(path: Path, gen: GeneratorSet, radius: int) -> MetricBall:
         raise CacheError(f"cache file {path} has wrong magic/version")
     if kind_code != _KIND_CODES[gen.kind] or n != gen.n or stored_radius != radius:
         raise CacheError(f"cache file {path} does not match the request")
-    if not 1 <= sphere_count <= radius + 1:
+    if sphere_count != radius + 1:
         raise CacheError(f"cache file {path} has {sphere_count} spheres")
     record = struct.Struct(f"{n}s")
     offset = _HEADER.size
@@ -180,8 +180,6 @@ def load_ball(path: Path, gen: GeneratorSet, radius: int) -> MetricBall:
         spheres.append(sph)
     if offset != len(blob):
         raise CacheError(f"cache file {path} has trailing bytes")
-    if sphere_count < radius + 1 and size != factorial(n):
-        raise CacheError(f"cache file {path} ends at sphere {sphere_count - 1} of {radius}")
     return MetricBall(gen, identity(n), radius, tuple(spheres))
 
 
@@ -196,6 +194,7 @@ def ball_of_identity_cached(
     is what :func:`cayley.ball_of_identity` gives."""
     if cache_dir is None:
         return ball_of_identity(gen, radius)
+    radius = ball_radius(gen, radius)
     return _load_or_compute(
         cache_path(Path(cache_dir), gen, radius), gen, radius,
         load_ball, ball_of_identity, save_ball, prime_identity_ball,

@@ -34,7 +34,9 @@ ball, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
 ``MAX_CYCLE_SEARCH`` estimated paths for a cycle search.  Exceeding one
 raises ``CapacityError`` instead of thrashing.  Every check reads the
 constant when it runs.  Since the caps never vary, one memo entry per
-(generator set, radius) serves every call.
+(generator set, radius) serves every call.  Radii are capped at the
+diameter, past which every ball is the whole group: :func:`ball_radius`
+is the one radius at which a ball is built, memoized and cached.
 
 Every public function takes and returns permutation tuples, except
 :func:`witness_label`, which names a packed scan candidate.  The
@@ -45,11 +47,12 @@ builds the tuple views (``spheres``, ``members``) only when something asks
 for them.  The hot paths (reconstruction, overlap scans, the disk cache)
 never do.
 
-The overlap maximum comes in two forms.  :func:`max_ball_intersection` is
-the scan itself and is never memoized: the brute-force oracles call it, and
-timing it must time a scan.  :func:`overlap_of_identity` is to it what
-:func:`ball_of_identity` is to :func:`ball`: the same answer, memoized per
-(generator set, radius), and the form the decoder and the reports use.
+The overlap maximum comes in two forms.  :func:`max_ball_intersection`
+(per distance, :func:`max_ball_intersection_at`) is the scan itself, never
+memoized: the benchmark times it and the tests' oracles call it.  Every
+caller in the package reads :func:`overlap_of_identity`, the same answer
+memoized per (generator set, radius), as :func:`ball_of_identity` memoizes
+:func:`ball`.
 
 The overlap witnesses are named here and nowhere else.  A scan labels only
 its attaining packed candidates, by :func:`witness_label`: the conjugacy
@@ -231,10 +234,17 @@ def _check_vertex(p: Perm, gen: GeneratorSet) -> None:
         raise ValueError(f"not a permutation of degree {gen.n}: {p!r}")
 
 
-def ball(center: Perm, radius: int, gen: GeneratorSet) -> MetricBall:
-    """Breadth-first expansion of the metric ball around ``center``."""
+def ball_radius(gen: GeneratorSet, radius: int) -> int:
+    """``radius`` capped at gen's diameter: the radius a ball is built, memoized and cached at."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
+    return min(radius, diameter(gen))
+
+
+def ball(center: Perm, radius: int, gen: GeneratorSet) -> MetricBall:
+    """Breadth-first expansion of the metric ball around ``center``, at
+    :func:`ball_radius`."""
+    radius = ball_radius(gen, radius)
     _check_vertex(center, gen)
     spheres = []
     size = 0
@@ -250,8 +260,8 @@ _ball_memo: dict[tuple[GeneratorSet, int], MetricBall] = {}
 
 
 def ball_of_identity(gen: GeneratorSet, radius: int) -> MetricBall:
-    """Identity-centered ball, memoized per (generator set, radius)."""
-    key = (gen, radius)
+    """Identity-centered ball, memoized per (generator set, ball radius)."""
+    key = (gen, ball_radius(gen, radius))
     got = _ball_memo.get(key)
     if got is None:
         got = _ball_memo[key] = ball(identity(gen.n), radius, gen)
@@ -272,9 +282,10 @@ def clear_ball_memo() -> None:
 
 
 def sphere(gen: GeneratorSet, s: int) -> frozenset[Perm]:
-    """S_s(e): vertices at distance exactly s from the identity."""
-    spheres = ball_of_identity(gen, s).packed_spheres
-    return frozenset(map(unpack, spheres[s])) if s < len(spheres) else frozenset()
+    """S_s(e): vertices at distance exactly s from e, none past the diameter."""
+    if s > diameter(gen):
+        return frozenset()
+    return frozenset(map(unpack, ball_of_identity(gen, s).packed_spheres[s]))
 
 
 def distance(x: Perm, y: Perm, gen: GeneratorSet) -> int:

@@ -16,6 +16,10 @@ bound's premises fail, or ``CapacityError``, because the instance exceeds
 one of the capacity caps of ``cayley``).  A skipped row never fails a run.
 Ranges reflect where the source formulas actually assert a value; instances
 outside are computed but reported as no-claim.
+
+Every overlap measure reads ``cayley.overlap_of_identity``, the process
+memo, which ``verify`` never primes from disk: each profile is scanned once
+per process however many claims quote it.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ from .cayley import (
     is_distance_regular,
     lambda_mu,
     local_params_all,
-    max_ball_intersection,
-    max_ball_intersection_at,
+    overlap_of_identity,
 )
 from .errors import CapacityError
 from .perms import (
@@ -141,8 +144,7 @@ def suite_n_values(cfg: SuiteConfig):
                     expected = formulas.transposition_max_overlap(n, r)
                 else:
                     expected = formulas.bubble_star_max_overlap(kind, n, r)
-                g = GeneratorSet.of_kind(kind, n)
-                return expected, max_ball_intersection(g, r).value
+                return expected, overlap_of_identity(GeneratorSet.of_kind(kind, n), r).value
             yield cid, stmt, f"n={n},r={r}", measure
 
 
@@ -162,8 +164,7 @@ def suite_ns_tables(cfg: SuiteConfig):
                 def measure():
                     if expected is None:
                         raise NoClaim("no claim at this n")
-                    g = GeneratorSet.of_kind(kind, n)
-                    got = max_ball_intersection_at(g, 2, s).value
+                    got = overlap_of_identity(GeneratorSet.of_kind(kind, n), 2).per_s[s - 1].value
                     return expected, "absent" if got is None else got
                 yield f"nstable.{kind}.s{s}", stmt[kind], f"n={n},s={s}", measure
 
@@ -188,7 +189,7 @@ def suite_lambda_mu(cfg: SuiteConfig):
             def measure():
                 g = GeneratorSet.of_kind(kind, n)
                 lam, mu = lambda_mu(g)
-                return max(lam + 2, mu), max_ball_intersection(g, 1).value
+                return max(lam + 2, mu), overlap_of_identity(g, 1).value
             yield f"consistency.{kind}.r1", consistency, f"n={n}", measure
 
 
@@ -345,25 +346,15 @@ def suite_small_graphs(cfg: SuiteConfig):
         )
 
 
-def _sym_profile(kind: str, n: int, cfg: SuiteConfig):
-    g = GeneratorSet.of_kind(kind, n)
-    lam, mu = lambda_mu(g)
-    n1 = max_ball_intersection(g, 1).value
-    res2 = max_ball_intersection(g, 2)
-    per_s = {sm.s: sm.value for sm in res2.per_s}
-    return g, lam, mu, n1, per_s
-
-
 def suite_bounds(cfg: SuiteConfig):
-    # the scans behind a (kind, n) profile serve every bound below once
-    profile = cache(partial(_sym_profile, cfg=cfg))
+    sym = [(kind, n) for kind in KINDS for n in cfg.span(4 if kind == "st" else 3, 5)]
     stmt8 = "one-error overlap max <= (v + lambda)/2 for regular graphs"
-    for kind in KINDS:
-        for n in cfg.span(4 if kind == "st" else 3, 5):
-            def measure():
-                g, lam, mu, n1, _ = profile(kind, n)
-                return Bound("<=", formulas.single_error_upper_bound(factorial(n), g.k, lam)), n1
-            yield "bound.one-error-upper", stmt8, f"{kind},n={n}", measure
+    for kind, n in sym:
+        def measure():
+            g = GeneratorSet.of_kind(kind, n)
+            bound = formulas.single_error_upper_bound(factorial(n), g.k, lambda_mu(g)[0])
+            return Bound("<=", bound), overlap_of_identity(g, 1).value
+        yield "bound.one-error-upper", stmt8, f"{kind},n={n}", measure
     small = [
         ("lattice q=2", lattice_graph(2)),
         ("lattice q=3", lattice_graph(3)),
@@ -386,32 +377,34 @@ def suite_bounds(cfg: SuiteConfig):
                 report.n_value(1),
             )
     stmt9 = "distance-2 two-error overlap >= mu(k-1-(3/4)(mu-1)(N1-2))+2"
-    for kind in KINDS:
-        for n in cfg.span(4 if kind == "st" else 3, 5):
-            def measure():
-                g, lam, mu, n1, per_s = profile(kind, n)
-                return Bound(">=", formulas.two_error_lower_bound(g.k, mu, n1)), per_s[2]
-            yield "bound.two-error-lower", stmt9, f"{kind},n={n}", measure
+    for kind, n in sym:
+        def measure():
+            g = GeneratorSet.of_kind(kind, n)
+            n1, per_s = overlap_of_identity(g, 1).value, overlap_of_identity(g, 2).per_s
+            bound = formulas.two_error_lower_bound(g.k, lambda_mu(g)[1], n1)
+            return Bound(">=", bound), per_s[1].value
+        yield "bound.two-error-lower", stmt9, f"{kind},n={n}", measure
     stmt_eq = "adjacent-swap graph attains the mu=2 bound: distance-2 overlap = 2k"
     for n in cfg.span(4, 5):
         def measure():
-            g, lam, mu, n1, per_s = profile("t", n)
-            return 2 * g.k, per_s[2]
+            g = GeneratorSet.adjacent(n)
+            return 2 * g.k, overlap_of_identity(g, 2).per_s[1].value
         yield "bound.two-error-attained", stmt_eq, f"t,n={n}", measure
     stmt10 = (
         "triangle- and pentagon-free with mu >= 2 and k >= 1+(3/4)mu(mu-1): "
         "distance-2 overlap >= distance-1 overlap"
     )
-    for kind in KINDS:
-        for n in cfg.span(4 if kind == "st" else 3, 5):
-            def measure():
-                g, lam, mu, n1, per_s = profile(kind, n)
-                found = girth_cycle_check(g, (3, 5))
-                premises = formulas.sphere_comparison_premises(g.k, mu, found[3], found[5])
-                if not premises.applicable:
-                    raise NoClaim("premises fail: " + "; ".join(premises.reasons))
-                return Bound(">=", per_s[1]), per_s[2]
-            yield "bound.sphere-comparison", stmt10, f"{kind},n={n}", measure
+    for kind, n in sym:
+        def measure():
+            g = GeneratorSet.of_kind(kind, n)
+            found = girth_cycle_check(g, (3, 5))
+            mu = lambda_mu(g)[1]
+            premises = formulas.sphere_comparison_premises(g.k, mu, found[3], found[5])
+            if not premises.applicable:
+                raise NoClaim("premises fail: " + "; ".join(premises.reasons))
+            per_s = overlap_of_identity(g, 2).per_s
+            return Bound(">=", per_s[0].value), per_s[1].value
+        yield "bound.sphere-comparison", stmt10, f"{kind},n={n}", measure
 
 
 def conjecture_probe(n: int, r: int) -> dict:
@@ -428,14 +421,9 @@ def conjecture_probe(n: int, r: int) -> dict:
     if n < 2 * r + 1:
         raise ValueError(f"probe needs n >= 2r+1, got n={n}, r={r}")
     g = GeneratorSet.all_transpositions(n)
-    result = max_ball_intersection(g, r)
-    counts = [0] * n
-    counts[0] = n - 3
-    counts[2] = 1
-    three_cycle = CycleType(tuple(counts))
+    result = overlap_of_identity(g, r)
+    three_cycle = CycleType((n - 3, 0, 1, *[0] * (n - 3)))
     three_cycle_value = ball_overlap(g, r, class_representative(three_cycle))
-    reading_printed = max_ball_intersection_at(g, 2, 2).value
-    reading_same_radius = max_ball_intersection_at(g, r, 2).value
     return {
         "label": "probe",
         "n": n,
@@ -448,8 +436,8 @@ def conjecture_probe(n: int, r: int) -> dict:
         "three_cycle_class": str(three_cycle),
         "three_cycle_value": three_cycle_value,
         "three_cycle_attains": three_cycle_value == result.value,
-        "distance2_value_at_two_errors": reading_printed,
-        "distance2_value_at_r_errors": reading_same_radius,
+        "distance2_value_at_two_errors": overlap_of_identity(g, 2).per_s[1].value,
+        "distance2_value_at_r_errors": result.per_s[1].value,
     }
 
 

@@ -256,11 +256,12 @@ class TestCorruptBallFiles:
             path.write_bytes(ball_blob(g, 1, stored))
             with pytest.raises(CacheError):
                 load_ball(path, g, 1)
-        # fewer spheres than radius+1 are whole when they hold all n! vertices,
-        # as past the diameter, 6
+        # a ball is stored at most at the diameter, 6, so a radius-9 file
+        # holding all n! vertices in 7 spheres is refused like any short one
         whole = ball_of_identity(g, 9).packed_spheres
         path.write_bytes(ball_blob(g, 9, [sorted(sph) for sph in whole]))
-        assert load_ball(path, g, 9).packed_spheres == whole
+        with pytest.raises(CacheError):
+            load_ball(path, g, 9)
 
     def test_file_over_the_cap_fails_as_the_uncached_run(self, tmp_path, capsys, monkeypatch):
         g = GeneratorSet.all_transpositions(5)

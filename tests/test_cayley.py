@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from itertools import permutations
 from math import comb, factorial
 
@@ -145,6 +146,10 @@ class TestBall:
         b = ball(identity(3), 9, g)
         assert b.size == 6
         assert len(b.spheres) == 3
+        # built and memoized at the diameter, 2: one entry for every radius past it
+        assert b.radius == cayley.ball_radius(g, 9) == 2
+        clear_ball_memo()
+        assert ball_of_identity(g, 9) is ball_of_identity(g, 2) is ball_of_identity(g, 50)
 
     def test_capacity_guard(self, monkeypatch):
         g = GeneratorSet.all_transpositions(6)
@@ -159,9 +164,18 @@ class TestBall:
         with pytest.raises(ValueError):
             ball(identity(3), 1, GeneratorSet.all_transpositions(4))
 
-    def test_empty_sphere_is_empty_set(self):
+    def test_empty_sphere_is_empty_set(self, monkeypatch):
         g = GeneratorSet.all_transpositions(3)
         assert sphere(g, 5) == frozenset()
+        # past the diameter nothing is built; each of these walked the whole
+        # group, and the first two then overran the ball cap
+        monkeypatch.setattr(cayley, "ball", None)
+        clear_ball_memo()
+        start = time.perf_counter()
+        assert sphere(GeneratorSet.all_transpositions(12), 12) == frozenset()
+        assert sphere(GeneratorSet.prefix(11), 16) == frozenset()
+        assert sphere(GeneratorSet.adjacent(9), 37) == frozenset()
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDistance:

@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from permrec import cayley, claims, cli, smallgraphs
+from permrec.cache import cache_path, load_ball, load_overlap, overlap_path
 from test_cache import fail_writes_halfway
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -405,6 +406,56 @@ def test_cache_dir_that_is_a_file_is_a_usage_error(files, capsys):
     assert (code, out) == (64, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert str(not_a_dir) in err
+
+
+@pytest.mark.parametrize("argv, ball_file", [
+    (["reconstruct", "--graph", "T", "--r", "300", "--patterns", "{dir}/threshold.txt"],
+     "ball_T_n7_r6.bin"),
+    # the ball holds 24 patterns, one fewer than the threshold: exit 1
+    (["simulate", "--graph", "t", "--n", "4", "--r", "300", "--trials", "2", "--seed", "1"],
+     "ball_t_n4_r6.bin"),
+])
+def test_radius_past_the_diameter_shares_the_diameter_file(argv, ball_file, files, capsys):
+    # the ball is stored at the diameter, so a radius past 255 never reaches
+    # the file's one-byte radius field
+    cayley.clear_ball_memo()
+    want = (*run_cli(argv, files), capsys.readouterr().err)
+    cache_dir = files / "cache"
+    stamps = None
+    for run in ("cold", "warm"):
+        assert (*run_cli_cached(argv, files, cache_dir), capsys.readouterr().err) == want, run
+        assert ball_file in {p.name for p in cache_dir.iterdir()}
+        before, stamps = stamps, {
+            p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in cache_dir.iterdir()
+        }
+    # the warm run loaded every file and rewrote none
+    assert stamps == before
+
+
+def test_processes_sharing_a_cache_dir(files):
+    argv = ["simulate", "--graph", "t", "--n", "9", "--r", "2", "--trials", "5", "--seed", "1"]
+    cayley.clear_ball_memo()
+    want = json.loads(run_cli(argv, files)[1])["summary"]
+    cache_dir = files / "cache"
+    # four cold runs started together, each computing and writing every file
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "permrec", *argv, "--cache-dir", str(cache_dir)],
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(4)
+    ]
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert json.loads(out)["summary"] == want
+    # no temporary file is left, and every file loads
+    assert sorted(p.name for p in cache_dir.iterdir()) == [
+        "ball_t_n9_r2.bin", "overlap_t_n9_r2.json",
+    ]
+    g = cayley.GeneratorSet.adjacent(9)
+    assert load_ball(cache_path(cache_dir, g, 2), g, 2).size == cayley.ball_of_identity(g, 2).size
+    assert load_overlap(overlap_path(cache_dir, g, 2), g, 2) == cayley.overlap_of_identity(g, 2)
 
 
 # pattern file -> the usage error reconstruct stops with
