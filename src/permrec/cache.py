@@ -27,15 +27,16 @@ meets the same ``CapacityError`` as a run without the cache.  Version 1
 files, which stored lexicographic ranks, fail the version check.
 
 Overlap files, ``overlap_<kind>_n<n>_r<radius>.json``, hold one JSON
-object: the format name and version (currently 2), the request (kind, n,
-radius), and per center distance s = 1..2r the maximum (null beyond the
-diameter) with its witnesses in scan order, whose first entry is the pair
-``channel.ambiguity_witness`` uses.  ``load_overlap`` rejects a file that
-does not parse, does not match the request or does not have that shape,
-and checks each witness with ``cayley.witness_vertex``, which owns the
-label format.
-Version 1 files, which also stored the size of the ball the scan read,
-fail the version check.
+object: the format name and version (currently 3), the request (kind, n,
+radius, capped as for balls), and per center distance s = 1..2r an entry
+``[s, value, hex]``: the maximum, null beyond the diameter, and the
+lowercase hex of its witnesses' records in scan order (the first is the
+vertex ``channel.ambiguity_witness`` uses).  ``load_overlap`` rejects a
+file that does not parse, does not match the request or does not have
+that shape, a field that is not lowercase hex of whole records, a
+repeated record, a null value with records or the reverse, and, by one
+``perms.all_permutations`` call over the whole file, a non-permutation.
+Versions 1 and 2, which stored text labels, fail the version check.
 
 The cache is an optimization: a missing, mismatched or malformed file is
 reported via CacheError and callers recompute and rewrite it.  The checks
@@ -53,15 +54,14 @@ import json
 import os
 import struct
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from . import cayley
 from .cayley import (
+    KINDS,
     GeneratorSet,
     IntersectionMax,
-    KIND_ADJACENT,
-    KIND_ALL,
-    KIND_PREFIX,
     MetricBall,
     SphereMax,
     ball_of_identity,
@@ -69,7 +69,6 @@ from .cayley import (
     overlap_of_identity,
     prime_identity_ball,
     prime_overlap,
-    witness_vertex,
 )
 from .errors import CacheError
 from .perms import all_permutations, identity
@@ -78,9 +77,9 @@ _MAGIC = b"PBAL"
 _VERSION = 2
 _HEADER = struct.Struct("<4sHBBBB")
 _COUNT = struct.Struct("<I")
-_KIND_CODES = {KIND_ALL: 0, KIND_ADJACENT: 1, KIND_PREFIX: 2}
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 _OVERLAP_FORMAT = "permrec-overlap"
-_OVERLAP_VERSION = 2
+_OVERLAP_VERSION = 3
 
 
 def cache_path(root: Path, gen: GeneratorSet, radius: int) -> Path:
@@ -220,30 +219,30 @@ def save_overlap(path: Path, gen: GeneratorSet, best: IntersectionMax) -> None:
         "kind": gen.kind,
         "n": gen.n,
         "radius": best.radius,
-        "per_s": [[sm.s, sm.value, list(sm.witnesses)] for sm in best.per_s],
+        "per_s": [[sm.s, sm.value, bytes(chain(*sm.witnesses)).hex()] for sm in best.per_s],
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_atomically(path, [json.dumps(doc).encode()])
 
 
-def _sphere_max(s: int, entry, gen: GeneratorSet) -> SphereMax:
-    """The SphereMax a per-s entry of an overlap file describes, or
-    ValueError if the entry is malformed."""
-    got_s, value, witnesses = entry
+def _sphere_max(s: int, entry, n: int) -> tuple[SphereMax, bytes]:
+    """The SphereMax a per-s entry of an overlap file describes, with its
+    records unchecked for permutations; ValueError if it is malformed."""
+    got_s, value, field = entry
+    data = bytes.fromhex(field)
+    witnesses = tuple(struct.iter_unpack(f"{n}B", data))  # struct.error unless whole records
     valid = (
         type(got_s) is int
         and got_s == s
-        and isinstance(witnesses, list)
+        and data.hex() == field
+        and len(set(witnesses)) == len(witnesses)
         and (value is None) == (not witnesses)
         and (value is None or type(value) is int and value >= 0)
-        and all(isinstance(w, str) for w in witnesses)
     )
     if not valid:
         raise ValueError(f"bad entry for s={s}")
-    for w in witnesses:
-        witness_vertex(gen, w)
-    return SphereMax(s, value, tuple(witnesses))
+    return SphereMax(s, value, witnesses), data
 
 
 def load_overlap(path: Path, gen: GeneratorSet, radius: int) -> IntersectionMax:
@@ -257,9 +256,12 @@ def load_overlap(path: Path, gen: GeneratorSet, radius: int) -> IntersectionMax:
         entries = doc["per_s"]
         if len(entries) != 2 * radius:
             raise ValueError("bad entry count")
-        per_s = tuple(_sphere_max(s, e, gen) for s, e in enumerate(entries, start=1))
+        per_s, records = zip(*(_sphere_max(s, e, gen.n) for s, e in enumerate(entries, 1)))
+        # one check over the whole file: each call compares n(n-1)/2 columns
+        if not all_permutations(b"".join(records), gen.n):
+            raise ValueError("a witness is not a permutation")
         value = max(sm.value for sm in per_s if sm.value is not None)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, struct.error) as exc:
         raise CacheError(f"cache file {path} is malformed: {exc}")
     return IntersectionMax(radius, value, per_s)
 
@@ -268,12 +270,14 @@ def overlap_of_identity_cached(
     gen: GeneratorSet, r: int, cache_dir: Path | str | None
 ) -> IntersectionMax:
     """Disk-backed :func:`cayley.overlap_of_identity`, the same way
-    :func:`ball_of_identity_cached` backs the identity ball: a usable file
-    is loaded and primed into the memo, otherwise the maximum is computed
-    and the file (re)written."""
-    if cache_dir is None:
-        return overlap_of_identity(gen, r)
-    return _load_or_compute(
-        overlap_path(Path(cache_dir), gen, r), gen, r, load_overlap, overlap_of_identity,
-        lambda path, best: save_overlap(path, gen, best), partial(prime_overlap, gen),
-    )
+    :func:`ball_of_identity_cached` backs the identity ball: the file at
+    :func:`cayley.ball_radius` is loaded and primed into the memo if usable,
+    otherwise that profile is computed and the file (re)written."""
+    if cache_dir is not None:
+        radius = ball_radius(gen, r)
+        _load_or_compute(
+            overlap_path(Path(cache_dir), gen, radius), gen, radius, load_overlap,
+            overlap_of_identity, lambda path, best: save_overlap(path, gen, best),
+            partial(prime_overlap, gen),
+        )
+    return overlap_of_identity(gen, r)

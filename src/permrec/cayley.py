@@ -36,10 +36,10 @@ raises ``CapacityError`` instead of thrashing.  Every check reads the
 constant when it runs.  Since the caps never vary, one memo entry per
 (generator set, radius) serves every call.  Radii are capped at the
 diameter, past which every ball is the whole group: :func:`ball_radius`
-is the one radius at which a ball is built, memoized and cached.
+is the one radius at which a ball or an overlap profile is built,
+memoized and cached.
 
-Every public function takes and returns permutation tuples, except
-:func:`witness_label`, which names a packed scan candidate.  The
+Every public function takes and returns permutation tuples; the
 expansion and the overlap scans run on the packed form of ``perms``
 instead.  Balls are packed first: a ``MetricBall`` holds its spheres as
 frozensets of packed vertices, exactly as the expansion left them, and
@@ -51,15 +51,14 @@ The overlap maximum comes in two forms.  :func:`max_ball_intersection`
 (per distance, :func:`max_ball_intersection_at`) is the scan itself, never
 memoized: the benchmark times it and the tests' oracles call it.  Every
 caller in the package reads :func:`overlap_of_identity`, the same answer
-memoized per (generator set, radius), as :func:`ball_of_identity` memoizes
-:func:`ball`.
+memoized per (generator set, ball radius), as :func:`ball_of_identity`
+memoizes :func:`ball`.
 
-The overlap witnesses are named here and nowhere else.  A scan labels only
-its attaining packed candidates, by :func:`witness_label`: the conjugacy
-class for all transpositions, the vertex otherwise.  :func:`witness_vertex` reads a
-label back and refuses any string :func:`witness_label` cannot give; the
-disk cache checks stored witnesses with it, and the decoder finds its
-ambiguity witness through it.
+The overlap witnesses are vertices: a scan keeps its attaining
+candidates as permutation tuples, the disk cache stores them packed, and
+the decoder translates by one directly.  :func:`witness_label` names a
+witness only where text is written (the conjugacy class for all
+transpositions, the vertex otherwise); nothing reads a label back.
 """
 
 from __future__ import annotations
@@ -88,8 +87,6 @@ from .perms import (
     left_inverse_table,
     left_table,
     pack,
-    parse_cycle_type,
-    parse_perm,
     translated,
     transposition,
     unpack,
@@ -98,6 +95,7 @@ from .perms import (
 KIND_ALL = "T"
 KIND_ADJACENT = "t"
 KIND_PREFIX = "st"
+KINDS = (KIND_ALL, KIND_ADJACENT, KIND_PREFIX)
 
 
 MAX_BALL_SIZE = 2_000_000
@@ -349,13 +347,17 @@ class SphereMax:
     """Largest r-ball overlap over center pairs at one distance s.
 
     ``value`` is None when the sphere is empty (s beyond the diameter), which
-    is reported as absent rather than zero.  ``witnesses`` labels every
-    attaining candidate, in scan order, by :func:`witness_label`.
+    is reported as absent rather than zero.  ``witnesses`` holds every
+    attaining candidate in scan order.  A Cayley-graph scan stores vertices
+    as permutation tuples: one class representative per attaining class, in
+    ``perms.cycle_types`` order, for all transpositions, and the attaining
+    sphere vertices in sorted order otherwise.  A small-graph report
+    (``smallgraphs``) stores its ``"u-w"`` pair labels, already output text.
     """
 
     s: int
     value: int | None
-    witnesses: tuple[str, ...] = ()
+    witnesses: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -371,7 +373,7 @@ class IntersectionMax:
         return tuple(sm.s for sm in self.per_s if sm.value == self.value)
 
     @property
-    def witnesses(self) -> dict[int, tuple[str, ...]]:
+    def witnesses(self) -> dict[int, tuple]:
         return {sm.s: sm.witnesses for sm in self.per_s if sm.value == self.value}
 
 
@@ -380,31 +382,14 @@ def _overlap_count(members: frozenset[bytes], y: bytes) -> int:
     return len(members.intersection(translated(members, left_inverse_table(y))))
 
 
-def witness_label(gen: GeneratorSet, y: bytes) -> str:
-    """The label naming the packed overlap candidate y: its conjugacy class
+def witness_label(gen: GeneratorSet, y: Perm) -> str:
+    """The output label of the overlap witness y: its conjugacy class
     (``1^2 3^1``) for all transpositions, whose scan reads one
     representative per class, and the vertex itself (``[2,1,3]``)
     otherwise."""
     if gen.kind == KIND_ALL:
         return str(cycle_type(y))
     return format_perm(y)
-
-
-def witness_vertex(gen: GeneratorSet, label: str) -> Perm:
-    """The vertex a :func:`witness_label` label names, the class
-    representative for all transpositions.  Any string that
-    :func:`witness_label` cannot give at gen's degree, a class or vertex of
-    another degree, a class written out of order or a malformed literal,
-    raises ``ValueError``."""
-    if gen.kind == KIND_ALL:
-        ct = parse_cycle_type(label)
-        vertex, canonical = class_representative(ct), str(ct)
-    else:
-        vertex = parse_perm(label)
-        canonical = format_perm(vertex)
-    if len(vertex) != gen.n or label != canonical:
-        raise ValueError(f"not a witness label of degree {gen.n}: {label!r}")
-    return vertex
 
 
 def ball_overlap(gen: GeneratorSet, r: int, other: Perm) -> int:
@@ -442,7 +427,7 @@ def max_ball_intersection_at(
         return SphereMax(s, None, ())
     counts = run_mapped(partial(_overlap_count, members), cands, workers)
     best = max(counts)
-    wits = tuple(witness_label(gen, y) for y, c in zip(cands, counts) if c == best)
+    wits = tuple(unpack(y) for y, c in zip(cands, counts) if c == best)
     return SphereMax(s, best, wits)
 
 
@@ -463,12 +448,19 @@ _overlap_memo: dict[tuple[GeneratorSet, int], IntersectionMax] = {}
 
 
 def overlap_of_identity(gen: GeneratorSet, r: int) -> IntersectionMax:
-    """:func:`max_ball_intersection`, memoized per (generator set, radius)."""
-    key = (gen, r)
+    """:func:`max_ball_intersection`, memoized per (generator set,
+    :func:`ball_radius`).  Past the diameter D every ball is the whole
+    group, so the profile at r is D's with the distances 2D+1..2r, at which
+    no two vertices lie, added as absent."""
+    radius = ball_radius(gen, r)
+    key = (gen, radius)
     got = _overlap_memo.get(key)
     if got is None:
-        got = _overlap_memo[key] = max_ball_intersection(gen, r)
-    return got
+        got = _overlap_memo[key] = max_ball_intersection(gen, radius)
+    if radius == r:
+        return got
+    absent = tuple(SphereMax(s, None) for s in range(2 * radius + 1, 2 * r + 1))
+    return IntersectionMax(r, got.value, got.per_s + absent)
 
 
 def prime_overlap(gen: GeneratorSet, best: IntersectionMax) -> None:
@@ -700,6 +692,7 @@ class GraphReport:
 
     def to_doc(self) -> dict:
         final = self.final
+        gen = GeneratorSet(self.kind, self.n)
         return {
             "n": self.n,
             "generator_kind": self.kind,
@@ -712,7 +705,7 @@ class GraphReport:
             "n_r": {str(im.radius): im.value for im in self.per_radius},
             "witnesses": {
                 "n_s": {
-                    str(sm.s): sorted(sm.witnesses)
+                    str(sm.s): sorted(witness_label(gen, y) for y in sm.witnesses)
                     for sm in final.per_s
                     if sm.value == final.value
                 }

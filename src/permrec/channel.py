@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .cayley import GeneratorSet, ball_of_identity, overlap_of_identity, witness_vertex
+from .cayley import GeneratorSet, ball_of_identity, overlap_of_identity
 from .perms import (
     Perm,
     compose,
@@ -183,7 +183,7 @@ def ambiguity_witness(gen: GeneratorSet, r: int) -> tuple[Perm, Perm, list[Perm]
     centers as candidates, so the threshold cannot be lowered."""
     best = overlap_of_identity(gen, r)
     s = best.best_s[0]
-    other = witness_vertex(gen, best.witnesses[s][0])
+    other = best.witnesses[s][0]
     members = ball_of_identity(gen, r).packed
     shared = _survivors(members, [left_inverse_table(pack(other))], members)
     return identity(gen.n), other, list(map(unpack, sorted(shared)))

@@ -31,6 +31,7 @@ from math import comb, factorial
 
 from . import formulas
 from .cayley import (
+    KINDS,
     GeneratorSet,
     ball_overlap,
     bfs_levels,
@@ -42,6 +43,7 @@ from .cayley import (
     lambda_mu,
     local_params_all,
     overlap_of_identity,
+    witness_label,
 )
 from .errors import CapacityError
 from .perms import (
@@ -64,8 +66,6 @@ from .smallgraphs import (
     small_graph_report,
     triangular_graph,
 )
-
-KINDS = ("T", "t", "st")
 
 
 @dataclass(frozen=True)
@@ -431,7 +431,8 @@ def conjecture_probe(n: int, r: int) -> dict:
         "value": result.value,
         "attained_at_s": list(result.best_s),
         "attaining_classes": {
-            str(s): sorted(w) for s, w in result.witnesses.items()
+            str(s): sorted(witness_label(g, y) for y in w)
+            for s, w in result.witnesses.items()
         },
         "three_cycle_class": str(three_cycle),
         "three_cycle_value": three_cycle_value,

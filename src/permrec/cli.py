@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .cayley import GeneratorSet, build_graph_report
+from .cayley import KINDS, GeneratorSet, ball_radius, build_graph_report
 from .cache import ball_of_identity_cached, overlap_of_identity_cached, write_atomically
 from .channel import reconstruct, run_experiment
 from .claims import CSV_COLUMNS, SuiteConfig, conjecture_probe, run_suites
@@ -190,7 +190,7 @@ def _warm(settings, cached, gen, radius):
 
 
 def _report_arguments(p) -> None:
-    p.add_argument("--graph", choices=("T", "t", "st"), required=True,
+    p.add_argument("--graph", choices=KINDS, required=True,
                    help="generator family: all / adjacent / prefix transpositions")
     p.add_argument("--n", type=int, nargs="+", required=True, help="degree(s)")
     p.add_argument("--r", type=int, default=1, help="max error radius (default 1)")
@@ -202,7 +202,8 @@ def _cmd_report(args, settings) -> _Result:
     gens = [_checked(GeneratorSet.of_kind, args.graph, n) for n in args.n]
     reports = []
     for gen in gens:
-        for rr in range(1, args.r + 1):
+        # past the diameter every radius reads the diameter's profile
+        for rr in range(1, ball_radius(gen, args.r) + 1):
             _warm(settings, overlap_of_identity_cached, gen, rr)
         report = build_graph_report(gen, args.r, with_diameter=not args.no_diameter)
         reports.append(report.to_doc())
@@ -313,7 +314,7 @@ def _parse_pattern_lines(text: str) -> list[Perm]:
 
 
 def _reconstruct_arguments(p) -> None:
-    p.add_argument("--graph", choices=("T", "t", "st"), required=True)
+    p.add_argument("--graph", choices=KINDS, required=True)
     p.add_argument("--r", type=int, required=True, help="max errors per pattern")
     p.add_argument("--patterns", type=Path, required=True,
                    help="file with one [2,3,1]-style permutation per line")
@@ -338,7 +339,7 @@ def _cmd_reconstruct(args, settings) -> _Result:
 
 
 def _simulate_arguments(p) -> None:
-    p.add_argument("--graph", choices=("T", "t", "st"), required=True)
+    p.add_argument("--graph", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)

@@ -310,24 +310,29 @@ class TestOverlapMemo:
         assert max_ball_intersection(g, 2) == first
         assert scanned == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("kind", ["T", "t", "st"])
+    def test_profile_past_the_diameter_scans_only_the_diameter(self, kind, monkeypatch):
+        g = GeneratorSet.of_kind(kind, 4)
+        d = cayley.diameter(g)
+        want = {r: max_ball_intersection(g, r) for r in (d + 1, d + 3)}
+        clear_ball_memo()
+        scanned = []
+        real_at = cayley.max_ball_intersection_at
+        monkeypatch.setattr(
+            cayley, "max_ball_intersection_at",
+            lambda *a, **k: scanned.append(a[1:3]) or real_at(*a, **k),
+        )
+        for r, best in want.items():
+            assert overlap_of_identity(g, r) == best
+        # one scan of the profile at the diameter serves both radii
+        assert scanned == [(d, s) for s in range(1, 2 * d + 1)]
+
     def test_clear_forgets_overlaps(self):
         g = GeneratorSet.prefix(5)
         first = overlap_of_identity(g, 2)
         clear_ball_memo()
         again = overlap_of_identity(g, 2)
         assert again == first and again is not first
-
-
-# witnesses a T n=5 overlap file must not hold: the class 1^2 3^1 written
-# out of order, a class of degree 6, a vertex, and a non-string
-T_WITNESS_DEFECTS = {
-    "class_not_canonical": "3^1 1^2",
-    "class_of_other_degree": "1^3 3^1",
-    "vertex_in_class_file": "[2,3,1,4,5]",
-    "integer_witness": 7,
-    # a zero count for a cycle longer than the degree it sums to
-    "cycle_longer_than_degree": "1^5 6^0",
-}
 
 
 class TestOverlapFile:
@@ -360,15 +365,65 @@ class TestOverlapFile:
         assert load_overlap(path, g, 2) == best
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_witnesses_are_packed_records_in_scan_order(self, tmp_path):
+        g = GeneratorSet.adjacent(4)
+        best = overlap_of_identity(g, 1)
+        path = overlap_path(tmp_path, g, 1)
+        save_overlap(path, g, best)
+        # s=1: the three adjacent swaps, sorted; s=2: [2,1,4,3]
+        assert json.loads(path.read_text())["per_s"] == [
+            [1, 2, "000103020002010301000203"], [2, 2, "01000302"],
+        ]
+
+    def test_one_permutation_check_per_file(self, tmp_path, monkeypatch):
+        g = GeneratorSet.prefix(5)
+        best = overlap_of_identity(g, 2)
+        path = overlap_path(tmp_path, g, 2)
+        save_overlap(path, g, best)
+        checked = []
+        monkeypatch.setattr(
+            cache, "all_permutations", lambda data, n: checked.append(data) or True
+        )
+        assert load_overlap(path, g, 2) == best
+        assert checked == [b"".join(
+            b"".join(map(bytes, sm.witnesses)) for sm in best.per_s
+        )]
+
+    def test_uppercase_hex_refused(self, tmp_path):
+        # at degree 11 a record holds the byte 0x0a, which the writer
+        # spells in lowercase
+        g = GeneratorSet.all_transpositions(11)
+        best = overlap_of_identity(g, 1)
+        path = overlap_path(tmp_path, g, 1)
+        save_overlap(path, g, best)
+        text = path.read_text()
+        assert "0a" in text and "0A" not in text
+        path.write_text(text.replace("0a", "0A"))
+        with pytest.raises(CacheError):
+            load_overlap(path, g, 1)
+
+    @pytest.mark.parametrize("kind", ["T", "t", "st"])
+    def test_radius_past_the_diameter_shares_the_diameter_file(self, tmp_path, kind, monkeypatch):
+        g = GeneratorSet.of_kind(kind, 4)
+        d = cayley.diameter(g)
+        want = max_ball_intersection(g, d + 2)
+        for run in ("cold", "warm"):
+            clear_ball_memo()
+            assert overlap_of_identity_cached(g, d + 2, tmp_path) == want, run
+            assert [p.name for p in tmp_path.iterdir()] == [overlap_path(tmp_path, g, d).name]
+            # the warm run reads the file and scans nothing
+            monkeypatch.setattr(cayley, "max_ball_intersection", None)
+
     @pytest.mark.parametrize("defect", [
         "garbage", "empty", "truncated", "not_an_object", "other_degree",
         "other_radius", "other_kind", "wrong_version", "missing_key",
         "entry_count", "entry_order", "value_type", "value_without_witnesses",
-        "bad_witness", "short_witness", "version_1",
-        *T_WITNESS_DEFECTS,
+        "witnesses_without_value", "bad_witness", "short_witness",
+        "integer_witness", "not_hex", "hex_with_space", "repeated_witness",
+        "bad_last_entry", "version_1", "version_2",
     ])
     def test_bad_file_recomputed_and_rewritten(self, tmp_path, defect):
-        g = GeneratorSet.of_kind("T" if defect in T_WITNESS_DEFECTS else "st", 5)
+        g = GeneratorSet.prefix(5)
         want = max_ball_intersection(g, 2)
         path = overlap_path(tmp_path, g, 2)
         save_overlap(path, g, want)
@@ -385,6 +440,9 @@ class TestOverlapFile:
                               "truncated": raw[: len(raw) // 2]}[defect])
         else:
             entries = doc["per_s"]
+            # the first entry's records, the first of them [2,1,3,4,5]
+            field = entries[0][2]
+            assert field.startswith("0100020304")
             if defect == "not_an_object":
                 doc = entries
             elif defect == "wrong_version":
@@ -398,22 +456,41 @@ class TestOverlapFile:
             elif defect == "value_type":
                 entries[0][1] = str(entries[0][1])
             elif defect == "value_without_witnesses":
-                entries[0][2] = []
+                entries[0][2] = ""
+            elif defect == "witnesses_without_value":
+                entries[0][1] = None
             elif defect == "bad_witness":
-                entries[0][2][0] = "[1,1,3,4,5]"
+                # a record that is not a permutation: [1,1,3,4,5]
+                entries[0][2] = "0000020304" + field[10:]
             elif defect == "short_witness":
-                entries[0][2][0] = "[2,1,3,4]"
-            elif defect in T_WITNESS_DEFECTS:
-                # s=2 is where T n=5 r=2 attains its maximum, at class 1^2 3^1
-                entries[1][2][0] = T_WITNESS_DEFECTS[defect]
+                # a record of degree 4, [2,1,3,4]: no whole number of records
+                entries[0][2] = "01000203" + field[10:]
+            elif defect == "integer_witness":
+                entries[0][2] = 7
+            elif defect == "not_hex":
+                entries[0][2] = "zz" + field[2:]
+            elif defect == "hex_with_space":
+                # bytes.fromhex skips the space, the writer never writes one
+                entries[0][2] = field[:10] + " " + field[10:]
+            elif defect == "repeated_witness":
+                entries[0][2] = field + field[:10]
+            elif defect == "bad_last_entry":
+                # a record with a repeated symbol in the last entry only, for
+                # the one permutation check over the whole file
+                entries[-1][2] = entries[-1][2][:-10] + "0001020303"
             elif defect == "version_1":
-                # the previous format, which also stored the scanned ball's size
+                # the first format, which also stored the scanned ball's size
                 doc["version"] = 1
                 doc["scanned_ball_size"] = ball_of_identity(g, 4).size
+            elif defect == "version_2":
+                # the previous format, which stored the witnesses as labels
+                doc["version"] = 2
+                for entry, sm in zip(entries, want.per_s):
+                    entry[2] = [cayley.witness_label(g, y) for y in sm.witnesses]
             path.write_text(json.dumps(doc))
         with pytest.raises(CacheError):
             load_overlap(path, g, 2)
         clear_ball_memo()
         assert overlap_of_identity_cached(g, 2, tmp_path) == want
-        assert json.loads(path.read_text())["version"] == 2
+        assert json.loads(path.read_text())["version"] == 3
         assert load_overlap(path, g, 2) == want

@@ -347,40 +347,44 @@ class TestOverlapMaxima:
         assert sm.witnesses == ()
 
     def test_witnesses_are_classes_for_all_transpositions(self):
-        got = max_ball_intersection(GeneratorSet.all_transpositions(5), 2)
+        g = GeneratorSet.all_transpositions(5)
+        got = max_ball_intersection(g, 2)
         assert got.value == 27
         assert got.best_s == (2,)
-        assert got.witnesses[2] == ("1^2 3^1",)
+        assert got.witnesses[2] == ((1, 2, 0, 3, 4),)
+        # two classes attain at r=3, s=3: their representatives in
+        # cycle_types order, each labelled by its class
+        sm = max_ball_intersection_at(g, 3, 3)
+        assert sm.witnesses == ((1, 2, 3, 0, 4), (1, 2, 0, 4, 3))
+        assert [cayley.witness_label(g, y) for y in sm.witnesses] == ["1^1 4^1", "2^1 3^1"]
 
     def test_witnesses_are_vertices_for_adjacent(self):
-        got = max_ball_intersection_at(GeneratorSet.adjacent(4), 1, 2)
-        assert all(w.startswith("[") for w in got.witnesses)
+        g = GeneratorSet.adjacent(4)
+        sm = max_ball_intersection_at(g, 1, 1)
+        assert sm.witnesses == ((0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3))
+        assert [cayley.witness_label(g, y) for y in sm.witnesses] == [
+            "[1,2,4,3]", "[1,3,2,4]", "[2,1,3,4]",
+        ]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_witness_labels_read_back_to_their_vertices(self, kind):
-        # every candidate a scan can label: a representative of each class
-        # but the identity's for T, each vertex but the identity otherwise
+        # every candidate a scan can keep: a representative of each class
+        # but the identity's for T, each vertex but the identity otherwise;
+        # its output label names it
         for n in range(2, 7):
             g = GeneratorSet.of_kind(kind, n)
             if kind == "T":
-                cands = [pack(class_representative(ct)) for ct in cycle_types(n)
+                cands = [class_representative(ct) for ct in cycle_types(n)
                          if ct.min_transpositions]
             else:
-                cands = [y for sph in ball_of_identity(g, diameter(g)).packed_spheres[1:]
+                cands = [unpack(y) for sph in ball_of_identity(g, diameter(g)).packed_spheres[1:]
                          for y in sph]
             for y in cands:
                 label = cayley.witness_label(g, y)
-                assert cayley.witness_vertex(g, label) == unpack(y), (n, label)
-
-    @pytest.mark.parametrize("kind, label", [
-        ("T", "3^1 1^2"), ("T", "1^2  3^1"), ("T", "1^2 3^1 2^0"), ("T", "1^3 3^1"),
-        ("T", "1^1 4^2"), ("T", "[2,3,1,4,5]"), ("T", ""), ("T", "1^5 6^0"),
-        ("t", "[2,1,3,4]"), ("t", "[2, 1,3,4,5]"), ("t", "[02,1,3,4,5]"),
-        ("t", "[2,1,3,4,6]"), ("st", "1^3 2^1"), ("st", " [2,1,3,4,5]"),
-    ])
-    def test_witness_vertex_refuses_what_no_scan_labels(self, kind, label):
-        with pytest.raises(ValueError):
-            cayley.witness_vertex(GeneratorSet.of_kind(kind, 5), label)
+                if kind == "T":
+                    assert class_representative(parse_cycle_type(label)) == y, (n, label)
+                else:
+                    assert parse_perm(label) == y, (n, label)
 
     def test_workers_do_not_change_results(self):
         g = GeneratorSet.adjacent(5)

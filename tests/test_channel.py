@@ -2,7 +2,15 @@ from math import factorial
 
 import pytest
 
-from permrec.cayley import GeneratorSet, ball_of_identity, distance, max_ball_intersection
+from permrec.cache import overlap_of_identity_cached
+from permrec.cayley import (
+    GeneratorSet,
+    ball_of_identity,
+    ball_overlap,
+    clear_ball_memo,
+    distance,
+    max_ball_intersection,
+)
 from permrec.channel import (
     ChannelSpec,
     ambiguity_witness,
@@ -198,6 +206,22 @@ class TestThresholdSharpness:
             result = reconstruct(shared, r, g)
             assert result.status == "ambiguous"
             assert x in result.candidates and other in result.candidates
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_witness_from_a_cache_file_is_the_scanned_one(self, kind, tmp_path):
+        # the first attaining vertex in scan order, read back from the file
+        g = GeneratorSet.of_kind(kind, 6)
+        best = max_ball_intersection(g, 2)
+        s = best.best_s[0]
+        clear_ball_memo()
+        want = ambiguity_witness(g, 2)
+        assert want[1] == best.witnesses[s][0]
+        assert ball_overlap(g, 2, want[1]) == best.value
+        for run in ("cold", "warm"):
+            clear_ball_memo()
+            overlap_of_identity_cached(g, 2, tmp_path)
+            assert ambiguity_witness(g, 2) == want, run
+        clear_ball_memo()
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("r", [1, 2])

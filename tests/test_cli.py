@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from permrec import cayley, claims, cli, smallgraphs
+from permrec import cache, cayley, claims, cli, smallgraphs
 from permrec.cache import cache_path, load_ball, load_overlap, overlap_path
 from test_cache import fail_writes_halfway
 
@@ -430,6 +430,39 @@ def test_radius_past_the_diameter_shares_the_diameter_file(argv, ball_file, file
         }
     # the warm run loaded every file and rewrote none
     assert stamps == before
+
+
+def test_overlap_past_the_diameter_is_cached_at_the_diameter(files):
+    def argv(r):
+        return ["simulate", "--graph", "t", "--n", "4", "--r", r, "--trials", "2", "--seed", "1"]
+
+    cache_dir = files / "cache"
+    want = run_cli_cached(argv("300"), files, cache_dir)
+    overlaps = sorted(p.name for p in cache_dir.glob("overlap_*"))
+    assert overlaps == ["overlap_t_n4_r6.json"]
+    assert len(json.loads((cache_dir / overlaps[0]).read_text())["per_s"]) == 12
+    stamps = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in cache_dir.iterdir()}
+    # --r 301 reads the same two files at the diameter and rewrites neither
+    assert run_cli_cached(argv("301"), files, cache_dir) == want
+    assert {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in cache_dir.iterdir()} == stamps
+
+
+def test_report_past_the_diameter_warms_each_capped_radius_once(files, monkeypatch):
+    argv = ["report", "--graph", "T", "--n", "4", "--r", "5"]
+    cayley.clear_ball_memo()
+    want = run_cli(argv, files)
+    cache_dir = files / "cache"
+    assert run_cli_cached(argv, files, cache_dir) == want
+    assert sorted(p.name for p in cache_dir.iterdir()) == [
+        f"overlap_T_n4_r{r}.json" for r in (1, 2, 3)
+    ]
+    loaded = []
+    real_load = cache.load_overlap
+    monkeypatch.setattr(
+        cache, "load_overlap", lambda *a: loaded.append(a[2]) or real_load(*a)
+    )
+    assert run_cli_cached(argv, files, cache_dir) == want
+    assert loaded == [1, 2, 3]
 
 
 def test_processes_sharing_a_cache_dir(files):
