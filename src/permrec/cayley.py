@@ -27,13 +27,22 @@ the identity; the engine leans on this throughout.
   :func:`bfs_levels` keeps every level;
 * each generator is a transposition, an odd permutation, so every edge
   flips the sign and no cycle has odd length: :func:`girth_cycle_check`
-  answers odd lengths without a search.
+  answers odd lengths without a search;
+* the overlap scans read the radius-r ball alone.  They scan one vertex
+  per orbit of the automorphisms that fix the identity, so the sphere a
+  scan covers is never walked: the conjugacy classes for all
+  transpositions, the cycle types with the length of the cycle through 0
+  for prefix swaps (Akers and Krishnamurthy's automorphisms of the star
+  graph), and for adjacent swaps the orbits of reversal conjugation and
+  inversion on the sphere, enumerated from inversion tables (Knuth, TAOCP
+  vol. 3, 5.1.1).
 
 The capacity caps are module constants: ``MAX_BALL_SIZE`` vertices in a
 ball, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
 ``MAX_CYCLE_SEARCH`` estimated paths for a cycle search.  Exceeding one
 raises ``CapacityError`` instead of thrashing.  Every check reads the
-constant when it runs.  Since the caps never vary, one memo entry per
+constant when it runs, and the ball check runs before the walk, on sphere
+sizes by closed form: class sizes, orbit sizes and the Mahonian numbers.  Since the caps never vary, one memo entry per
 (generator set, radius) serves every call.  Radii are capped at the
 diameter, past which every ball is the whole group: :func:`ball_radius`
 is the one radius at which a ball or an overlap profile is built,
@@ -54,19 +63,20 @@ caller in the package reads :func:`overlap_of_identity`, the same answer
 memoized per (generator set, ball radius), as :func:`ball_of_identity`
 memoizes :func:`ball`.
 
-The overlap witnesses are vertices: a scan keeps its attaining
-candidates as permutation tuples, the disk cache stores them packed, and
-the decoder translates by one directly.  :func:`witness_label` names a
-witness only where text is written (the conjugacy class for all
-transpositions, the vertex otherwise); nothing reads a label back.
+The overlap witnesses are vertices: a scan keeps its attaining class
+representatives, or every vertex of its attaining orbits, as permutation
+tuples, the disk cache stores them packed, and the decoder translates by
+one directly.  :func:`witness_label` names a witness only where text is
+written (the conjugacy class for all transpositions, the vertex
+otherwise); nothing reads a label back.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import combinations, islice
+from functools import cache, cached_property, partial
+from itertools import combinations, islice, permutations
 from math import comb, factorial
 
 from .errors import CapacityError
@@ -75,8 +85,10 @@ from .perms import (
     IDENT,
     MAX_DEGREE,
     Perm,
+    CycleType,
     class_representative,
     compose,
+    conjugacy_class_size,
     cycle_count,
     cycle_type,
     cycle_types,
@@ -84,6 +96,7 @@ from .perms import (
     format_perm,
     identity,
     is_perm,
+    iter_class,
     left_inverse_table,
     left_table,
     pack,
@@ -126,6 +139,138 @@ _DIAMETER = {
     KIND_ALL: lambda n: n - 1,
     KIND_ADJACENT: lambda n: n * (n - 1) // 2,
     KIND_PREFIX: lambda n: 3 * (n - 1) // 2,
+}
+
+
+@cache
+def _star_orbits(n: int) -> tuple[tuple[int, bytes, int], ...]:
+    """(distance, representative, size) for each orbit of S_n under
+    conjugation by the permutations fixing 0, which map the prefix swaps
+    onto themselves.  An orbit is a cycle type with the length L of the
+    cycle through 0; its representative has that cycle on 0..L-1 and the
+    others on consecutive blocks after it, and it holds the fraction
+    L*h_L/n of its class, h_L being the number of L-cycles."""
+    out = []
+    for ct in cycle_types(n):
+        lengths = [j for j in range(n, 0, -1) for _ in range(ct.counts[j - 1])]
+        for length in dict.fromkeys(lengths):
+            others = list(lengths)
+            others.remove(length)
+            y: list[int] = []
+            for j in (length, *others):
+                start = len(y)
+                y += range(start + 1, start + j)
+                y.append(start)
+            size = conjugacy_class_size(ct) * length * ct.counts[length - 1] // n
+            out.append((_DISTANCE[KIND_PREFIX](y), bytes(y), size))
+    return tuple(out)
+
+
+def _star_orbit(y: bytes) -> list[bytes]:
+    """Every vertex with y's cycle type and y's length of the cycle through
+    0: the cycle through 0 in every order of every choice of its other
+    points, times every arrangement of the other cycles on the rest."""
+    n = len(y)
+    through_zero, *others = cycles(unpack(y))
+    rest_counts = [0] * (n - len(through_zero))
+    for cyc in others:
+        rest_counts[len(cyc) - 1] += 1
+    rest_class = list(iter_class(CycleType(tuple(rest_counts)))) if others else [()]
+    out = []
+    for chain in permutations(range(1, n), len(through_zero) - 1):
+        chain = (0, *chain)
+        rest = [v for v in range(n) if v not in chain]
+        p = [0] * n
+        for a, b in zip(chain, chain[1:] + chain[:1]):
+            p[a] = b
+        for q in rest_class:
+            for i, v in zip(rest, q):
+                p[i] = rest[v]
+            out.append(bytes(p))
+    return out
+
+
+def _inversion_sphere(n: int, s: int) -> list[bytes]:
+    """The packed permutations of degree n with s inversions, from their
+    inversion tables: symbol m-1 placed with c of the symbols below it
+    after it adds c inversions to a permutation of those symbols."""
+    by_count = [[b""]] + [[] for _ in range(s)]
+    for m in range(1, n + 1):
+        top = bytes([m - 1])
+        # at position k, m-1 has m-1-k smaller symbols after it
+        by_count = [
+            [q[:k] + top + q[k:] for k in range(max(0, m - 1 - t), m)
+             for q in by_count[t - (m - 1 - k)]]
+            for t in range(s + 1)
+        ]
+    return by_count[s]
+
+
+def _reversal_representatives(n: int, s: int) -> list[bytes]:
+    """The first vertex met of each :func:`_reversal_orbit` on the
+    adjacent-swap sphere s."""
+    seen: set[bytes] = set()
+    reps = []
+    for y in _inversion_sphere(n, s):
+        if y not in seen:
+            reps.append(y)
+            seen |= _reversal_orbit(y)
+    return reps
+
+
+def _reversal_orbit(y: bytes) -> set[bytes]:
+    """y, its inverse, and both conjugated by the reversal w0, which maps
+    the adjacent swaps onto themselves: (w0 y w0)(i) = n-1-y(n-1-i)."""
+    inv = left_inverse_table(y)[:len(y)]
+    w0 = left_table(IDENT[len(y)][::-1])
+    return {y, inv, y[::-1].translate(w0), inv[::-1].translate(w0)}
+
+
+# Each family's overlap candidates at distance s from the identity, one per
+# orbit of automorphisms that fix it (see max_ball_intersection_at), and
+# the witnesses an attaining candidate expands to.  All transpositions name
+# a witness by its class, so a class representative stands for itself.
+_ORBITS = {
+    KIND_ALL: (
+        lambda n, s: [
+            pack(class_representative(ct)) for ct in cycle_types(n) if ct.min_transpositions == s
+        ],
+        lambda y: (y,),
+    ),
+    KIND_ADJACENT: (_reversal_representatives, _reversal_orbit),
+    KIND_PREFIX: (
+        lambda n, s: [y for d, y, _ in _star_orbits(n) if d == s],
+        _star_orbit,
+    ),
+}
+
+
+def _tally(sized) -> tuple[int, ...]:
+    """Sizes per distance 0, 1, ... from (distance, size) pairs."""
+    sizes = Counter()
+    for d, size in sized:
+        sizes[d] += size
+    return tuple(sizes[d] for d in range(max(sizes) + 1))
+
+
+def _mahonian(n: int) -> tuple[int, ...]:
+    """The number of permutations of degree n with each inversion count:
+    the coefficients of prod_{i<=n} (1 + q + ... + q^(i-1))."""
+    row = [1]
+    for i in range(2, n + 1):
+        row = [sum(row[max(0, k - i + 1):k + 1]) for k in range(len(row) + i - 1)]
+    return tuple(row)
+
+
+# Each family's sphere sizes around any vertex at degree n, for distances
+# 0..diameter: class sizes by distance, orbit sizes by distance, and the
+# Mahonian numbers.
+_SPHERE_SIZES = {
+    KIND_ALL: cache(lambda n: _tally(
+        (ct.min_transpositions, conjugacy_class_size(ct)) for ct in cycle_types(n)
+    )),
+    KIND_ADJACENT: cache(_mahonian),
+    KIND_PREFIX: cache(lambda n: _tally((d, size) for d, _, size in _star_orbits(n))),
 }
 
 
@@ -244,14 +389,10 @@ def ball(center: Perm, radius: int, gen: GeneratorSet) -> MetricBall:
     :func:`ball_radius`."""
     radius = ball_radius(gen, radius)
     _check_vertex(center, gen)
-    spheres = []
-    size = 0
-    for level in islice(_levels(center, gen), radius + 1):
-        size += len(level)
-        if size > MAX_BALL_SIZE:
-            raise CapacityError(f"ball exceeds budget of {MAX_BALL_SIZE} vertices")
-        spheres.append(frozenset(level))
-    return MetricBall(gen, center, radius, tuple(spheres))
+    if sum(_SPHERE_SIZES[gen.kind](gen.n)[:radius + 1]) > MAX_BALL_SIZE:
+        raise CapacityError(f"ball exceeds budget of {MAX_BALL_SIZE} vertices")
+    spheres = tuple(map(frozenset, islice(_levels(center, gen), radius + 1)))
+    return MetricBall(gen, center, radius, spheres)
 
 
 _ball_memo: dict[tuple[GeneratorSet, int], MetricBall] = {}
@@ -347,8 +488,8 @@ class SphereMax:
     """Largest r-ball overlap over center pairs at one distance s.
 
     ``value`` is None when the sphere is empty (s beyond the diameter), which
-    is reported as absent rather than zero.  ``witnesses`` holds every
-    attaining candidate in scan order.  A Cayley-graph scan stores vertices
+    is reported as absent rather than zero.  ``witnesses`` holds the
+    attaining vertices.  A Cayley-graph scan stores them
     as permutation tuples: one class representative per attaining class, in
     ``perms.cycle_types`` order, for all transpositions, and the attaining
     sphere vertices in sorted order otherwise.  A small-graph report
@@ -402,33 +543,39 @@ def max_ball_intersection_at(
 ) -> SphereMax:
     """Max |B_r(x) ∩ B_r(y)| over pairs at distance exactly s.
 
-    By vertex-transitivity x is fixed at the identity.  For the
-    all-transpositions family the overlap depends only on the conjugacy
-    class of y (the family is closed under conjugation), so only one
-    representative per class at distance s is scanned; the adjacent and
-    prefix families are not conjugation-closed and every sphere vertex is
-    scanned.
+    By vertex-transitivity x is fixed at the identity.  An automorphism
+    that fixes the identity maps B_r(y) to the ball around y's image, and
+    |B_r(e) ∩ B_r(y)| = |B_r(y^-1) ∩ B_r(e)| by left translation, so the
+    overlap is the same across y's orbit and one representative per orbit
+    is scanned against B_r, the only ball read:
+
+    * all transpositions: conjugation by any permutation, so the orbits
+      are the conjugacy classes;
+    * prefix swaps: conjugation by a permutation fixing 0, so an orbit is a
+      cycle type with the length of the cycle through 0;
+    * adjacent swaps: conjugation by the reversal, and inversion, so an
+      orbit holds at most four vertices of the sphere, which is enumerated
+      from inversion tables.
+
+    The witnesses are one representative per attaining class, in
+    ``perms.cycle_types`` order, for all transpositions, and every vertex
+    of the attaining orbits, sorted, otherwise.
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
     if not 1 <= s <= 2 * r:
         raise ValueError(f"need 1 <= s <= 2r, got s={s}, r={r}")
     members = ball_of_identity(gen, r).packed
-    if gen.kind == KIND_ALL:
-        cands = [
-            pack(class_representative(ct))
-            for ct in cycle_types(gen.n)
-            if ct.min_transpositions == s
-        ]
-    else:
-        spheres = ball_of_identity(gen, 2 * r).packed_spheres
-        cands = sorted(spheres[s]) if s < len(spheres) else []
+    representatives, orbit = _ORBITS[gen.kind]
+    cands = representatives(gen.n, s)
     if not cands:
         return SphereMax(s, None, ())
     counts = run_mapped(partial(_overlap_count, members), cands, workers)
     best = max(counts)
-    wits = tuple(unpack(y) for y, c in zip(cands, counts) if c == best)
-    return SphereMax(s, best, wits)
+    wits = [v for y, c in zip(cands, counts) if c == best for v in orbit(y)]
+    if gen.kind != KIND_ALL:
+        wits.sort()
+    return SphereMax(s, best, tuple(map(unpack, wits)))
 
 
 def max_ball_intersection(gen: GeneratorSet, r: int, workers: int = 1) -> IntersectionMax:

@@ -2,12 +2,15 @@
 
 Everything here recomputes from first principles over explicitly built
 graphs (itertools.permutations + plain BFS), sharing no code path with the
-package's engine, so agreement is meaningful.  There are two exceptions.
+package's engine, so agreement is meaningful.  There are three exceptions.
 The pattern-file reader is the CLI's line parser as it stood before the
 CLI gained its whole-file path, kept as that path's reference.  The
 threshold checks test the decoding guarantee (one pattern more than the
 overlap maximum always decodes uniquely) with the engine's own balls and
-survivor filter, over many more pattern sets than a decode would see.
+survivor filter, over many more pattern sets than a decode would see.  The
+full overlap scan reads, for adjacent and prefix swaps, every vertex of
+every sphere of the engine's radius-2r ball: the reference for the
+engine's scan by orbits, witness order included.
 """
 
 from __future__ import annotations
@@ -23,16 +26,19 @@ from permrec.cayley import (
     SphereMax,
 )
 # the engine pieces the threshold checks run on
-from permrec.cayley import GeneratorSet, ball_of_identity, overlap_of_identity
+from permrec.cayley import GeneratorSet, ball, ball_of_identity, overlap_of_identity
 from permrec.channel import _sample_distinct, _survivors
 from permrec.cli import UsageError
 from permrec.perms import (
+    class_representative,
+    cycle_types,
     identity,
     left_inverse_table,
     left_table,
     pack,
     parse_perm,
     translated,
+    unpack,
 )
 from permrec.rng import SplitMix64
 from permrec.smallgraphs import SmallGraphReport
@@ -428,3 +434,27 @@ def sampled_threshold_check(gen: GeneratorSet, r: int, samples: int, seed: int) 
         if not _subset_is_unique(members, picks, source):
             failures += 1
     return failures
+
+
+def full_overlap_scan(gen: GeneratorSet, r: int) -> tuple[SphereMax, ...]:
+    """Max |B_r(e) ∩ B_r(y)| for each distance s = 1..2r, scanning one
+    representative per conjugacy class, in ``cycle_types`` order, for all
+    transpositions and every vertex of sphere s of the radius-2r ball, in
+    sorted order, otherwise.  The balls are built unmemoized."""
+    members = ball(identity(gen.n), r, gen).packed
+    if gen.kind == "T":
+        spheres = [[] for _ in range(2 * r + 1)]
+        for ct in cycle_types(gen.n):
+            if ct.min_transpositions <= 2 * r:
+                spheres[ct.min_transpositions].append(pack(class_representative(ct)))
+    else:
+        spheres = [sorted(sph) for sph in ball(identity(gen.n), 2 * r, gen).packed_spheres]
+    out = []
+    for s in range(1, 2 * r + 1):
+        cands = spheres[s] if s < len(spheres) else []
+        counts = [len(members.intersection(translated(members, left_inverse_table(y))))
+                  for y in cands]
+        best = max(counts, default=None)
+        wits = tuple(unpack(y) for y, c in zip(cands, counts) if c == best)
+        out.append(SphereMax(s, best, wits))
+    return tuple(out)

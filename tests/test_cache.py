@@ -289,8 +289,8 @@ class TestOverlapMemo:
         best = overlap_of_identity(g, 2)
         assert best == max_ball_intersection(g, 2)
         assert overlap_of_identity(g, 2) is best
-        # the scan reads the radius-2 ball for T and the radius-4 ball otherwise
-        size = ball_of_identity(g, 2 if kind == "T" else 4).size
+        # the scan reads the radius-2 ball alone
+        size = ball_of_identity(g, 2).size
         clear_ball_memo()
         monkeypatch.setattr(cayley, "MAX_BALL_SIZE", size - 1)
         with pytest.raises(CapacityError):

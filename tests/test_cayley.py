@@ -160,6 +160,22 @@ class TestBall:
         with pytest.raises(CapacityError):
             ball_of_identity(g, 3)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_closed_form_sphere_sizes_match_the_walk(self, kind):
+        for n in range(2, 9):
+            g = GeneratorSet.of_kind(kind, n)
+            walked = ball(identity(n), diameter(g), g).packed_spheres
+            assert cayley._SPHERE_SIZES[kind](n) == tuple(map(len, walked)), n
+
+    def test_capacity_refused_before_any_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(cayley, "_levels", no_walk)
+        message = f"^ball exceeds budget of {cayley.MAX_BALL_SIZE} vertices$"
+        with pytest.raises(CapacityError, match=message):
+            ball(identity(12), 5, GeneratorSet.all_transpositions(12))
+
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             ball(identity(3), 1, GeneratorSet.all_transpositions(4))
@@ -339,6 +355,22 @@ class TestOverlapMaxima:
             for s, want in formulas.bubble_star_sphere_overlaps(kind, n).items():
                 if want is not None:
                     assert max_ball_intersection_at(g, 2, s).value == want, (n, s)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_orbit_scan_matches_full_scan(self, kind):
+        # values and witnesses, order included, as a scan of every vertex
+        for n in range(2, 9):
+            g = GeneratorSet.of_kind(kind, n)
+            for r in (1, 2, 3):
+                got = tuple(max_ball_intersection_at(g, r, s) for s in range(1, 2 * r + 1))
+                assert got == oracles.full_overlap_scan(g, r), (n, r)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scan_reads_only_the_radius_r_ball(self, kind):
+        g = GeneratorSet.of_kind(kind, 6)
+        clear_ball_memo()
+        max_ball_intersection(g, 2)
+        assert list(cayley._ball_memo) == [(g, 2)]
 
     def test_absent_sphere_reports_none(self):
         g = GeneratorSet.all_transpositions(3)  # diameter 2

@@ -91,6 +91,9 @@ GOLDEN_CASES = {
     "graph_import_cycle12": ["graph-import", "--edges", "{dir}/cycle12.edges", "--r", "2"],
     # degrees past the whole-graph cap, whose diameters come from the formula
     "report_T9_10": ["report", "--graph", "T", "--n", "9", "10", "--r", "1"],
+    # prefix swaps at r=3: about 10^5 vertices lie at distance 1..6, and
+    # the overlap scan reads one per orbit
+    "report_st10_r3": ["report", "--graph", "st", "--n", "10", "--r", "3"],
 }
 # the csv and pretty formats, pinned as .txt goldens
 GOLDEN_CASES.update(
