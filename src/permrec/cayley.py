@@ -28,22 +28,25 @@ the identity; the engine leans on this throughout.
 * each generator is a transposition, an odd permutation, so every edge
   flips the sign and no cycle has odd length: :func:`girth_cycle_check`
   answers odd lengths without a search;
-* the overlap scans read the radius-r ball alone.  They scan one vertex
-  per orbit of the automorphisms that fix the identity, so the sphere a
-  scan covers is never walked: the conjugacy classes for all
-  transpositions, the cycle types with the length of the cycle through 0
-  for prefix swaps (Akers and Krishnamurthy's automorphisms of the star
-  graph), and for adjacent swaps the orbits of reversal conjugation and
-  inversion on the sphere, enumerated from inversion tables (Knuth, TAOCP
-  vol. 3, 5.1.1).
+* the overlap scans build no ball but the radius-r one.  They scan one
+  vertex per orbit of the automorphisms that fix the identity: the
+  conjugacy classes for all transpositions and, for prefix swaps, the
+  cycle types with the length of the cycle through 0 (Akers and
+  Krishnamurthy's automorphisms of the star graph), neither of which
+  enumerates a sphere; for adjacent swaps, the orbits of reversal
+  conjugation and inversion on the sphere, which is enumerated from
+  inversion tables (Knuth, TAOCP vol. 3, 5.1.1) without a walk.
 
-The capacity caps are module constants: ``MAX_BALL_SIZE`` vertices in a
-ball, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
+The capacity caps are module constants: ``MAX_BALL_SIZE`` vertices held
+at once, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
 ``MAX_CYCLE_SEARCH`` estimated paths for a cycle search.  Exceeding one
 raises ``CapacityError`` instead of thrashing.  Every check reads the
-constant when it runs, and the ball check runs before the walk, on sphere
-sizes by closed form: class sizes, orbit sizes and the Mahonian numbers.  Since the caps never vary, one memo entry per
-(generator set, radius) serves every call.  Radii are capped at the
+constant when it runs, before the work it guards, on sizes by closed
+form: a ball's sphere sizes (class sizes, orbit sizes and the Mahonian
+numbers) before the walk, every adjacent-swap sphere up to 2r before an
+overlap scan at radius r, and the attaining orbits' sizes before a scan
+expands them into witnesses.  Since the caps never vary, one memo entry
+per (generator set, radius) serves every call.  Radii are capped at the
 diameter, past which every ball is the whole group: :func:`ball_radius`
 is the one radius at which a ball or an overlap profile is built,
 memoized and cached.
@@ -76,7 +79,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 from math import comb, factorial
 
 from .errors import CapacityError
@@ -85,7 +88,6 @@ from .perms import (
     IDENT,
     MAX_DEGREE,
     Perm,
-    CycleType,
     class_representative,
     compose,
     conjugacy_class_size,
@@ -168,53 +170,40 @@ def _star_orbits(n: int) -> tuple[tuple[int, bytes, int], ...]:
 
 def _star_orbit(y: bytes) -> list[bytes]:
     """Every vertex with y's cycle type and y's length of the cycle through
-    0: the cycle through 0 in every order of every choice of its other
-    points, times every arrangement of the other cycles on the rest."""
-    n = len(y)
-    through_zero, *others = cycles(unpack(y))
-    rest_counts = [0] * (n - len(through_zero))
-    for cyc in others:
-        rest_counts[len(cyc) - 1] += 1
-    rest_class = list(iter_class(CycleType(tuple(rest_counts)))) if others else [()]
-    out = []
-    for chain in permutations(range(1, n), len(through_zero) - 1):
-        chain = (0, *chain)
-        rest = [v for v in range(n) if v not in chain]
-        p = [0] * n
-        for a, b in zip(chain, chain[1:] + chain[:1]):
-            p[a] = b
-        for q in rest_class:
-            for i, v in zip(rest, q):
-                p[i] = rest[v]
-            out.append(bytes(p))
-    return out
+    0."""
+    return list(map(pack, iter_class(cycle_type(y), first=len(cycles(y)[0]))))
 
 
 def _inversion_sphere(n: int, s: int) -> list[bytes]:
     """The packed permutations of degree n with s inversions, from their
     inversion tables: symbol m-1 placed with c of the symbols below it
-    after it adds c inversions to a permutation of those symbols."""
-    by_count = [[b""]] + [[] for _ in range(s)]
+    after it adds c inversions to a permutation of those symbols.  The
+    symbols m..n-1 add at most (n(n-1) - m(m-1))/2 more, so only counts
+    that can still reach s are kept, and each step holds at most as many
+    permutations as the sphere."""
+    by_count = {0: [b""]}
     for m in range(1, n + 1):
         top = bytes([m - 1])
+        low = s - (n * (n - 1) - m * (m - 1)) // 2
         # at position k, m-1 has m-1-k smaller symbols after it
-        by_count = [
-            [q[:k] + top + q[k:] for k in range(max(0, m - 1 - t), m)
-             for q in by_count[t - (m - 1 - k)]]
-            for t in range(s + 1)
-        ]
-    return by_count[s]
+        by_count = {
+            t: [q[:k] + top + q[k:] for k in range(max(0, m - 1 - t), m)
+                for q in by_count.get(t - (m - 1 - k), ())]
+            for t in range(max(0, low), s + 1)
+        }
+    return by_count.get(s, [])
 
 
-def _reversal_representatives(n: int, s: int) -> list[bytes]:
+def _reversal_representatives(n: int, s: int) -> list[tuple[bytes, int]]:
     """The first vertex met of each :func:`_reversal_orbit` on the
-    adjacent-swap sphere s."""
+    adjacent-swap sphere s, with the orbit's size."""
     seen: set[bytes] = set()
     reps = []
     for y in _inversion_sphere(n, s):
         if y not in seen:
-            reps.append(y)
-            seen |= _reversal_orbit(y)
+            orbit = _reversal_orbit(y)
+            reps.append((y, len(orbit)))
+            seen |= orbit
     return reps
 
 
@@ -227,22 +216,30 @@ def _reversal_orbit(y: bytes) -> set[bytes]:
 
 
 # Each family's overlap candidates at distance s from the identity, one per
-# orbit of automorphisms that fix it (see max_ball_intersection_at), and
-# the witnesses an attaining candidate expands to.  All transpositions name
-# a witness by its class, so a class representative stands for itself.
+# orbit of automorphisms that fix it (see max_ball_intersection_at), each
+# with the number of witnesses it expands to, and that expansion.  All
+# transpositions name a witness by its class, so a class representative
+# stands for itself.
 _ORBITS = {
     KIND_ALL: (
         lambda n, s: [
-            pack(class_representative(ct)) for ct in cycle_types(n) if ct.min_transpositions == s
+            (pack(class_representative(ct)), 1)
+            for ct in cycle_types(n) if ct.min_transpositions == s
         ],
         lambda y: (y,),
     ),
     KIND_ADJACENT: (_reversal_representatives, _reversal_orbit),
     KIND_PREFIX: (
-        lambda n, s: [y for d, y, _ in _star_orbits(n) if d == s],
+        lambda n, s: [(y, size) for d, y, size in _star_orbits(n) if d == s],
         _star_orbit,
     ),
 }
+
+
+def _check_capacity(size: int, what: str) -> None:
+    """Refuse to hold ``size`` vertices past ``MAX_BALL_SIZE``."""
+    if size > MAX_BALL_SIZE:
+        raise CapacityError(f"{what} exceeds budget of {MAX_BALL_SIZE} vertices")
 
 
 def _tally(sized) -> tuple[int, ...]:
@@ -389,8 +386,7 @@ def ball(center: Perm, radius: int, gen: GeneratorSet) -> MetricBall:
     :func:`ball_radius`."""
     radius = ball_radius(gen, radius)
     _check_vertex(center, gen)
-    if sum(_SPHERE_SIZES[gen.kind](gen.n)[:radius + 1]) > MAX_BALL_SIZE:
-        raise CapacityError(f"ball exceeds budget of {MAX_BALL_SIZE} vertices")
+    _check_capacity(sum(_SPHERE_SIZES[gen.kind](gen.n)[:radius + 1]), "ball")
     spheres = tuple(map(frozenset, islice(_levels(center, gen), radius + 1)))
     return MetricBall(gen, center, radius, spheres)
 
@@ -559,20 +555,29 @@ def max_ball_intersection_at(
 
     The witnesses are one representative per attaining class, in
     ``perms.cycle_types`` order, for all transpositions, and every vertex
-    of the attaining orbits, sorted, otherwise.
+    of the attaining orbits, sorted, otherwise.  ``CapacityError`` is
+    raised before an adjacent-swap scan if any sphere it or a sibling scan
+    at radius r enumerates is past ``MAX_BALL_SIZE``, and before any scan
+    expands attaining orbits that hold more vertices than that.
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
     if not 1 <= s <= 2 * r:
         raise ValueError(f"need 1 <= s <= 2r, got s={s}, r={r}")
     members = ball_of_identity(gen, r).packed
+    if gen.kind == KIND_ADJACENT:
+        # the scans at radius r enumerate spheres 1..2r; refuse before any
+        for d, size in enumerate(_SPHERE_SIZES[KIND_ADJACENT](gen.n)[1:2 * r + 1], 1):
+            _check_capacity(size, f"sphere {d}")
     representatives, orbit = _ORBITS[gen.kind]
     cands = representatives(gen.n, s)
     if not cands:
         return SphereMax(s, None, ())
-    counts = run_mapped(partial(_overlap_count, members), cands, workers)
+    counts = run_mapped(partial(_overlap_count, members), [y for y, _ in cands], workers)
     best = max(counts)
-    wits = [v for y, c in zip(cands, counts) if c == best for v in orbit(y)]
+    attaining = [(y, size) for (y, size), c in zip(cands, counts) if c == best]
+    _check_capacity(sum(size for _, size in attaining), f"witnesses at distance {s}")
+    wits = [v for y, _ in attaining for v in orbit(y)]
     if gen.kind != KIND_ALL:
         wits.sort()
     return SphereMax(s, best, tuple(map(unpack, wits)))

@@ -280,22 +280,23 @@ def enumerate_class(ct: CycleType) -> frozenset[Perm]:
     return frozenset(iter_class(ct))
 
 
-def iter_class(ct: CycleType):
+def iter_class(ct: CycleType, first: int | None = None):
     """Yield the members of a conjugacy class one at a time.
 
     Cycles are anchored at the least unused symbol, so every permutation is
-    produced exactly once even when several cycles share a length.
+    produced exactly once even when several cycles share a length.  With
+    ``first``, only the members whose cycle through 0 has that length.
     """
     n = ct.degree
     image = [-1] * n
     lengths = [j for j in range(1, n + 1) if ct.counts[j - 1]]
 
-    def build(remaining: tuple[int, ...], counts_left: list[int]):
+    def build(remaining: tuple[int, ...], counts_left: list[int], choices: list[int]):
         if not remaining:
             yield tuple(image)
             return
         anchor, rest = remaining[0], remaining[1:]
-        for j in lengths:
+        for j in choices:
             if counts_left[j - 1] == 0:
                 continue
             counts_left[j - 1] -= 1
@@ -306,11 +307,11 @@ def iter_class(ct: CycleType):
                 image[chain[-1]] = anchor
                 chosen = set(others)
                 yield from build(
-                    tuple(v for v in rest if v not in chosen), counts_left
+                    tuple(v for v in rest if v not in chosen), counts_left, lengths
                 )
             counts_left[j - 1] += 1
 
-    yield from build(tuple(range(n)), list(ct.counts))
+    yield from build(tuple(range(n)), list(ct.counts), lengths if first is None else [first])
 
 
 def rank(p: Perm) -> int:

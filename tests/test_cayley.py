@@ -372,6 +372,48 @@ class TestOverlapMaxima:
         max_ball_intersection(g, 2)
         assert list(cayley._ball_memo) == [(g, 2)]
 
+    def test_adjacent_scan_refuses_a_sphere_past_the_cap(self, monkeypatch):
+        # t n=6: B_2 has 1+5+14 = 20 vertices, sphere 3 has 29
+        g = GeneratorSet.adjacent(6)
+        clear_ball_memo()
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", 28)
+
+        def no_enumeration(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(cayley, "_inversion_sphere", no_enumeration)
+        message = "^sphere 3 exceeds budget of 28 vertices$"
+        with pytest.raises(CapacityError, match=message):
+            max_ball_intersection(g, 2)
+        # every scan at radius 2 refuses, the one at s=1 included
+        with pytest.raises(CapacityError, match=message):
+            max_ball_intersection_at(g, 2, 1)
+        assert list(cayley._ball_memo) == [(g, 2)]
+
+    def test_prefix_scan_refuses_witnesses_past_the_cap(self, monkeypatch):
+        # st n=7: B_2 has 37 vertices; 30 attain at s=2 and 60 at s=4
+        g = GeneratorSet.prefix(7)
+        want = max_ball_intersection_at(g, 2, 2)
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", 40)
+        assert max_ball_intersection_at(g, 2, 2) == want
+        assert len(want.witnesses) == 30
+
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("expanded")
+
+        monkeypatch.setattr(cayley, "iter_class", no_expansion)
+        with pytest.raises(CapacityError, match="^witnesses at distance 4 exceeds budget of 40 vertices$"):
+            max_ball_intersection_at(g, 2, 4)
+
+    def test_large_adjacent_radius_refused_at_once(self):
+        # t n=12: B_9 is under the cap, sphere 17 is past it; only B_9 is
+        # built before the refusal
+        g = GeneratorSet.adjacent(12)
+        clear_ball_memo()
+        with pytest.raises(CapacityError, match="^sphere 17 exceeds"):
+            max_ball_intersection(g, 9)
+        assert list(cayley._ball_memo) == [(g, 9)]
+
     def test_absent_sphere_reports_none(self):
         g = GeneratorSet.all_transpositions(3)  # diameter 2
         sm = max_ball_intersection_at(g, 2, 4)
