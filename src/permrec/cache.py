@@ -5,38 +5,45 @@ maximum, one more than which is the number of patterns that pins down the
 source.  Both are cached per (generator family, degree, radius) in one
 directory.
 
-Ball files, ``ball_<kind>_n<n>_r<radius>.bin`` (little-endian):
+Both kinds of file hold the same record layout (little-endian):
 
-    magic   4s   b"PBAL"
-    version H    format version (currently 2)
-    kind    B    0 = all transpositions, 1 = adjacent, 2 = prefix
-    n       B    degree
-    radius  B    ``cayley.ball_radius`` of the request, so one file serves
-                 every radius at or past the diameter
-    spheres B    number of stored spheres, exactly radius+1
-    then per sphere:  count I, then count n-byte records, sorted ascending
+    magic    4s   b"PBAL" for a ball, b"POVL" for an overlap maximum
+    version  H    format version (currently 3)
+    kind     B    0 = all transpositions, 1 = adjacent, 2 = prefix
+    n        B    degree
+    radius   B    ``cayley.ball_radius`` of the request, so one file serves
+                  every radius at or past the diameter
+    sections B    number of sections: radius+1 for a ball, 2*radius for an
+                  overlap maximum
+    then per section:  value i, count I, then count n-byte records
 
 A record is a vertex in the packed form of ``perms`` (byte i is p(i)), so
-loading slices the file into the ball's packed spheres and never converts
-a vertex.  ``load_ball`` rejects a file whose header does not match the
-request, that is truncated or has trailing bytes, whose records in a
-sphere are unsorted or repeated, or that holds a record which is not a
-permutation of 0..n-1.  It also rejects a file whose spheres hold more than
-``cayley.MAX_BALL_SIZE`` vertices, so the caller recomputes the ball and
-meets the same ``CapacityError`` as a run without the cache.  Version 1
-files, which stored lexicographic ranks, fail the version check.
+loading slices the file into one set per section and converts no ball
+vertex.  A value of -1 means absent.
 
-Overlap files, ``overlap_<kind>_n<n>_r<radius>.json``, hold one JSON
-object: the format name and version (currently 3), the request (kind, n,
-radius, capped as for balls), and per center distance s = 1..2r an entry
-``[s, value, hex]``: the maximum, null beyond the diameter, and the
-lowercase hex of its witnesses' records in scan order (the first is the
-vertex ``channel.ambiguity_witness`` uses).  ``load_overlap`` rejects a
-file that does not parse, does not match the request or does not have
-that shape, a field that is not lowercase hex of whole records, a
-repeated record, a null value with records or the reverse, and, by one
-``perms.all_permutations`` call over the whole file, a non-permutation.
-Versions 1 and 2, which stored text labels, fail the version check.
+* Ball files, ``ball_<kind>_n<n>_r<radius>.bin``: one section per sphere
+  d = 0..radius, whose value is d and whose records are the sphere's
+  vertices, sorted ascending.
+* Overlap files, ``overlap_<kind>_n<n>_r<radius>.bin``: one section per
+  center distance s = 1..2*radius, whose value is the maximum overlap at s
+  (absent beyond the diameter) and whose records are its witnesses, one
+  vertex per attaining orbit in scan order, as
+  ``cayley.max_ball_intersection_at`` keeps them.
+
+One reader serves both loaders.  It rejects a file whose magic, version or
+request (kind, degree, radius, section count) does not match, that is
+truncated or has trailing bytes, that holds more than
+``cayley.MAX_BALL_SIZE`` records (so the caller recomputes and meets the
+same ``CapacityError`` as a run without the cache), that repeats a record
+within a section, whose value is absent while its section holds records or
+the reverse, or that holds a record which is not a permutation of 0..n-1,
+by one ``perms.all_permutations`` call over the whole file.
+``load_ball`` also rejects a sphere whose value is not its distance or
+whose records are unsorted; ``load_overlap`` rejects a file with no value
+at all.  Older files fail these checks and are rewritten: version 1 and 2
+ball files, which stored ranks or had no per-sphere value, fail the
+version check.  The JSON overlap files of earlier versions had another
+name and are never read.
 
 The cache is an optimization: a missing, mismatched or malformed file is
 reported via CacheError and callers recompute and rewrite it.  The checks
@@ -50,11 +57,9 @@ directory never read a half-written file.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 from . import cayley
@@ -71,15 +76,15 @@ from .cayley import (
     prime_overlap,
 )
 from .errors import CacheError
-from .perms import all_permutations, identity
+from .perms import all_permutations, identity, pack, unpack
 
-_MAGIC = b"PBAL"
-_VERSION = 2
+_BALL_MAGIC = b"PBAL"
+_OVERLAP_MAGIC = b"POVL"
+_VERSION = 3
 _HEADER = struct.Struct("<4sHBBBB")
-_COUNT = struct.Struct("<I")
+_SECTION = struct.Struct("<iI")
+_ABSENT = -1
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
-_OVERLAP_FORMAT = "permrec-overlap"
-_OVERLAP_VERSION = 3
 
 
 def cache_path(root: Path, gen: GeneratorSet, radius: int) -> Path:
@@ -87,7 +92,7 @@ def cache_path(root: Path, gen: GeneratorSet, radius: int) -> Path:
 
 
 def overlap_path(root: Path, gen: GeneratorSet, radius: int) -> Path:
-    return Path(root) / f"overlap_{gen.kind}_n{gen.n}_r{radius}.json"
+    return Path(root) / f"overlap_{gen.kind}_n{gen.n}_r{radius}.bin"
 
 
 def write_atomically(path: Path, chunks) -> None:
@@ -112,74 +117,78 @@ def _read(path: Path) -> bytes:
         raise CacheError(f"cannot read cache file {path}: {exc}")
 
 
-def save_ball(path: Path, ball: MetricBall) -> None:
-    if ball.center != identity(ball.gen.n):
-        raise CacheError("only identity-centered balls are cacheable")
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        _KIND_CODES[ball.gen.kind],
-        ball.gen.n,
-        ball.radius,
-        len(ball.packed_spheres),
-    )
+def _save(path: Path, magic: bytes, gen: GeneratorSet, radius: int, sections) -> None:
+    """Write a record file holding ``sections``, a list of (value, records)."""
 
     def chunks():
-        yield header
-        for sph in ball.packed_spheres:
-            yield _COUNT.pack(len(sph))
-            yield b"".join(sorted(sph))
+        yield _HEADER.pack(magic, _VERSION, _KIND_CODES[gen.kind], gen.n, radius, len(sections))
+        for value, records in sections:
+            yield _SECTION.pack(_ABSENT if value is None else value, len(records))
+            yield b"".join(records)
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_atomically(path, chunks())
 
 
-def load_ball(path: Path, gen: GeneratorSet, radius: int) -> MetricBall:
-    """The ball stored in ``path``, checked for format and permutation
-    validity as the module docstring lists, not for membership in the ball."""
+def _load(path: Path, magic: bytes, gen: GeneratorSet, radius: int, sections: int):
+    """(value, records in file order, set of records) for each section of
+    the record file at ``path``, checked as the module docstring lists."""
     path = Path(path)
     blob = _read(path)
     if len(blob) < _HEADER.size:
         raise CacheError(f"cache file {path} is truncated")
-    magic, version, kind_code, n, stored_radius, sphere_count = _HEADER.unpack_from(
-        blob
-    )
-    if magic != _MAGIC or version != _VERSION:
+    got_magic, version, *request = _HEADER.unpack_from(blob)
+    if got_magic != magic or version != _VERSION:
         raise CacheError(f"cache file {path} has wrong magic/version")
-    if kind_code != _KIND_CODES[gen.kind] or n != gen.n or stored_radius != radius:
+    if request != [_KIND_CODES[gen.kind], gen.n, radius, sections]:
         raise CacheError(f"cache file {path} does not match the request")
-    if sphere_count != radius + 1:
-        raise CacheError(f"cache file {path} has {sphere_count} spheres")
+    n = gen.n
     record = struct.Struct(f"{n}s")
-    offset = _HEADER.size
-    spheres = []
-    size = 0
-    for _ in range(sphere_count):
-        if offset + _COUNT.size > len(blob):
+    offset, size, out, chunks = _HEADER.size, 0, [], []
+    for _ in range(sections):
+        if offset + _SECTION.size > len(blob):
             raise CacheError(f"cache file {path} is truncated")
-        (count,) = _COUNT.unpack_from(blob, offset)
-        offset += _COUNT.size
+        value, count = _SECTION.unpack_from(blob, offset)
+        offset += _SECTION.size
         size += count
         if size > cayley.MAX_BALL_SIZE:
-            raise CacheError(
-                f"cache file {path} holds more than {cayley.MAX_BALL_SIZE} vertices"
-            )
+            raise CacheError(f"cache file {path} holds over {cayley.MAX_BALL_SIZE} vertices")
         end = offset + n * count
         if end > len(blob):
             raise CacheError(f"cache file {path} is truncated")
-        data = blob[offset:end]
+        chunks.append(blob[offset:end])
         offset = end
-        records = [rec for (rec,) in record.iter_unpack(data)]
-        sph = frozenset(records)
-        if len(sph) != count or records != sorted(records):
-            raise CacheError(f"cache file {path} has unsorted or repeated records")
-        if not all_permutations(data, n):
-            raise CacheError(f"cache file {path} holds a non-permutation")
-        spheres.append(sph)
+        records = [rec for (rec,) in record.iter_unpack(chunks[-1])]
+        members = frozenset(records)
+        if len(members) != count:
+            raise CacheError(f"cache file {path} has repeated records")
+        if value < _ABSENT or (value == _ABSENT) != (count == 0):
+            raise CacheError(f"cache file {path} has a value that does not fit its records")
+        out.append((None if value == _ABSENT else value, records, members))
     if offset != len(blob):
         raise CacheError(f"cache file {path} has trailing bytes")
-    return MetricBall(gen, identity(n), radius, tuple(spheres))
+    # one check over the whole file: each call compares n(n-1)/2 columns
+    if not all_permutations(b"".join(chunks), n):
+        raise CacheError(f"cache file {path} holds a non-permutation")
+    return out
+
+
+def save_ball(path: Path, ball: MetricBall) -> None:
+    if ball.center != identity(ball.gen.n):
+        raise CacheError("only identity-centered balls are cacheable")
+    spheres = [(d, sorted(sph)) for d, sph in enumerate(ball.packed_spheres)]
+    _save(path, _BALL_MAGIC, ball.gen, ball.radius, spheres)
+
+
+def load_ball(path: Path, gen: GeneratorSet, radius: int) -> MetricBall:
+    """The ball stored in ``path``, checked for format and permutation
+    validity as the module docstring lists, not for membership in the ball."""
+    spheres = _load(path, _BALL_MAGIC, gen, radius, radius + 1)
+    for d, (value, records, _) in enumerate(spheres):
+        if value != d or records != sorted(records):
+            raise CacheError(f"cache file {path} has a misplaced or unsorted sphere")
+    return MetricBall(gen, identity(gen.n), radius, tuple(sph for _, _, sph in spheres))
 
 
 def ball_of_identity_cached(
@@ -213,57 +222,22 @@ def _load_or_compute(path, gen, radius, load, compute, save, prime):
 
 
 def save_overlap(path: Path, gen: GeneratorSet, best: IntersectionMax) -> None:
-    doc = {
-        "format": _OVERLAP_FORMAT,
-        "version": _OVERLAP_VERSION,
-        "kind": gen.kind,
-        "n": gen.n,
-        "radius": best.radius,
-        "per_s": [[sm.s, sm.value, bytes(chain(*sm.witnesses)).hex()] for sm in best.per_s],
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomically(path, [json.dumps(doc).encode()])
-
-
-def _sphere_max(s: int, entry, n: int) -> tuple[SphereMax, bytes]:
-    """The SphereMax a per-s entry of an overlap file describes, with its
-    records unchecked for permutations; ValueError if it is malformed."""
-    got_s, value, field = entry
-    data = bytes.fromhex(field)
-    witnesses = tuple(struct.iter_unpack(f"{n}B", data))  # struct.error unless whole records
-    valid = (
-        type(got_s) is int
-        and got_s == s
-        and data.hex() == field
-        and len(set(witnesses)) == len(witnesses)
-        and (value is None) == (not witnesses)
-        and (value is None or type(value) is int and value >= 0)
-    )
-    if not valid:
-        raise ValueError(f"bad entry for s={s}")
-    return SphereMax(s, value, witnesses), data
+    per_s = [(sm.value, list(map(pack, sm.witnesses))) for sm in best.per_s]
+    _save(path, _OVERLAP_MAGIC, gen, best.radius, per_s)
 
 
 def load_overlap(path: Path, gen: GeneratorSet, radius: int) -> IntersectionMax:
-    """The overlap maximum stored in ``path``."""
-    path = Path(path)
-    try:
-        doc = json.loads(_read(path))
-        request = (doc["format"], doc["version"], doc["kind"], doc["n"], doc["radius"])
-        if request != (_OVERLAP_FORMAT, _OVERLAP_VERSION, gen.kind, gen.n, radius):
-            raise CacheError(f"cache file {path} does not match the request")
-        entries = doc["per_s"]
-        if len(entries) != 2 * radius:
-            raise ValueError("bad entry count")
-        per_s, records = zip(*(_sphere_max(s, e, gen.n) for s, e in enumerate(entries, 1)))
-        # one check over the whole file: each call compares n(n-1)/2 columns
-        if not all_permutations(b"".join(records), gen.n):
-            raise ValueError("a witness is not a permutation")
-        value = max(sm.value for sm in per_s if sm.value is not None)
-    except (ValueError, TypeError, KeyError, struct.error) as exc:
-        raise CacheError(f"cache file {path} is malformed: {exc}")
-    return IntersectionMax(radius, value, per_s)
+    """The overlap maximum stored in ``path``, checked as the module
+    docstring lists."""
+    sections = _load(path, _OVERLAP_MAGIC, gen, radius, 2 * radius)
+    per_s = tuple(
+        SphereMax(s, value, tuple(map(unpack, records)))
+        for s, (value, records, _) in enumerate(sections, 1)
+    )
+    values = [value for value, _, _ in sections if value is not None]
+    if not values:
+        raise CacheError(f"cache file {path} holds no maximum")
+    return IntersectionMax(radius, max(values), per_s)
 
 
 def overlap_of_identity_cached(

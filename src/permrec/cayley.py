@@ -44,12 +44,12 @@ raises ``CapacityError`` instead of thrashing.  Every check reads the
 constant when it runs, before the work it guards, on sizes by closed
 form: a ball's sphere sizes (class sizes, orbit sizes and the Mahonian
 numbers) before the walk, every adjacent-swap sphere up to 2r before an
-overlap scan at radius r, and the attaining orbits' sizes before a scan
-expands them into witnesses.  Since the caps never vary, one memo entry
-per (generator set, radius) serves every call.  Radii are capped at the
-diameter, past which every ball is the whole group: :func:`ball_radius`
-is the one radius at which a ball or an overlap profile is built,
-memoized and cached.
+overlap scan at radius r, and the witnesses' orbit sizes before
+:func:`witness_vertices` expands them.  Since the caps never vary, one
+memo entry per (generator set, radius) serves every call.  Radii are
+capped at the diameter, past which every ball is the whole group:
+:func:`ball_radius` is the one radius at which a ball or an overlap
+profile is built, memoized and cached.
 
 Every public function takes and returns permutation tuples; the
 expansion and the overlap scans run on the packed form of ``perms``
@@ -66,12 +66,14 @@ caller in the package reads :func:`overlap_of_identity`, the same answer
 memoized per (generator set, ball radius), as :func:`ball_of_identity`
 memoizes :func:`ball`.
 
-The overlap witnesses are vertices: a scan keeps its attaining class
-representatives, or every vertex of its attaining orbits, as permutation
-tuples, the disk cache stores them packed, and the decoder translates by
-one directly.  :func:`witness_label` names a witness only where text is
-written (the conjugacy class for all transpositions, the vertex
-otherwise); nothing reads a label back.
+The overlap witnesses are vertices: a scan keeps one representative per
+attaining orbit, in scan order, as a permutation tuple, and the disk cache
+stores them packed.  Only where a witness is printed or used
+(``GraphReport.to_doc``, ``channel.ambiguity_witness``) does
+:func:`witness_vertices` expand them into the vertices they stand for, and
+only at the distances that attain the maximum.  :func:`witness_label` names
+a vertex where text is written (the conjugacy class for all
+transpositions, the vertex otherwise); nothing reads a label back.
 """
 
 from __future__ import annotations
@@ -145,13 +147,12 @@ _DIAMETER = {
 
 
 @cache
-def _star_orbits(n: int) -> tuple[tuple[int, bytes, int], ...]:
-    """(distance, representative, size) for each orbit of S_n under
+def _star_orbits(n: int) -> tuple[tuple[int, bytes], ...]:
+    """(distance, representative) for each orbit of S_n under
     conjugation by the permutations fixing 0, which map the prefix swaps
     onto themselves.  An orbit is a cycle type with the length L of the
     cycle through 0; its representative has that cycle on 0..L-1 and the
-    others on consecutive blocks after it, and it holds the fraction
-    L*h_L/n of its class, h_L being the number of L-cycles."""
+    others on consecutive blocks after it."""
     out = []
     for ct in cycle_types(n):
         lengths = [j for j in range(n, 0, -1) for _ in range(ct.counts[j - 1])]
@@ -163,9 +164,16 @@ def _star_orbits(n: int) -> tuple[tuple[int, bytes, int], ...]:
                 start = len(y)
                 y += range(start + 1, start + j)
                 y.append(start)
-            size = conjugacy_class_size(ct) * length * ct.counts[length - 1] // n
-            out.append((_DISTANCE[KIND_PREFIX](y), bytes(y), size))
+            out.append((_DISTANCE[KIND_PREFIX](y), bytes(y)))
     return tuple(out)
+
+
+def _star_orbit_size(y: bytes) -> int:
+    """The number of vertices with y's cycle type and y's length L of the
+    cycle through 0: L*h_L/n of the class, h_L being the number of
+    L-cycles."""
+    ct, length = cycle_type(y), len(cycles(y)[0])
+    return conjugacy_class_size(ct) * length * ct.counts[length - 1] // len(y)
 
 
 def _star_orbit(y: bytes) -> list[bytes]:
@@ -194,16 +202,15 @@ def _inversion_sphere(n: int, s: int) -> list[bytes]:
     return by_count.get(s, [])
 
 
-def _reversal_representatives(n: int, s: int) -> list[tuple[bytes, int]]:
+def _reversal_representatives(n: int, s: int) -> list[bytes]:
     """The first vertex met of each :func:`_reversal_orbit` on the
-    adjacent-swap sphere s, with the orbit's size."""
+    adjacent-swap sphere s."""
     seen: set[bytes] = set()
     reps = []
     for y in _inversion_sphere(n, s):
         if y not in seen:
-            orbit = _reversal_orbit(y)
-            reps.append((y, len(orbit)))
-            seen |= orbit
+            reps.append(y)
+            seen |= _reversal_orbit(y)
     return reps
 
 
@@ -216,21 +223,25 @@ def _reversal_orbit(y: bytes) -> set[bytes]:
 
 
 # Each family's overlap candidates at distance s from the identity, one per
-# orbit of automorphisms that fix it (see max_ball_intersection_at), each
-# with the number of witnesses it expands to, and that expansion.  All
-# transpositions name a witness by its class, so a class representative
-# stands for itself.
+# orbit of automorphisms that fix it (see max_ball_intersection_at), then
+# the size of a candidate's orbit and the orbit itself, as
+# witness_vertices expands it.  All transpositions name a witness by its
+# class, so a class representative stands for itself.
 _ORBITS = {
     KIND_ALL: (
         lambda n, s: [
-            (pack(class_representative(ct)), 1)
-            for ct in cycle_types(n) if ct.min_transpositions == s
+            pack(class_representative(ct)) for ct in cycle_types(n)
+            if ct.min_transpositions == s
         ],
+        lambda y: 1,
         lambda y: (y,),
     ),
-    KIND_ADJACENT: (_reversal_representatives, _reversal_orbit),
+    KIND_ADJACENT: (
+        _reversal_representatives, lambda y: len(_reversal_orbit(y)), _reversal_orbit,
+    ),
     KIND_PREFIX: (
-        lambda n, s: [(y, size) for d, y, size in _star_orbits(n) if d == s],
+        lambda n, s: [y for d, y in _star_orbits(n) if d == s],
+        _star_orbit_size,
         _star_orbit,
     ),
 }
@@ -267,7 +278,7 @@ _SPHERE_SIZES = {
         (ct.min_transpositions, conjugacy_class_size(ct)) for ct in cycle_types(n)
     )),
     KIND_ADJACENT: cache(_mahonian),
-    KIND_PREFIX: cache(lambda n: _tally((d, size) for d, _, size in _star_orbits(n))),
+    KIND_PREFIX: cache(lambda n: _tally((d, _star_orbit_size(y)) for d, y in _star_orbits(n))),
 }
 
 
@@ -484,11 +495,10 @@ class SphereMax:
     """Largest r-ball overlap over center pairs at one distance s.
 
     ``value`` is None when the sphere is empty (s beyond the diameter), which
-    is reported as absent rather than zero.  ``witnesses`` holds the
-    attaining vertices.  A Cayley-graph scan stores them
-    as permutation tuples: one class representative per attaining class, in
-    ``perms.cycle_types`` order, for all transpositions, and the attaining
-    sphere vertices in sorted order otherwise.  A small-graph report
+    is reported as absent rather than zero.  A Cayley-graph scan stores in
+    ``witnesses`` one permutation tuple per attaining orbit, in scan order
+    (see :func:`max_ball_intersection_at`); :func:`witness_vertices` gives
+    every attaining vertex they stand for.  A small-graph report
     (``smallgraphs``) stores its ``"u-w"`` pair labels, already output text.
     """
 
@@ -553,12 +563,14 @@ def max_ball_intersection_at(
       orbit holds at most four vertices of the sphere, which is enumerated
       from inversion tables.
 
-    The witnesses are one representative per attaining class, in
-    ``perms.cycle_types`` order, for all transpositions, and every vertex
-    of the attaining orbits, sorted, otherwise.  ``CapacityError`` is
-    raised before an adjacent-swap scan if any sphere it or a sibling scan
-    at radius r enumerates is past ``MAX_BALL_SIZE``, and before any scan
-    expands attaining orbits that hold more vertices than that.
+    The witnesses are the scanned representatives that attain the
+    maximum, in scan order: ``perms.cycle_types`` order for all
+    transpositions, the prefix-swap orbits in the same order with the
+    cycle through 0 longest first, and the first vertex met of each orbit
+    in inversion-table order for adjacent swaps.  Nothing is expanded here;
+    :func:`witness_vertices` does that where a witness is used.
+    ``CapacityError`` is raised before an adjacent-swap scan if any sphere
+    it or a sibling scan at radius r enumerates is past ``MAX_BALL_SIZE``.
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
@@ -569,18 +581,28 @@ def max_ball_intersection_at(
         # the scans at radius r enumerate spheres 1..2r; refuse before any
         for d, size in enumerate(_SPHERE_SIZES[KIND_ADJACENT](gen.n)[1:2 * r + 1], 1):
             _check_capacity(size, f"sphere {d}")
-    representatives, orbit = _ORBITS[gen.kind]
-    cands = representatives(gen.n, s)
+    cands = _ORBITS[gen.kind][0](gen.n, s)
     if not cands:
         return SphereMax(s, None, ())
-    counts = run_mapped(partial(_overlap_count, members), [y for y, _ in cands], workers)
+    counts = run_mapped(partial(_overlap_count, members), cands, workers)
     best = max(counts)
-    attaining = [(y, size) for (y, size), c in zip(cands, counts) if c == best]
-    _check_capacity(sum(size for _, size in attaining), f"witnesses at distance {s}")
-    wits = [v for y, _ in attaining for v in orbit(y)]
+    return SphereMax(s, best, tuple(unpack(y) for y, c in zip(cands, counts) if c == best))
+
+
+def witness_vertices(gen: GeneratorSet, sm: SphereMax) -> tuple[Perm, ...]:
+    """Every attaining vertex the witnesses of a scan's ``sm`` stand for:
+    the class representatives themselves, in scan order, for all
+    transpositions, whose witnesses are named by class, and every vertex of
+    the witnesses' orbits, sorted, otherwise.  ``CapacityError`` is raised,
+    by the orbits' sizes and before any is expanded, if they hold more than
+    ``MAX_BALL_SIZE`` vertices."""
+    _, size, orbit = _ORBITS[gen.kind]
+    packed = list(map(pack, sm.witnesses))
+    _check_capacity(sum(map(size, packed)), f"witnesses at distance {sm.s}")
+    wits = [v for y in packed for v in orbit(y)]
     if gen.kind != KIND_ALL:
         wits.sort()
-    return SphereMax(s, best, tuple(map(unpack, wits)))
+    return tuple(map(unpack, wits))
 
 
 def max_ball_intersection(gen: GeneratorSet, r: int, workers: int = 1) -> IntersectionMax:
@@ -857,7 +879,7 @@ class GraphReport:
             "n_r": {str(im.radius): im.value for im in self.per_radius},
             "witnesses": {
                 "n_s": {
-                    str(sm.s): sorted(witness_label(gen, y) for y in sm.witnesses)
+                    str(sm.s): sorted(witness_label(gen, y) for y in witness_vertices(gen, sm))
                     for sm in final.per_s
                     if sm.value == final.value
                 }

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .cayley import GeneratorSet, ball_of_identity, overlap_of_identity
+from .cayley import GeneratorSet, ball_of_identity, overlap_of_identity, witness_vertices
 from .perms import (
     Perm,
     compose,
@@ -182,8 +182,8 @@ def ambiguity_witness(gen: GeneratorSet, r: int) -> tuple[Perm, Perm, list[Perm]
     pattern set: feeding those patterns to the reconstructor leaves both
     centers as candidates, so the threshold cannot be lowered."""
     best = overlap_of_identity(gen, r)
-    s = best.best_s[0]
-    other = best.witnesses[s][0]
+    # the first attaining vertex at the first attaining distance
+    other = witness_vertices(gen, best.per_s[best.best_s[0] - 1])[0]
     members = ball_of_identity(gen, r).packed
     shared = _survivors(members, [left_inverse_table(pack(other))], members)
     return identity(gen.n), other, list(map(unpack, sorted(shared)))

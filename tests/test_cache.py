@@ -175,17 +175,39 @@ class TestCachedAccess:
 
 
 _HEADER = struct.Struct("<4sHBBBB")
+_SECTION = struct.Struct("<iI")
 _KIND_CODES = {"T": 0, "t": 1, "st": 2}
 
 
-def ball_blob(gen, radius, spheres, version=2) -> bytes:
-    """A ball file holding ``spheres`` (lists of encoded records, in file
-    order) under a header for ``gen`` and ``radius``, with no checks."""
-    chunks = [_HEADER.pack(b"PBAL", version, _KIND_CODES[gen.kind], gen.n, radius, len(spheres))]
-    for records in spheres:
-        chunks.append(struct.pack("<I", len(records)))
+def record_blob(magic, gen, radius, sections, version=3) -> bytes:
+    """A record file holding ``sections``, (value, records) pairs in file
+    order, under a header for ``gen`` and ``radius``, with no checks.  A
+    value of None writes the count alone, as ball files of versions 1 and
+    2 did."""
+    chunks = [_HEADER.pack(magic, version, _KIND_CODES[gen.kind], gen.n, radius, len(sections))]
+    for value, records in sections:
+        count = struct.pack("<I", len(records))
+        chunks.append(count if value is None else struct.pack("<i", value) + count)
         chunks.extend(records)
     return b"".join(chunks)
+
+
+def ball_blob(gen, radius, spheres, version=3) -> bytes:
+    """A ball file holding ``spheres`` (lists of encoded records, in file
+    order), each with its distance as its value from version 3 on."""
+    values = range(len(spheres)) if version >= 3 else [None] * len(spheres)
+    return record_blob(b"PBAL", gen, radius, list(zip(values, spheres)), version)
+
+
+def read_sections(blob, n) -> list:
+    """[value, records] for each section of a well-formed record file."""
+    offset, out = _HEADER.size, []
+    for _ in range(_HEADER.unpack_from(blob)[-1]):
+        value, count = _SECTION.unpack_from(blob, offset)
+        offset += _SECTION.size
+        out.append([value, [blob[i:i + n] for i in range(offset, offset + count * n, n)]])
+        offset += count * n
+    return out
 
 
 def _resorted(records, index, bad):
@@ -335,11 +357,51 @@ class TestOverlapMemo:
         assert again == first and again is not first
 
 
+def json_overlap_doc(gen, best, version) -> bytes:
+    """``best`` in the JSON form of earlier overlap files: each entry's
+    witnesses as labels up to version 2, as the hex of their packed records
+    in version 3."""
+    per_s = [
+        [sm.s, sm.value, [cayley.witness_label(gen, y) for y in sm.witnesses] if version < 3
+         else b"".join(map(bytes, sm.witnesses)).hex()]
+        for sm in best.per_s
+    ]
+    doc = {"format": "permrec-overlap", "version": version, "kind": gen.kind, "n": gen.n,
+           "radius": best.radius, "per_s": per_s}
+    return json.dumps(doc).encode()
+
+
+# defect -> (section, edit of its value and records) in a good file of st
+# n=5 r=2: sphere d of a ball file is section d, and distance s of an
+# overlap file is section s-1, which holds one witness
+SECTION_DEFECTS = {
+    "value_type": (0, lambda value, recs: (-2, recs)),
+    "value_without_witnesses": (0, lambda value, recs: (value, [])),
+    "witnesses_without_value": (0, lambda value, recs: (-1, recs)),
+    # a record that is not a permutation: [1,1,3,4,5]
+    "bad_witness": (0, lambda value, recs: (value, [bytes([0, 0, 2, 3, 4]), *recs[1:]])),
+    # a record of degree 4: the file is one byte short of whole records
+    "short_witness": (0, lambda value, recs: (value, [recs[0][:4], *recs[1:]])),
+    "repeated_witness": (0, lambda value, recs: (value, recs + recs[:1])),
+    # a repeated symbol in the last section only, for the one permutation
+    # check over the whole file
+    "bad_last_entry": (-1, lambda value, recs: (value, [*recs[:-1], bytes([0, 1, 2, 3, 3])])),
+    "ball_absent_value": (1, lambda value, recs: (-1, recs)),
+    "ball_empty_sphere": (2, lambda value, recs: (value, [])),
+    "ball_non_permutation": (2, lambda value, recs: (value, sorted([*recs[:-1], bytes(5)]))),
+    "ball_repeated_record": (2, lambda value, recs: (value, sorted(recs + recs[:1]))),
+    "ball_unsorted": (1, lambda value, recs: (value, recs[::-1])),
+}
+
+
 class TestOverlapFile:
     @pytest.mark.parametrize("kind", ["T", "t", "st"])
     def test_first_call_writes_then_loads(self, tmp_path, kind, monkeypatch):
         g = GeneratorSet.of_kind(kind, 5)
         want = max_ball_intersection(g, 2)
+        # an overlap file of the JSON format, which is never read
+        leftover = tmp_path / f"overlap_{kind}_n5_r2.json"
+        leftover.write_bytes(json_overlap_doc(g, want, 3))
         clear_ball_memo()
         assert overlap_of_identity_cached(g, 2, tmp_path) == want
         assert load_overlap(overlap_path(tmp_path, g, 2), g, 2) == want
@@ -350,6 +412,7 @@ class TestOverlapFile:
         # the witnesses come back in scan order, as equality of the tuples checks
         assert loaded == want
         assert overlap_of_identity(g, 2) is loaded
+        assert leftover.read_bytes() == json_overlap_doc(g, want, 3)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         g = GeneratorSet.adjacent(5)
@@ -370,37 +433,31 @@ class TestOverlapFile:
         best = overlap_of_identity(g, 1)
         path = overlap_path(tmp_path, g, 1)
         save_overlap(path, g, best)
-        # s=1: the three adjacent swaps, sorted; s=2: [2,1,4,3]
-        assert json.loads(path.read_text())["per_s"] == [
-            [1, 2, "000103020002010301000203"], [2, 2, "01000302"],
-        ]
+        # s=1: one vertex per attaining orbit, [1,2,4,3] (whose orbit holds
+        # [2,1,3,4]) and [1,3,2,4]; s=2: [2,1,4,3]
+        assert path.read_bytes() == b"".join([
+            _HEADER.pack(b"POVL", 3, 1, 4, 1, 2),
+            _SECTION.pack(2, 2), bytes([0, 1, 3, 2, 0, 2, 1, 3]),
+            _SECTION.pack(2, 1), bytes([1, 0, 3, 2]),
+        ])
 
     def test_one_permutation_check_per_file(self, tmp_path, monkeypatch):
         g = GeneratorSet.prefix(5)
         best = overlap_of_identity(g, 2)
+        ball = ball_of_identity(g, 2)
         path = overlap_path(tmp_path, g, 2)
         save_overlap(path, g, best)
+        save_ball(cache_path(tmp_path, g, 2), ball)
         checked = []
         monkeypatch.setattr(
             cache, "all_permutations", lambda data, n: checked.append(data) or True
         )
         assert load_overlap(path, g, 2) == best
-        assert checked == [b"".join(
-            b"".join(map(bytes, sm.witnesses)) for sm in best.per_s
-        )]
-
-    def test_uppercase_hex_refused(self, tmp_path):
-        # at degree 11 a record holds the byte 0x0a, which the writer
-        # spells in lowercase
-        g = GeneratorSet.all_transpositions(11)
-        best = overlap_of_identity(g, 1)
-        path = overlap_path(tmp_path, g, 1)
-        save_overlap(path, g, best)
-        text = path.read_text()
-        assert "0a" in text and "0A" not in text
-        path.write_text(text.replace("0a", "0A"))
-        with pytest.raises(CacheError):
-            load_overlap(path, g, 1)
+        assert load_ball(cache_path(tmp_path, g, 2), g, 2) == ball
+        assert checked == [
+            b"".join(b"".join(map(bytes, sm.witnesses)) for sm in best.per_s),
+            b"".join(b"".join(sorted(sph)) for sph in ball.packed_spheres),
+        ]
 
     @pytest.mark.parametrize("kind", ["T", "t", "st"])
     def test_radius_past_the_diameter_shares_the_diameter_file(self, tmp_path, kind, monkeypatch):
@@ -415,82 +472,73 @@ class TestOverlapFile:
             monkeypatch.setattr(cayley, "max_ball_intersection", None)
 
     @pytest.mark.parametrize("defect", [
-        "garbage", "empty", "truncated", "not_an_object", "other_degree",
-        "other_radius", "other_kind", "wrong_version", "missing_key",
-        "entry_count", "entry_order", "value_type", "value_without_witnesses",
-        "witnesses_without_value", "bad_witness", "short_witness",
-        "integer_witness", "not_hex", "hex_with_space", "repeated_witness",
-        "bad_last_entry", "version_1", "version_2",
+        # overlap files, refused by the reader both loaders share
+        "garbage", "empty", "truncated", "truncated_section_header", "trailing_bytes",
+        "other_degree", "other_radius", "other_kind", "wrong_version", "missing_key",
+        "not_an_object", "version_1", "version_2", "json_version_3",
+        "entry_count", *[d for d in SECTION_DEFECTS if not d.startswith("ball_")],
+        # ball files
+        "ball_overlap_file", "ball_version_2", "ball_truncated_section_header",
+        "ball_trailing_bytes", *[d for d in SECTION_DEFECTS if d.startswith("ball_")],
+        "entry_order",
     ])
     def test_bad_file_recomputed_and_rewritten(self, tmp_path, defect):
         g = GeneratorSet.prefix(5)
-        want = max_ball_intersection(g, 2)
-        path = overlap_path(tmp_path, g, 2)
-        save_overlap(path, g, want)
-        doc = json.loads(path.read_text())
-        other = {"other_degree": (g.kind, 6, 2), "other_radius": (g.kind, 5, 1),
-                 "other_kind": ("t", 5, 2)}
-        if defect in other:
-            kind, n, r = other[defect]
+        ball, best = ball_of_identity(g, 2), max_ball_intersection(g, 2)
+        ball_file, overlap_file = cache_path(tmp_path, g, 2), overlap_path(tmp_path, g, 2)
+        save_ball(ball_file, ball)
+        save_overlap(overlap_file, g, best)
+        if defect.startswith("ball_") or defect == "entry_order":
+            path, other, magic, want = ball_file, overlap_file, b"PBAL", ball
+            load, cached = load_ball, ball_of_identity_cached
+        else:
+            path, other, magic, want = overlap_file, ball_file, b"POVL", best
+            load, cached = load_overlap, overlap_of_identity_cached
+        good = path.read_bytes()
+        sections = read_sections(good, g.n)
+
+        def saved_overlap(kind, n, r):
             og = GeneratorSet.of_kind(kind, n)
             save_overlap(path, og, max_ball_intersection(og, r))
-        elif defect in ("garbage", "empty", "truncated"):
-            raw = path.read_bytes()
-            path.write_bytes({"garbage": b"\x00garbage", "empty": b"",
-                              "truncated": raw[: len(raw) // 2]}[defect])
+            return path.read_bytes()
+
+        if defect in SECTION_DEFECTS:
+            index, edit = SECTION_DEFECTS[defect]
+            sections[index] = edit(*sections[index])
+            bad = record_blob(magic, g, 2, sections)
         else:
-            entries = doc["per_s"]
-            # the first entry's records, the first of them [2,1,3,4,5]
-            field = entries[0][2]
-            assert field.startswith("0100020304")
-            if defect == "not_an_object":
-                doc = entries
-            elif defect == "wrong_version":
-                doc["version"] += 1
-            elif defect == "missing_key":
-                del doc["per_s"]
-            elif defect == "entry_count":
-                entries.pop()
-            elif defect == "entry_order":
-                entries[0], entries[1] = entries[1], entries[0]
-            elif defect == "value_type":
-                entries[0][1] = str(entries[0][1])
-            elif defect == "value_without_witnesses":
-                entries[0][2] = ""
-            elif defect == "witnesses_without_value":
-                entries[0][1] = None
-            elif defect == "bad_witness":
-                # a record that is not a permutation: [1,1,3,4,5]
-                entries[0][2] = "0000020304" + field[10:]
-            elif defect == "short_witness":
-                # a record of degree 4, [2,1,3,4]: no whole number of records
-                entries[0][2] = "01000203" + field[10:]
-            elif defect == "integer_witness":
-                entries[0][2] = 7
-            elif defect == "not_hex":
-                entries[0][2] = "zz" + field[2:]
-            elif defect == "hex_with_space":
-                # bytes.fromhex skips the space, the writer never writes one
-                entries[0][2] = field[:10] + " " + field[10:]
-            elif defect == "repeated_witness":
-                entries[0][2] = field + field[:10]
-            elif defect == "bad_last_entry":
-                # a record with a repeated symbol in the last entry only, for
-                # the one permutation check over the whole file
-                entries[-1][2] = entries[-1][2][:-10] + "0001020303"
-            elif defect == "version_1":
-                # the first format, which also stored the scanned ball's size
-                doc["version"] = 1
-                doc["scanned_ball_size"] = ball_of_identity(g, 4).size
-            elif defect == "version_2":
-                # the previous format, which stored the witnesses as labels
-                doc["version"] = 2
-                for entry, sm in zip(entries, want.per_s):
-                    entry[2] = [cayley.witness_label(g, y) for y in sm.witnesses]
-            path.write_text(json.dumps(doc))
+            bad = {
+                "garbage": lambda: b"\x00garbage",
+                "empty": lambda: b"",
+                "truncated": lambda: good[: len(good) // 2],
+                # the first section's value, without its count
+                "truncated_section_header": lambda: good[: _HEADER.size + 4],
+                "trailing_bytes": lambda: good + b"\0",
+                "other_degree": lambda: saved_overlap(g.kind, 6, 2),
+                "other_radius": lambda: saved_overlap(g.kind, 5, 1),
+                "other_kind": lambda: saved_overlap("t", 5, 2),
+                "wrong_version": lambda: good[:4] + struct.pack("<H", 4) + good[6:],
+                # the header alone, promising sections the file lacks
+                "missing_key": lambda: good[: _HEADER.size],
+                "entry_count": lambda: record_blob(magic, g, 2, sections[:-1]),
+                # a ball file copied to the overlap name, and the reverse
+                "not_an_object": other.read_bytes,
+                "ball_overlap_file": other.read_bytes,
+                # the files of earlier versions, at the current names
+                "version_1": lambda: json_overlap_doc(g, best, 1),
+                "version_2": lambda: json_overlap_doc(g, best, 2),
+                "json_version_3": lambda: json_overlap_doc(g, best, 3),
+                "ball_version_2": lambda: ball_blob(g, 2, [recs for _, recs in sections], 2),
+                "ball_truncated_section_header": lambda: good[: _HEADER.size + 4],
+                "ball_trailing_bytes": lambda: good + b"\0",
+                # spheres 1 and 2 swapped, values and all: a ball file's
+                # value names its sphere's distance, so the order is checked
+                "entry_order": lambda: record_blob(magic, g, 2, [sections[i] for i in (0, 2, 1)]),
+            }[defect]()
+        path.write_bytes(bad)
         with pytest.raises(CacheError):
-            load_overlap(path, g, 2)
+            load(path, g, 2)
         clear_ball_memo()
-        assert overlap_of_identity_cached(g, 2, tmp_path) == want
-        assert json.loads(path.read_text())["version"] == 3
-        assert load_overlap(path, g, 2) == want
+        assert cached(g, 2, tmp_path) == want
+        assert path.read_bytes() == good
+        assert load(path, g, 2) == want

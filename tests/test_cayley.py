@@ -1,5 +1,6 @@
 import dataclasses
 import time
+from functools import partial
 from itertools import permutations
 from math import comb, factorial
 
@@ -27,6 +28,7 @@ from permrec.cayley import (
     max_ball_intersection_at,
     clear_ball_memo,
     sphere,
+    witness_vertices,
 )
 from permrec.errors import CapacityError
 from permrec.perms import (
@@ -358,11 +360,15 @@ class TestOverlapMaxima:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_orbit_scan_matches_full_scan(self, kind):
-        # values and witnesses, order included, as a scan of every vertex
+        # values, and witnesses expanded into the vertices they stand for,
+        # order included, as a scan of every vertex, at every distance
         for n in range(2, 9):
             g = GeneratorSet.of_kind(kind, n)
             for r in (1, 2, 3):
-                got = tuple(max_ball_intersection_at(g, r, s) for s in range(1, 2 * r + 1))
+                got = tuple(
+                    dataclasses.replace(sm, witnesses=witness_vertices(g, sm))
+                    for sm in map(partial(max_ball_intersection_at, g, r), range(1, 2 * r + 1))
+                )
                 assert got == oracles.full_overlap_scan(g, r), (n, r)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -391,19 +397,24 @@ class TestOverlapMaxima:
         assert list(cayley._ball_memo) == [(g, 2)]
 
     def test_prefix_scan_refuses_witnesses_past_the_cap(self, monkeypatch):
-        # st n=7: B_2 has 37 vertices; 30 attain at s=2 and 60 at s=4
+        # st n=7: B_2 has 37 vertices; one orbit of 30 vertices attains at
+        # s=2 and one of 60 at s=4
         g = GeneratorSet.prefix(7)
-        want = max_ball_intersection_at(g, 2, 2)
+        want = {s: max_ball_intersection_at(g, 2, s) for s in (2, 4)}
         monkeypatch.setattr(cayley, "MAX_BALL_SIZE", 40)
-        assert max_ball_intersection_at(g, 2, 2) == want
-        assert len(want.witnesses) == 30
+        assert len(witness_vertices(g, want[2])) == 30
 
         def no_expansion(*args, **kwargs):
             raise AssertionError("expanded")
 
+        # the scans expand nothing, so both pass under the cap; only the
+        # expansion of the 60-vertex orbit is refused, by its size
         monkeypatch.setattr(cayley, "iter_class", no_expansion)
+        for s, sm in want.items():
+            assert max_ball_intersection_at(g, 2, s) == sm
+            assert len(sm.witnesses) == 1
         with pytest.raises(CapacityError, match="^witnesses at distance 4 exceeds budget of 40 vertices$"):
-            max_ball_intersection_at(g, 2, 4)
+            witness_vertices(g, want[4])
 
     def test_large_adjacent_radius_refused_at_once(self):
         # t n=12: B_9 is under the cap, sphere 17 is past it; only B_9 is
@@ -433,10 +444,12 @@ class TestOverlapMaxima:
         assert [cayley.witness_label(g, y) for y in sm.witnesses] == ["1^1 4^1", "2^1 3^1"]
 
     def test_witnesses_are_vertices_for_adjacent(self):
+        # the scan keeps one vertex per attaining orbit: [2,1,3,4] is the
+        # reversal conjugate of [1,2,4,3], and [1,3,2,4] is its own
         g = GeneratorSet.adjacent(4)
         sm = max_ball_intersection_at(g, 1, 1)
-        assert sm.witnesses == ((0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3))
-        assert [cayley.witness_label(g, y) for y in sm.witnesses] == [
+        assert sm.witnesses == ((0, 1, 3, 2), (0, 2, 1, 3))
+        assert [cayley.witness_label(g, y) for y in witness_vertices(g, sm)] == [
             "[1,2,4,3]", "[1,3,2,4]", "[2,1,3,4]",
         ]
 

@@ -314,6 +314,23 @@ def test_adversarial_m_defaults_to_the_pool(kind, n, files):
     assert summary["m"] == summary["threshold"]
 
 
+@pytest.mark.parametrize("kind, n", [("t", "6"), ("st", "7")])
+def test_adversarial_run_is_the_same_from_a_cold_and_a_warm_cache(kind, n, files, monkeypatch):
+    # the overlap file holds one witness per attaining orbit, and the warm
+    # run expands the pair's second center from it, as the cold run does
+    # from its scan
+    argv = ["simulate", "--graph", kind, "--n", n, "--r", "2", "--trials", "3",
+            "--seed", "7", "--adversarial", "--transcript", "{dir}/trials.jsonl"]
+    transcript = files / "trials.jsonl"
+    cayley.clear_ball_memo()
+    want = (run_cli(argv, files), transcript.read_text())
+    for run in ("cold", "warm"):
+        if run == "warm":
+            monkeypatch.setattr(cayley, "max_ball_intersection", None)
+        transcript.unlink()
+        assert (run_cli_cached(argv, files, files / "cache"), transcript.read_text()) == want, run
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])
 def test_goldens_hold_under_any_hash_seed(hash_seed, tmp_path):
     # str and bytes hashes are salted per process, so output that followed
@@ -442,8 +459,9 @@ def test_overlap_past_the_diameter_is_cached_at_the_diameter(files):
     cache_dir = files / "cache"
     want = run_cli_cached(argv("300"), files, cache_dir)
     overlaps = sorted(p.name for p in cache_dir.glob("overlap_*"))
-    assert overlaps == ["overlap_t_n4_r6.json"]
-    assert len(json.loads((cache_dir / overlaps[0]).read_text())["per_s"]) == 12
+    assert overlaps == ["overlap_t_n4_r6.bin"]
+    g = cayley.GeneratorSet.adjacent(4)
+    assert len(load_overlap(cache_dir / overlaps[0], g, 6).per_s) == 12
     stamps = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in cache_dir.iterdir()}
     # --r 301 reads the same two files at the diameter and rewrites neither
     assert run_cli_cached(argv("301"), files, cache_dir) == want
@@ -457,7 +475,7 @@ def test_report_past_the_diameter_warms_each_capped_radius_once(files, monkeypat
     cache_dir = files / "cache"
     assert run_cli_cached(argv, files, cache_dir) == want
     assert sorted(p.name for p in cache_dir.iterdir()) == [
-        f"overlap_T_n4_r{r}.json" for r in (1, 2, 3)
+        f"overlap_T_n4_r{r}.bin" for r in (1, 2, 3)
     ]
     loaded = []
     real_load = cache.load_overlap
@@ -487,7 +505,7 @@ def test_processes_sharing_a_cache_dir(files):
         assert json.loads(out)["summary"] == want
     # no temporary file is left, and every file loads
     assert sorted(p.name for p in cache_dir.iterdir()) == [
-        "ball_t_n9_r2.bin", "overlap_t_n9_r2.json",
+        "ball_t_n9_r2.bin", "overlap_t_n9_r2.bin",
     ]
     g = cayley.GeneratorSet.adjacent(9)
     assert load_ball(cache_path(cache_dir, g, 2), g, 2).size == cayley.ball_of_identity(g, 2).size
