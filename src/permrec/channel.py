@@ -8,8 +8,21 @@ one pattern more than the graph's maximum ball overlap always suffices.
 Error counts are uniform on 0..max_errors by default ("at most r" errors);
 an exact-r mode is available since any policy staying inside the ball keeps
 the reconstruction guarantee.  All randomness flows through seeded
-splitmix64 streams (one per draw / per trial), so transcripts replay
-bit-exactly on any platform.
+splitmix64 streams (``rng``), so transcripts replay bit-exactly on any
+platform.  The order of the draws is the contract a transcript replays:
+
+* trial t of ``run_experiment`` draws its source's rank below n! from the
+  stream ``derive_seed(seed, t)``, and an adversarial trial then draws its
+  patterns from the same stream; an honest trial's channel seed is
+  ``derive_seed(seed, 2t + 1)``;
+* pattern draw i of a channel has its own stream
+  ``derive_seed(channel seed, i)``, which gives the error count first (not
+  drawn in exact mode) and then one generator index per error;
+* if the draws stall, the ball is shuffled by the stream
+  ``derive_seed(channel seed, 2^32)``.
+
+Pattern generation runs on the packed form and converts once at the end;
+``distort`` is one of its draws with tuples in and out.
 
 The overlap maximum, which fixes the default pattern count and the
 adversarial pool, comes from ``cayley.overlap_of_identity``, so one process
@@ -22,11 +35,13 @@ sort before converting back, so no output depends on set iteration order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import factorial
 
 from .cayley import GeneratorSet, ball_of_identity, overlap_of_identity, witness_vertices
 from .perms import (
+    PAD,
     Perm,
     compose,
     format_perm,
@@ -62,60 +77,64 @@ class ChannelSpec:
             raise ValueError(f"max_errors must be >= 0, got {self.max_errors}")
 
 
+def _draws(x: bytes, spec: ChannelSpec, start: int = 0):
+    """The channel's outputs for packed x at draw indices start, start+1,
+    ... in packed form.
+
+    Each draw has its own stream ``SplitMix64(derive_seed(seed, index))``
+    and takes from it, in order, the error count j (uniform on
+    0..max_errors, not drawn in exact mode) and then one generator index
+    per error.  The output is x times those j generators on the right; the
+    product y*g is ``g.translate(left_table(y))``."""
+    if len(x) != spec.gen.n:
+        raise ValueError("degree mismatch between input and channel")
+    gens = spec.gen.packed
+    k = len(gens)
+    pad = PAD[len(x)]
+    seed, errors, exact = spec.seed, spec.max_errors, spec.exact_errors
+    for index in itertools.count(start):
+        rng = SplitMix64(derive_seed(seed, index))
+        y = x
+        for _ in range(errors if exact else rng.below(errors + 1)):
+            y = gens[rng.below(k)].translate(y + pad)  # y + pad is left_table(y)
+        yield y
+
+
 def distort(x: Perm, spec: ChannelSpec, draw_index: int = 0) -> Perm:
     """One channel use: apply j random generators to x, where j is uniform
     on 0..max_errors (or exactly max_errors).  Deterministic in
-    (seed, draw_index)."""
-    if len(x) != spec.gen.n:
-        raise ValueError("degree mismatch between input and channel")
-    rng = SplitMix64(derive_seed(spec.seed, draw_index))
-    if spec.exact_errors:
-        j = spec.max_errors
-    else:
-        j = rng.below(spec.max_errors + 1)
-    y = x
-    for _ in range(j):
-        y = compose(y, rng.choice(spec.gen.gens))
-    return y
+    (seed, draw_index): it is draw ``draw_index`` of ``generate_patterns``."""
+    return unpack(next(_draws(pack(x), spec, draw_index)))
 
 
 def generate_patterns(x: Perm, spec: ChannelSpec, m: int) -> list[Perm]:
     """m distinct channel outputs for source x, all within distance
-    max_errors.
+    max_errors: draws 0, 1, 2, ... (see ``distort``), repeats dropped.
 
-    Repeated draws are rejected; if rejection stalls (tiny balls), the full
-    ball is enumerated and deterministically shuffled so progress is
+    If rejection stalls (tiny balls), the full ball is enumerated and
+    shuffled by the stream ``derive_seed(seed, 2^32)`` so progress is
     guaranteed.  Asking for more distinct patterns than the ball holds is
     an error."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    out: list[Perm] = []
-    seen: set[Perm] = set()
-    draw = 0
-    max_draws = max(60 * m, 600)
-    while len(out) < m and draw < max_draws:
-        y = distort(x, spec, draw)
-        draw += 1
+    out: list[bytes] = []
+    seen: set[bytes] = set()
+    for y in itertools.islice(_draws(pack(x), spec), max(60 * m, 600)):
         if y not in seen:
             seen.add(y)
             out.append(y)
-    if len(out) < m:
-        members = ball_of_identity(spec.gen, spec.max_errors).packed
-        ball_list = list(map(unpack, sorted(translated(members, left_table(pack(x))))))
-        if m > len(ball_list):
-            raise ValueError(
-                f"requested {m} distinct patterns but the ball has only "
-                f"{len(ball_list)}"
-            )
-        rng = SplitMix64(derive_seed(spec.seed, 1 << 32))
-        rng.shuffle(ball_list)
-        for y in ball_list:
             if len(out) == m:
-                break
-            if y not in seen:
-                seen.add(y)
-                out.append(y)
-    return out
+                return list(map(unpack, out))
+    members = ball_of_identity(spec.gen, spec.max_errors).packed
+    ball_list = sorted(translated(members, left_table(pack(x))))
+    if m > len(ball_list):
+        raise ValueError(
+            f"requested {m} distinct patterns but the ball has only "
+            f"{len(ball_list)}"
+        )
+    SplitMix64(derive_seed(spec.seed, 1 << 32)).shuffle(ball_list)
+    out += [y for y in ball_list if y not in seen][: m - len(out)]
+    return list(map(unpack, out))
 
 
 @dataclass(frozen=True)
@@ -259,15 +278,36 @@ class ExperimentSummary:
 
 
 def _min_prefix_for_unique(members: frozenset[bytes], patterns: list[Perm]) -> int:
+    """The least k such that the first k patterns' balls share one member,
+    for patterns whose balls all share exactly one; len(patterns) for any
+    others.  ``members`` is the packed B_r(e).
+
+    Each member of the first ball but the shared one is dropped by a first
+    pattern i (1-based), and the prefix is unique from the largest such i
+    on.  Pattern 2 drops all it drops in one pass at C speed:
+    B_r(p1) ∩ B_r(p2) is p1 (B_r(e) ∩ q B_r(e)) for q = p1^-1 p2.  One
+    pass over that region then finds each member's first dropping
+    pattern, and stops once one is the last pattern."""
     first, *rest = map(pack, patterns)
-    cands = set(translated(members, left_table(first)))
-    if len(cands) == 1:
-        return 1
-    for i, y in enumerate(rest, start=2):
-        cands = set(_survivors(cands, [left_inverse_table(y)], members))
-        if len(cands) == 1:
-            return i
-    return len(patterns)
+    last = len(patterns)
+    if not rest:
+        return last
+    q = rest[0].translate(left_inverse_table(first))
+    shared = members.intersection(translated(members, left_table(q)))
+    need = 2 if len(shared) < len(members) else 1
+    tables = [left_inverse_table(y) for y in rest[1:]]
+    survivors = 0
+    for z in translated(shared, left_table(first)):
+        for i, t in enumerate(tables, start=3):
+            if z.translate(t) not in members:
+                if i > need:
+                    if i == last:
+                        return last
+                    need = i
+                break
+        else:
+            survivors += 1
+    return need if survivors == 1 else last
 
 
 def run_experiment(

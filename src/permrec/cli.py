@@ -15,14 +15,20 @@ engine's capacity caps are constants of ``cayley``, not settings.
 ``main`` alone writes stdout.  Each command returns its exit code and its
 payload, with its pretty lines and, if tabular, its CSV rows; ``main`` adds
 the envelope (command, version, settings) and writes the one format asked
-for.  Before any work, ``main`` checks the least values of ``--r`` and
-``--trials`` from one table, and each command builds its graphs or cycle
-types from ``--n`` through ``_checked``.  Either check turns a value out of
-range into a usage error that leaves no output and writes no cache file.
+for.  Before any work, ``main`` checks the least values of ``--r``,
+``--trials`` and ``--m`` from one table, and each command builds its
+graphs or cycle types from ``--n`` through ``_checked``.  Either check
+turns a value out of range into a usage error that leaves no output and
+writes no cache file.
 ``reconstruct`` has no ``--n``: its pattern reader refuses a degree out of
 range as a usage error.
 
-Each call builds a parser that declares only the command it names, and
+A call that names a command builds one parser, that command's: the three
+shared options and its own, with ``prog`` "permrec <command>".  Only a call
+that names none (help, version, an unknown name) builds the parser of
+every command, so that its messages list them all.  Both give the same
+help and usage messages for a command, and no parser outlives the call.
+
 ``reconstruct`` reads its pattern file on one of two paths.  A file in
 plain form (one literal per line, all of one degree, ASCII digits, spaces
 and newlines only) is checked by one regex pass over the whole file,
@@ -87,30 +93,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser(argv) -> _Parser:
-    """The parser for ``argv``.  It declares only the command ``argv[0]``
-    names, or every command when ``argv[0]`` names none (help, version, no
-    arguments, an unknown name), so that messages listing the commands list
-    them all.  Each option declared builds argparse a help formatter, which
-    asks for the terminal size, so one command's options cost a fraction of
-    all eight commands' options."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=_FORMATS, default=None,
-                        help="output format (default json)")
-    shared.add_argument("--config", type=Path, default=None,
-                        help="JSON settings file (defaults < file < flags)")
-    shared.add_argument("--cache-dir", type=Path, default=None,
-                        help="directory for cached balls and overlap maxima")
+def _shared_arguments(p) -> None:
+    """The options every command takes."""
+    p.add_argument("--format", choices=_FORMATS, default=None,
+                   help="output format (default json)")
+    p.add_argument("--config", type=Path, default=None,
+                   help="JSON settings file (defaults < file < flags)")
+    p.add_argument("--cache-dir", type=Path, default=None,
+                   help="directory for cached balls and overlap maxima")
 
+
+def _command_parser(name: str) -> _Parser:
+    """The parser of one command: the shared options and its own."""
+    parser = _Parser(prog=f"permrec {name}")
+    _shared_arguments(parser)
+    _COMMANDS[name].declare(parser)
+    return parser
+
+
+def _full_parser() -> _Parser:
+    """The parser that declares every command as a subcommand, for calls
+    that name none (help, version, no arguments, an unknown name), so that
+    messages listing the commands list them all."""
     parser = _Parser(prog="permrec",
                      description="metric-ball reconstruction over symmetric groups")
     parser.add_argument("--version", action="version", version=f"permrec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
-        command = _COMMANDS[name]
-        command.declare(sub.add_parser(name, parents=[shared], help=command.help))
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        _shared_arguments(p)
+        command.declare(p)
     return parser
+
+
+def _parse_arguments(argv) -> argparse.Namespace:
+    """``argv`` parsed, ``command`` naming the command.  A call that names a
+    command builds that command's parser alone: each option declared builds
+    argparse a help formatter, which asks for the terminal size, so one
+    command's parser costs a fraction of all eight commands' parsers.  No
+    parser outlives the call."""
+    if argv and argv[0] in _COMMANDS:
+        return _command_parser(argv[0]).parse_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+    return _full_parser().parse_args(argv)
 
 
 def _load_settings(args) -> dict:
@@ -472,11 +498,12 @@ def _cmd_graph_import(args, settings) -> _Result:
 
 _NOT_TABULAR = ("json", "pretty")
 
-# the least value of each option a command checks before any work
+# the least value of each option a command checks before any work; an
+# option left at its default of None is not checked
 _LEAST = {
     "report": {"r": 1},
     "reconstruct": {"r": 0},
-    "simulate": {"r": 1, "trials": 1},
+    "simulate": {"r": 1, "trials": 1, "m": 1},
     "graph-import": {"r": 1},
 }
 
@@ -516,9 +543,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_arguments(argv)
         settings = _load_settings(args)
         command = _COMMANDS[args.command]
         if settings["format"] not in command.formats:
@@ -526,7 +552,8 @@ def main(argv=None) -> int:
                 f"{args.command} supports --format {' or '.join(command.formats)}"
             )
         for option, low in _LEAST.get(args.command, {}).items():
-            if getattr(args, option) < low:
+            value = getattr(args, option)
+            if value is not None and value < low:
                 raise UsageError(f"--{option} must be >= {low}")
         result = command.run(args, settings)
     except UsageError as exc:

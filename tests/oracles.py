@@ -2,9 +2,11 @@
 
 Everything here recomputes from first principles over explicitly built
 graphs (itertools.permutations + plain BFS), sharing no code path with the
-package's engine, so agreement is meaningful.  There are three exceptions.
+package's engine, so agreement is meaningful.  There are four exceptions.
 The pattern-file reader is the CLI's line parser as it stood before the
 CLI gained its whole-file path, kept as that path's reference.  The
+step-by-step min-prefix is the experiments' diagnostic as it stood before
+its one-pass scan, on the engine's survivor filter.  The
 threshold checks test the decoding guarantee (one pattern more than the
 overlap maximum always decodes uniquely) with the engine's own balls and
 survivor filter, over many more pattern sets than a decode would see.  The
@@ -392,6 +394,21 @@ def read_patterns_by_line(path):
     if len({len(p) for p in patterns}) != 1:
         raise UsageError("patterns have mixed degrees")
     return patterns
+
+
+def min_prefix_for_unique_stepwise(members: frozenset[bytes], patterns) -> int:
+    """The least k such that the first k patterns' radius-r balls share one
+    member, or len(patterns) if none does, by filtering the candidate set
+    again after each pattern; ``members`` is the packed B_r(e)."""
+    first, *rest = map(pack, patterns)
+    cands = set(translated(members, left_table(first)))
+    if len(cands) == 1:
+        return 1
+    for i, y in enumerate(rest, start=2):
+        cands = set(_survivors(cands, [left_inverse_table(y)], members))
+        if len(cands) == 1:
+            return i
+    return len(patterns)
 
 
 def _subset_is_unique(

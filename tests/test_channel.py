@@ -1,4 +1,6 @@
+import json
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +12,12 @@ from permrec.cayley import (
     clear_ball_memo,
     distance,
     max_ball_intersection,
+    overlap_of_identity,
     witness_vertices,
 )
 from permrec.channel import (
     ChannelSpec,
+    _min_prefix_for_unique,
     ambiguity_witness,
     distort,
     generate_patterns,
@@ -55,6 +59,17 @@ class TestRng:
         rng = SplitMix64(42)
         draws = [rng.below(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
+
+    def test_bound_of_two_to_the_64_is_a_whole_output(self):
+        a, b = SplitMix64(77), SplitMix64(77)
+        assert [a.below(2**64) for _ in range(5)] == [b.next_u64() for _ in range(5)]
+
+    @pytest.mark.parametrize("bound", [0, -1, 2**64 + 1, 2**65, 3**41])
+    def test_bound_outside_one_to_two_to_the_64_is_refused(self, bound):
+        # past 2^64 no output is under the rejection limit, so the draw
+        # would never return
+        with pytest.raises(ValueError, match="bound must be in 1..2"):
+            SplitMix64(1).below(bound)
 
     def test_shuffle_deterministic(self):
         items1 = list(range(10))
@@ -124,6 +139,10 @@ class TestGeneratePatterns:
         ball = ball_of_identity(spec.gen, 1).members
         got = generate_patterns(identity(4), spec, len(ball))
         assert set(got) == set(ball)
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            generate_patterns(identity(4), spec_for("T", 5, 1), 3)
 
     def test_requesting_more_than_ball_fails(self):
         spec = spec_for("t", 3, 1, seed=1)
@@ -286,6 +305,30 @@ class TestExperiments:
             for t in summary.records
         )
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_min_prefix_matches_the_stepwise_oracle(self, kind, r):
+        # honest patterns, so the source always survives: every pattern set
+        # is unique or ambiguous, and the diagnostic answers len(patterns)
+        # for an ambiguous one
+        g = GeneratorSet.of_kind(kind, 6)
+        members = ball_of_identity(g, r).packed
+        threshold = overlap_of_identity(g, r).value
+        rng = SplitMix64(100 + r)
+        seen = set()
+        for trial in range(200):
+            source = unrank(6, rng.below(factorial(6)))
+            m = 1 + rng.below(threshold + 1)
+            spec = ChannelSpec(g, r, derive_seed(r, trial))
+            patterns = generate_patterns(source, spec, m)
+            want = oracles.min_prefix_for_unique_stepwise(members, patterns)
+            assert _min_prefix_for_unique(members, patterns) == want
+            status = reconstruct(patterns, r, g).status
+            assert status != "inconsistent"
+            seen.add((status, want < m))
+        # unique at a shorter prefix and at the whole list, and ambiguous
+        assert {("unique", True), ("unique", False), ("ambiguous", False)} <= seen
+
     def test_record_documents(self):
         g = GeneratorSet.adjacent(4)
         summary = run_experiment(g, 1, trials=5, seed=31)
@@ -294,3 +337,64 @@ class TestExperiments:
             "trial", "source", "patterns", "status", "candidates", "min_unique_m",
         }
         assert len(doc["patterns"]) == summary.m
+
+
+# name -> (kind, n, r, exact_errors, seed, m): pattern draws pinned byte for
+# byte in tests/golden/channel_draws.json.  m is at most the ball's size; in
+# exact mode it may pass the vertices exact draws reach, which sends the
+# draw to the full-ball fallback.
+DRAW_CASES = {
+    f"{kind}{n}_r{r}_{mode}": (kind, n, r, mode == "exact", 1000 + 37 * n + r, m)
+    for kind in KINDS
+    for n in (5, 9)
+    for r in (1, 2)
+    for mode in ("honest", "exact")
+    for m in [min(10, ball_of_identity(GeneratorSet.of_kind(kind, n), r).size)]
+}
+# exact draws reach only the 12 even vertices of the 18 in B_2
+DRAW_CASES["T4_r2_exact_fallback"] = ("T", 4, 2, True, 5, 18)
+DRAW_CASES["T4_r1_honest_whole_ball"] = ("T", 4, 1, False, 5, 7)
+DRAWS_GOLDEN = Path(__file__).resolve().parent / "golden" / "channel_draws.json"
+
+
+def draw_case(name: str) -> dict:
+    """The source, the generate_patterns output and the first eight distort
+    outputs of a case, as permutation literals."""
+    kind, n, r, exact, seed, m = DRAW_CASES[name]
+    spec = spec_for(kind, n, r, seed=seed, exact_errors=exact)
+    source = unrank(n, seed * 7919 % factorial(n))
+    return {
+        "source": format_perm(source),
+        "patterns": [format_perm(y) for y in generate_patterns(source, spec, m)],
+        "distort": [format_perm(distort(source, spec, i)) for i in range(8)],
+    }
+
+
+class TestPinnedDraws:
+    """Pattern draws are the contract transcripts replay: each draw's
+    error count and generator indices come from its own stream, in order.
+    The golden file was written before pattern generation moved to the
+    packed form."""
+
+    @pytest.mark.parametrize("name", sorted(DRAW_CASES))
+    def test_draws_match_golden(self, name):
+        assert draw_case(name) == json.loads(DRAWS_GOLDEN.read_text())[name]
+
+    def test_fallback_case_reaches_the_fallback(self, monkeypatch):
+        # with the fallback's shuffle removed the draw cannot finish
+        def no_shuffle(self, items):
+            raise AssertionError("fallback reached")
+
+        monkeypatch.setattr(SplitMix64, "shuffle", no_shuffle)
+        with pytest.raises(AssertionError, match="fallback reached"):
+            draw_case("T4_r2_exact_fallback")
+        for name in ("T9_r2_honest", "st9_r2_exact"):
+            draw_case(name)
+
+
+if __name__ == "__main__":
+    # rewrite the pinned draws from the package on sys.path; only when a
+    # change to the draws is intended
+    DRAWS_GOLDEN.write_text(
+        json.dumps({name: draw_case(name) for name in sorted(DRAW_CASES)}, indent=1) + "\n"
+    )

@@ -87,6 +87,12 @@ GOLDEN_CASES = {
         "--seed", "11", "--m", "8", "--adversarial",
         "--transcript", "{dir}/trials.jsonl",
     ],
+    # exactly r errors per pattern: prefix swaps reach only distances 0 and
+    # 2 at r=2, so each pattern is drawn from 21 of the ball's 26 vertices
+    "simulate_exact": [
+        "simulate", "--graph", "st", "--n", "6", "--r", "2", "--trials", "5",
+        "--seed", "3", "--exact-errors", "--transcript", "{dir}/trials.jsonl",
+    ],
     "graph_import_petersen": ["graph-import", "--edges", "{dir}/petersen.edges", "--r", "2"],
     "graph_import_cycle12": ["graph-import", "--edges", "{dir}/cycle12.edges", "--r", "2"],
     # degrees past the whole-graph cap, whose diameters come from the formula
@@ -129,6 +135,39 @@ SCHEMA_CASES = {
     "probe-conjecture": (["probe-conjecture", "--n", "5", "--r", "2"], 0),
     "graph-import": (["graph-import", "--edges", "{dir}/square.edges", "--r", "1"], 0),
 }
+
+
+# name -> (terminal width, argv) of a help call or a usage error, pinned
+# with its message in USAGE_GOLDEN: help at two widths, then the errors
+HELP_CALLS = {"permrec": ["--help"], **{name: [name, "--help"] for name in cli._COMMANDS}}
+USAGE_CASES = {
+    f"help_{name}_c{columns}": (columns, argv)
+    for name, argv in HELP_CALLS.items()
+    for columns in (60, 200)
+}
+USAGE_CASES.update((f"error_{name}", (80, argv)) for name, argv in {
+    "unknown_option": ["factorizations", "--n", "4", "--bogus"],
+    "unknown_option_simulate": [
+        "simulate", "--graph", "t", "--n", "5", "--r", "1", "--trials", "1", "--seed", "1",
+        "--workers", "2",
+    ],
+    "bad_choice": ["simulate", "--graph", "X", "--n", "5", "--r", "1", "--trials", "1",
+                   "--seed", "1"],
+    "bad_format_choice": ["verify", "--format", "xml"],
+    "bad_integer": ["factorizations", "--n", "five"],
+    "missing_required": ["simulate", "--graph", "t", "--n", "5"],
+    "missing_value": ["report", "--graph", "t", "--n"],
+    "ambiguous_option": ["simulate", "--c", "x"],
+    "extra_positional": ["report", "extra", "--graph", "T", "--n", "4"],
+    "version_after_command": ["factorizations", "--n", "4", "--version"],
+    "version_after_command_alone": ["report", "--version"],
+    "option_before_command": ["--format", "json", "factorizations", "--n", "3"],
+    "unknown_command": ["bogus", "--n", "5"],
+    "no_arguments": [],
+}.items())
+# argparse renders help and its messages a little differently from one
+# Python version to the next, so the goldens are kept per version
+USAGE_GOLDEN = GOLDEN / "usage" / "py{}.{}".format(*sys.version_info[:2])
 
 
 def golden_name(name: str) -> str:
@@ -255,10 +294,10 @@ def test_simulate_cap_fails_on_cold_and_warm_cache(files, capsys, monkeypatch):
 @pytest.mark.parametrize("adversarial", [False, True])
 @pytest.mark.parametrize("m", [0, -3])
 def test_simulate_refuses_m_below_one(m, adversarial, files, capsys):
+    # before any work: no ball or overlap file reaches the cache directory
     argv = ["simulate", "--graph", "st", "--n", "5", "--r", "2", "--trials", "2",
             "--seed", "1", "--m", str(m), *(["--adversarial"] if adversarial else [])]
-    assert run_cli(argv, files) == (1, "")
-    assert capsys.readouterr().err == f"error: need m >= 1, got {m}\n"
+    check_refused_before_any_work(argv, "--m must be >= 1", True, files, capsys)
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -348,6 +387,10 @@ def test_goldens_hold_under_any_hash_seed(hash_seed, tmp_path):
                 assert got.exists() == want.exists(), got
                 if want.exists():
                     assert got.read_bytes() == want.read_bytes(), got
+    if USAGE_GOLDEN.is_dir():
+        for name in USAGE_CASES:
+            file = f"{name}.txt"
+            assert (tmp_path / "usage" / file).read_bytes() == (USAGE_GOLDEN / file).read_bytes()
 
 
 DEFAULT_CONFIG = {"cache_dir": None, "format": "json"}
@@ -655,6 +698,36 @@ def run_main(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def usage_outcome(name: str) -> tuple[int, str, str]:
+    """run_main on a usage case, at the case's terminal width."""
+    columns, argv = USAGE_CASES[name]
+    before = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = str(columns)
+    try:
+        return run_main(argv)
+    finally:
+        if before is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = before
+
+
+def usage_text(name: str, outcome: tuple[int, str, str]) -> str:
+    """The stream a usage case's golden holds: stdout for help, which
+    exits 0 and writes no stderr, and stderr for a usage error, which exits
+    64 and writes no stdout."""
+    code, out, err = outcome
+    assert (code, err) == (0, "") if name.startswith("help_") else (code, out) == (64, "")
+    return out or err
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_help_and_usage_errors_are_byte_identical_to_golden(name):
+    if not USAGE_GOLDEN.is_dir():
+        pytest.skip(f"no usage goldens for this Python ({USAGE_GOLDEN.name})")
+    assert usage_text(name, usage_outcome(name)) == (USAGE_GOLDEN / f"{name}.txt").read_text()
+
+
 # argv whose outcome must not depend on which commands the parser declares
 PARSER_CASES = {
     "help": ["--help"],
@@ -666,6 +739,9 @@ PARSER_CASES = {
     "bad_graph_choice": ["reconstruct", "--graph", "X", "--r", "1", "--patterns", "p"],
     "extra_positional": ["report", "extra", "--graph", "T", "--n", "4"],
 }
+# and on every Python version, each usage error the goldens pin
+PARSER_CASES.update((name, argv) for name, (_, argv) in USAGE_CASES.items()
+                    if name.startswith("error_"))
 
 
 @pytest.mark.parametrize("name", sorted(PARSER_CASES))
@@ -674,15 +750,28 @@ def test_parser_for_one_command_matches_the_full_parser(name, monkeypatch):
     argv = PARSER_CASES[name]
     got = run_main(argv)
     assert got[0] in (0, 64)
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+    monkeypatch.setattr(cli, "_parse_arguments", parse_with_the_full_parser)
     assert got == run_main(argv)
 
 
-def test_parser_declares_only_the_named_command():
-    assert "{report}" in cli._build_parser(["report"]).format_usage()
+def parse_with_the_full_parser(argv):
+    return cli._full_parser().parse_args(argv)
+
+
+def test_parser_declares_only_the_named_command(monkeypatch):
+    usage = cli._command_parser("report").format_usage()
+    assert usage.startswith("usage: permrec report [-h] [--format")
+    assert "--patterns" not in usage and "{report" not in usage
+    assert "{report,verify," in cli._full_parser().format_usage()
+    # a call that names a command never builds the parser of every command
+    built = []
+    full = cli._full_parser
+    monkeypatch.setattr(cli, "_full_parser", lambda: built.append(1) or full())
+    assert run_main(["factorizations", "--n", "3", "--format", "csv"])[0] == 0
+    assert built == []
     for argv in ([], ["bogus"], ["--help"], ["--version", "report"]):
-        assert "{report,verify," in cli._build_parser(argv).format_usage()
+        assert run_main(argv)[0] in (0, 64)
+    assert built == [1] * 4
 
 
 @pytest.mark.parametrize("argv, want_code", [
@@ -775,9 +864,10 @@ def test_verify_defaults_pass(files):
         assert code == 0, [r for r in json.loads(out)["rows"] if r["verdict"] == "fail"]
 
 
-def write_outputs(out_dir: Path, cached: bool = False) -> None:
+def write_outputs(out_dir: Path, usage_dir: Path, cached: bool = False) -> None:
     """Run every golden case and write its stdout, and any transcript, to
-    ``golden_name(name)`` and ``<name>.jsonl`` in out_dir.  With ``cached``, also
+    ``golden_name(name)`` and ``<name>.jsonl`` in out_dir, and every usage
+    case's message to ``<name>.txt`` in usage_dir.  With ``cached``, also
     run each of CACHED_CASES with ``--cache-dir``, on an empty cache
     directory and then on the filled one, and write those outputs, the
     echoed directory put back to null, to out_dir/cold and out_dir/warm."""
@@ -791,6 +881,9 @@ def write_outputs(out_dir: Path, cached: bool = False) -> None:
             (target / f"{name}.jsonl").write_text(transcript.read_text())
             transcript.unlink()
 
+    usage_dir.mkdir(parents=True, exist_ok=True)
+    for name in USAGE_CASES:
+        (usage_dir / f"{name}.txt").write_text(usage_text(name, usage_outcome(name)))
     for name, argv in GOLDEN_CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -809,6 +902,6 @@ if __name__ == "__main__":
     # outputs, plain and with a cache directory, to the directory given as
     # the only argument
     if len(sys.argv) > 1:
-        write_outputs(Path(sys.argv[1]), cached=True)
+        write_outputs(Path(sys.argv[1]), Path(sys.argv[1]) / "usage", cached=True)
     else:
-        write_outputs(GOLDEN)
+        write_outputs(GOLDEN, USAGE_GOLDEN)
