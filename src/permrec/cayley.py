@@ -524,9 +524,15 @@ class IntersectionMax:
         return {sm.s: sm.witnesses for sm in self.per_s if sm.value == self.value}
 
 
+def _shared_region(members: frozenset[bytes], y: bytes) -> frozenset[bytes]:
+    """B ∩ yB for the packed ball B = ``members`` around e and packed y;
+    B_r(x) ∩ B_r(xy) is x times it, by left translation."""
+    return members.intersection(translated(members, left_table(y)))
+
+
 def _overlap_count(members: frozenset[bytes], y: bytes) -> int:
-    # |B ∩ yB| = |{z in B : y^-1 z in B}|; the ball B is closed under inversion
-    return len(members.intersection(translated(members, left_inverse_table(y))))
+    # |B ∩ yB| of _shared_region, at module level so scans can map it to workers
+    return len(_shared_region(members, y))
 
 
 def witness_label(gen: GeneratorSet, y: Perm) -> str:

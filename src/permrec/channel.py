@@ -4,6 +4,12 @@ The channel distorts a permutation by right-multiplying up to ``max_errors``
 random generators.  The reconstructor recovers the source from several
 distinct erroneous patterns as the intersection of the balls around them;
 one pattern more than the graph's maximum ball overlap always suffices.
+Every intersection starts from one pairwise region: B_r(p1) ∩ B_r(p2) is
+p1 (B_r(e) ∩ q B_r(e)) for q = p1^-1 p2, and ``cayley._shared_region`` is
+B_r(e) ∩ q B_r(e), the overlap the scans maximise.  ``reconstruct`` and
+the min-prefix diagnostic walk that region for the first later pattern
+that drops each member; the adversarial pool is the region of the
+identity and the overlap witness.
 
 Error counts are uniform on 0..max_errors by default ("at most r" errors);
 an exact-r mode is available since any policy staying inside the ball keeps
@@ -39,8 +45,15 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
-from .cayley import GeneratorSet, ball_of_identity, overlap_of_identity, witness_vertices
+from .cayley import (
+    GeneratorSet,
+    _shared_region,
+    ball_of_identity,
+    overlap_of_identity,
+    witness_vertices,
+)
 from .perms import (
+    IDENT,
     PAD,
     Perm,
     compose,
@@ -152,28 +165,17 @@ class ReconstructionResult:
 
 
 def reconstruct(patterns, r: int, gen: GeneratorSet) -> ReconstructionResult:
-    """Candidates = intersection of the radius-r balls around the patterns.
-
-    The patterns may be permutation tuples or packed records (``pack``
-    returns a packed record as it is).
-
-    Only one ball is materialized (they all have equal size, so the first
-    pattern serves); the rest of the intersection is distance filtering via
-    membership in the identity ball: z lies in B_r(y) iff y^-1 z does in
-    B_r(e).  An empty intersection is the first-class 'inconsistent'
-    status, not an error."""
+    """Candidates = intersection of the radius-r balls around the patterns,
+    which may be permutation tuples or packed records; one that is not a
+    permutation raises ``ValueError``.  Only the region the first two balls
+    share is walked (see the module docstring).  An empty intersection is
+    the first-class 'inconsistent' status, not an error."""
     patterns = list(patterns)
     if not patterns:
         raise ValueError("need at least one pattern")
     if any(len(p) != gen.n for p in patterns):
         raise ValueError("pattern degree mismatch")
-    members = ball_of_identity(gen, r).packed
-    first, *rest = map(pack, patterns)
-    found = _survivors(
-        translated(members, left_table(first)),
-        [left_inverse_table(y) for y in rest],
-        members,
-    )
+    found, _ = _intersection(ball_of_identity(gen, r).packed, patterns)
     candidates = tuple(map(unpack, sorted(found)))
     if len(candidates) == 1:
         status = STATUS_UNIQUE
@@ -184,16 +186,33 @@ def reconstruct(patterns, r: int, gen: GeneratorSet) -> ReconstructionResult:
     return ReconstructionResult(candidates, status, len(patterns))
 
 
-def _survivors(pool, tables, members: frozenset[bytes]):
-    """The packed z of ``pool`` that every table in ``tables`` maps into
-    ``members``, lazily and in pool order.  With the tables of the inverse
-    patterns, these are the z inside every pattern's ball."""
-    for z in pool:
-        for t in tables:
+def _intersection(members: frozenset[bytes], patterns: list) -> tuple[list[bytes], int]:
+    """The packed members of every pattern's ball, and the largest i such
+    that pattern i is the first to miss some member of B_r(p1) ∩ B_r(p2)
+    (0 if none is).  Only that region, or all of B_r(p1) for one pattern,
+    is walked; ``members`` is the packed B_r(e).  A pattern that is not a
+    permutation raises before the walk."""
+    packed = list(map(pack, patterns))
+    tables = list(map(left_inverse_table, packed))
+    # y is a permutation iff no byte of it is n or more and y^-1 y = e
+    e = IDENT[len(packed[0])]
+    unit = b"".join(map(bytes.translate, packed, tables))
+    if b"".join(packed).translate(None, e) or unit != e * len(packed):
+        raise ValueError("a pattern is not a permutation")
+    region = members
+    if len(packed) > 1:
+        region = _shared_region(members, packed[1].translate(tables[0]))
+    later = tables[2:]
+    found, last_miss = [], 0
+    for z in translated(region, left_table(packed[0])):
+        for i, t in enumerate(later, start=3):
             if z.translate(t) not in members:
+                if i > last_miss:
+                    last_miss = i
                 break
         else:
-            yield z
+            found.append(z)
+    return found, last_miss
 
 
 def ambiguity_witness(gen: GeneratorSet, r: int) -> tuple[Perm, Perm, list[Perm]]:
@@ -203,8 +222,7 @@ def ambiguity_witness(gen: GeneratorSet, r: int) -> tuple[Perm, Perm, list[Perm]
     best = overlap_of_identity(gen, r)
     # the first attaining vertex at the first attaining distance
     other = witness_vertices(gen, best.per_s[best.best_s[0] - 1])[0]
-    members = ball_of_identity(gen, r).packed
-    shared = _survivors(members, [left_inverse_table(pack(other))], members)
+    shared = _shared_region(ball_of_identity(gen, r).packed, pack(other))
     return identity(gen.n), other, list(map(unpack, sorted(shared)))
 
 
@@ -283,31 +301,13 @@ def _min_prefix_for_unique(members: frozenset[bytes], patterns: list[Perm]) -> i
     others.  ``members`` is the packed B_r(e).
 
     Each member of the first ball but the shared one is dropped by a first
-    pattern i (1-based), and the prefix is unique from the largest such i
-    on.  Pattern 2 drops all it drops in one pass at C speed:
-    B_r(p1) ∩ B_r(p2) is p1 (B_r(e) ∩ q B_r(e)) for q = p1^-1 p2.  One
-    pass over that region then finds each member's first dropping
-    pattern, and stops once one is the last pattern."""
-    first, *rest = map(pack, patterns)
-    last = len(patterns)
-    if not rest:
-        return last
-    q = rest[0].translate(left_inverse_table(first))
-    shared = members.intersection(translated(members, left_table(q)))
-    need = 2 if len(shared) < len(members) else 1
-    tables = [left_inverse_table(y) for y in rest[1:]]
-    survivors = 0
-    for z in translated(shared, left_table(first)):
-        for i, t in enumerate(tables, start=3):
-            if z.translate(t) not in members:
-                if i > need:
-                    if i == last:
-                        return last
-                    need = i
-                break
-        else:
-            survivors += 1
-    return need if survivors == 1 else last
+    pattern i, and the prefix is unique from the largest such i on: 2 (1
+    if the ball is one vertex) or the largest first miss in B_r(p1) ∩
+    B_r(p2)."""
+    found, last_miss = _intersection(members, patterns)
+    if len(found) != 1:
+        return len(patterns)
+    return max(last_miss, 2 if len(members) > 1 else 1)
 
 
 def run_experiment(
@@ -331,8 +331,7 @@ def run_experiment(
         raise ValueError(f"need trials >= 1, got {trials}")
     shared = None
     if adversarial:
-        # the identity-centered region shared with the maximal-overlap
-        # witness; it holds exactly the overlap maximum
+        # the region of e and the overlap witness holds the overlap maximum
         shared = ambiguity_witness(gen, r)[2]
         threshold = len(shared)
     else:
@@ -361,17 +360,10 @@ def run_experiment(
         result = reconstruct(patterns, r, gen)
         if not adversarial and source not in result.candidates:
             raise AssertionError("honest source fell outside the candidate set")
-        min_unique = None
-        if result.status == STATUS_UNIQUE:
-            min_unique = _min_prefix_for_unique(members, patterns)
-        records.append(TrialRecord(
-            trial=trial,
-            source=source,
-            patterns=tuple(patterns),
-            status=result.status,
-            candidate_count=len(result.candidates),
-            min_unique_m=min_unique,
-        ))
+        min_unique = (_min_prefix_for_unique(members, patterns)
+                      if result.status == STATUS_UNIQUE else None)
+        records.append(TrialRecord(trial, source, tuple(patterns), result.status,
+                                   len(result.candidates), min_unique))
     unique = sum(1 for t in records if t.status == STATUS_UNIQUE)
     ambiguous = sum(1 for t in records if t.status == STATUS_AMBIGUOUS)
     inconsistent = trials - unique - ambiguous

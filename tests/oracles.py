@@ -6,10 +6,10 @@ package's engine, so agreement is meaningful.  There are four exceptions.
 The pattern-file reader is the CLI's line parser as it stood before the
 CLI gained its whole-file path, kept as that path's reference.  The
 step-by-step min-prefix is the experiments' diagnostic as it stood before
-its one-pass scan, on the engine's survivor filter.  The
+its one-pass scan, on the engine's packed balls.  The
 threshold checks test the decoding guarantee (one pattern more than the
-overlap maximum always decodes uniquely) with the engine's own balls and
-survivor filter, over many more pattern sets than a decode would see.  The
+overlap maximum always decodes uniquely) with the engine's own balls,
+over many more pattern sets than a decode would see.  The
 full overlap scan reads, for adjacent and prefix swaps, every vertex of
 every sphere of the engine's radius-2r ball: the reference for the
 engine's scan by orbits, witness order included.
@@ -29,7 +29,7 @@ from permrec.cayley import (
 )
 # the engine pieces the threshold checks run on
 from permrec.cayley import GeneratorSet, ball, ball_of_identity, overlap_of_identity
-from permrec.channel import _sample_distinct, _survivors
+from permrec.channel import _sample_distinct
 from permrec.cli import UsageError
 from permrec.perms import (
     class_representative,
@@ -396,6 +396,27 @@ def read_patterns_by_line(path):
     return patterns
 
 
+def reconstruct_bruteforce(adj: dict, patterns, r: int) -> tuple:
+    """The sorted vertices within distance r of every pattern, each ball
+    from its own plain BFS."""
+    cands = set(adj)
+    for p in patterns:
+        cands &= ball_members(adj, tuple(p), r)
+    return tuple(sorted(cands))
+
+
+def _in_every_ball(members: frozenset[bytes], pool, patterns: list[bytes]):
+    """The packed z of ``pool``, lazily, inside the ball around every packed
+    pattern y: y^-1 z lies in the packed B_r(e) ``members``."""
+    tables = [left_inverse_table(y) for y in patterns]
+    for z in pool:
+        for t in tables:
+            if z.translate(t) not in members:
+                break
+        else:
+            yield z
+
+
 def min_prefix_for_unique_stepwise(members: frozenset[bytes], patterns) -> int:
     """The least k such that the first k patterns' radius-r balls share one
     member, or len(patterns) if none does, by filtering the candidate set
@@ -405,7 +426,7 @@ def min_prefix_for_unique_stepwise(members: frozenset[bytes], patterns) -> int:
     if len(cands) == 1:
         return 1
     for i, y in enumerate(rest, start=2):
-        cands = set(_survivors(cands, [left_inverse_table(y)], members))
+        cands = set(_in_every_ball(members, cands, [y]))
         if len(cands) == 1:
             return i
     return len(patterns)
@@ -416,13 +437,12 @@ def _subset_is_unique(
 ) -> bool:
     """True if the packed patterns pin down a single candidate (which must
     then be the source).  Fast path for sharpness sweeps: intersect two
-    translated balls, then filter survivors with early abort."""
+    translated balls, then filter what is left by the other patterns."""
     y1, y2 = patterns[0], patterns[1] if len(patterns) > 1 else patterns[0]
     pool = set(translated(members, left_table(y1)))
     pool.intersection_update(translated(members, left_table(y2)))
     pool.discard(source)
-    rest = [left_inverse_table(y) for y in patterns[2:]]
-    return next(_survivors(pool, rest, members), None) is None
+    return next(_in_every_ball(members, pool, patterns[2:]), None) is None
 
 
 def exhaustive_threshold_check(gen: GeneratorSet, r: int) -> int:

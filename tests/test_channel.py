@@ -10,6 +10,7 @@ from permrec.cayley import (
     ball_of_identity,
     ball_overlap,
     clear_ball_memo,
+    diameter,
     distance,
     max_ball_intersection,
     overlap_of_identity,
@@ -213,6 +214,52 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct([], 1, GeneratorSet.adjacent(5))
 
+    @pytest.mark.parametrize("patterns", [
+        [(0, 1, 2), (2, 0, 0)],  # its inverse table is that of (2, 1, 0)
+        [(0, 0, 1)],  # its ball would hold non-permutations
+        [(0, 1, 5)],
+        [b"\x01\x01\x00"],
+    ])
+    def test_non_permutation_is_refused(self, patterns):
+        with pytest.raises(ValueError, match="not a permutation"):
+            reconstruct(patterns, 1, GeneratorSet.all_transpositions(3))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("r", [1, 2, 3, pytest.param(None, id="diameter")])
+    def test_matches_the_bruteforce_intersection(self, kind, r):
+        # seeded pattern sets of every shape against balls from plain BFS;
+        # at the diameter every ball is the whole group
+        g = GeneratorSet.of_kind(kind, 5)
+        diam = diameter(g)
+        r = diam if r is None else r
+        adj = oracles.sym_adjacency(kind, 5)
+        size = ball_of_identity(g, r).size
+        m = min(overlap_of_identity(g, r).value + 1, size)
+        shared = ambiguity_witness(g, r)[2]
+        rng = SplitMix64(500 + r)
+        sets = [sorted(adj)]  # inconsistent below the diameter
+        for trial in range(5):
+            x, y = (unrank(5, rng.below(factorial(5))) for _ in range(2))
+            honest = generate_patterns(x, ChannelSpec(g, r, derive_seed(r, trial)), m)
+            sets += [
+                [x],
+                [x, x],
+                [y, x, y],
+                honest,
+                honest[: 1 + rng.below(m)],
+                [compose(x, z) for z in shared],
+                [unrank(5, rng.below(factorial(5))) for _ in range(2 + rng.below(6))],
+            ]
+        seen = set()
+        for patterns in sets:
+            result = reconstruct(patterns, r, g)
+            assert result.candidates == oracles.reconstruct_bruteforce(adj, patterns, r)
+            seen.add(result.status)
+        if r < diam:
+            assert seen == {"unique", "ambiguous", "inconsistent"}
+        else:
+            assert seen == {"ambiguous"}
+
 
 class TestThresholdSharpness:
     @pytest.mark.parametrize("kind", KINDS)
@@ -306,17 +353,22 @@ class TestExperiments:
         )
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("r", [1, 2, pytest.param(None, id="diameter")])
     def test_min_prefix_matches_the_stepwise_oracle(self, kind, r):
         # honest patterns, so the source always survives: every pattern set
         # is unique or ambiguous, and the diagnostic answers len(patterns)
-        # for an ambiguous one
+        # for an ambiguous one.  At the diameter every ball is the whole
+        # group, so pattern 2 drops nothing and every set is ambiguous.
         g = GeneratorSet.of_kind(kind, 6)
+        at_diameter = r is None
+        r = diameter(g) if at_diameter else r
         members = ball_of_identity(g, r).packed
-        threshold = overlap_of_identity(g, r).value
+        # 42, the largest threshold at r <= 2, keeps the lists short at the
+        # diameter, where the threshold is 6!
+        threshold = min(overlap_of_identity(g, r).value, 42)
         rng = SplitMix64(100 + r)
         seen = set()
-        for trial in range(200):
+        for trial in range(50 if at_diameter else 200):
             source = unrank(6, rng.below(factorial(6)))
             m = 1 + rng.below(threshold + 1)
             spec = ChannelSpec(g, r, derive_seed(r, trial))
@@ -326,8 +378,11 @@ class TestExperiments:
             status = reconstruct(patterns, r, g).status
             assert status != "inconsistent"
             seen.add((status, want < m))
-        # unique at a shorter prefix and at the whole list, and ambiguous
-        assert {("unique", True), ("unique", False), ("ambiguous", False)} <= seen
+        if at_diameter:
+            assert seen == {("ambiguous", False)}
+        else:
+            # unique at a shorter prefix and at the whole list, and ambiguous
+            assert {("unique", True), ("unique", False), ("ambiguous", False)} <= seen
 
     def test_record_documents(self):
         g = GeneratorSet.adjacent(4)
