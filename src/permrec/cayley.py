@@ -19,12 +19,13 @@ the identity; the engine leans on this throughout.
   m + c - 2[p(0) != 0] for prefix swaps (m moved points, c cycles of length
   two or more).  The diameter, its maximum, is n - 1 (an n-cycle), n(n-1)/2
   (the reversal) and Akers and Krishnamurthy's floor(3(n-1)/2);
-* balls, spheres and the whole-graph queries (:func:`local_params_all`,
-  :func:`is_distance_regular`, :func:`geodesic_counts`) come from one
-  breadth-first level expansion around the identity, which keeps only
-  three levels in hand because the graph is undirected.  The whole-graph
-  queries are capped at degree ``WHOLE_GRAPH_MAX_N``, and only
-  :func:`bfs_levels` keeps every level;
+* balls, spheres and the whole-graph queries (:func:`bfs_levels`,
+  :func:`is_distance_regular`) come from one breadth-first level expansion
+  around the identity, which keeps only three levels in hand because the
+  graph is undirected.  The whole-graph queries are capped at degree
+  ``WHOLE_GRAPH_MAX_N``, and only :func:`bfs_levels` keeps every level;
+* :func:`class_walk` walks the all-transpositions graph one conjugacy
+  class at a time instead, one representative per class, at every degree;
 * each generator is a transposition, an odd permutation, so every edge
   flips the sign and no cycle has odd length: :func:`girth_cycle_check`
   answers odd lengths without a search;
@@ -89,6 +90,7 @@ from .parallel import run_mapped
 from .perms import (
     IDENT,
     MAX_DEGREE,
+    CycleType,
     Perm,
     class_representative,
     compose,
@@ -392,12 +394,18 @@ def ball_radius(gen: GeneratorSet, radius: int) -> int:
     return min(radius, diameter(gen))
 
 
+def ball_size(gen: GeneratorSet, radius: int) -> int:
+    """The number of vertices of a ball at :func:`ball_radius`, from the
+    closed-form sphere sizes, without building it."""
+    return sum(_SPHERE_SIZES[gen.kind](gen.n)[:ball_radius(gen, radius) + 1])
+
+
 def ball(center: Perm, radius: int, gen: GeneratorSet) -> MetricBall:
     """Breadth-first expansion of the metric ball around ``center``, at
     :func:`ball_radius`."""
     radius = ball_radius(gen, radius)
     _check_vertex(center, gen)
-    _check_capacity(sum(_SPHERE_SIZES[gen.kind](gen.n)[:radius + 1]), "ball")
+    _check_capacity(ball_size(gen, radius), "ball")
     spheres = tuple(map(frozenset, islice(_levels(center, gen), radius + 1)))
     return MetricBall(gen, center, radius, spheres)
 
@@ -446,27 +454,6 @@ def distance(x: Perm, y: Perm, gen: GeneratorSet) -> int:
     _check_vertex(x, gen)
     _check_vertex(y, gen)
     return _DISTANCE[gen.kind](pack(y).translate(left_inverse_table(pack(x))))
-
-
-def _walk(gen: GeneratorSet):
-    """(d, level d-1, level d) for each breadth-first level around the
-    identity; level -1 is empty."""
-    prev: dict[bytes, None] = {}
-    for d, level in enumerate(_levels(identity(gen.n), gen)):
-        yield d, prev, level
-        prev = level
-
-
-def _split(v: bytes, gen: GeneratorSet, prev, level) -> tuple[int, int, int]:
-    """(c, a, b) for the packed vertex v of ``level``, with ``prev`` the level
-    before it: neighbors in prev, in level, and (all others) in the next."""
-    c = a = 0
-    for w in translated(gen.packed, left_table(v)):
-        if w in prev:
-            c += 1
-        elif w in level:
-            a += 1
-    return c, a, gen.k - c - a
 
 
 def lambda_mu(gen: GeneratorSet) -> tuple[int, int]:
@@ -669,15 +656,13 @@ def _classified_vertices(gen: GeneratorSet):
     level in breadth-first discovery order, where d is y's distance from the
     identity and c, a, b count its neighbors at distance d-1, d and d+1."""
     _check_whole_graph(gen)
-    for d, prev, level in _walk(gen):
-        if d:
-            for y in level:
-                yield d, y, _split(y, gen, prev, level)
-
-
-def local_params_all(gen: GeneratorSet) -> dict[Perm, tuple[int, int, int]]:
-    """(c, a, b) for every non-identity vertex, from one whole-graph walk."""
-    return {unpack(y): cab for _, y, cab in _classified_vertices(gen)}
+    prev: dict[bytes, None] = {}
+    for d, level in enumerate(_levels(identity(gen.n), gen)):
+        for y in level if d else ():
+            nbrs = list(translated(gen.packed, left_table(y)))
+            c, a = sum(w in prev for w in nbrs), sum(w in level for w in nbrs)
+            yield d, y, (c, a, gen.k - c - a)
+        prev = level
 
 
 def bfs_levels(gen: GeneratorSet) -> list[list[Perm]]:
@@ -696,22 +681,43 @@ def diameter(gen: GeneratorSet) -> int:
     return _DIAMETER[gen.kind](gen.n)
 
 
-def geodesic_counts(gen: GeneratorSet) -> dict[Perm, int]:
-    """Number of shortest paths from the identity to every vertex, from one
-    whole-graph walk: each vertex sums the counts of its neighbors in the
-    level before.  A geodesic to p spells a minimal factorization of p into
-    generators, so on the all-transpositions graph this is Dénes's count.
+@dataclass(frozen=True)
+class ClassVertex:
+    """Every vertex of one class: its distance from the identity, its
+    (c, a, b) and its number of shortest paths from the identity."""
 
-    >>> geodesic_counts(GeneratorSet.adjacent(4))[(3, 2, 1, 0)]
-    16
-    """
-    _check_whole_graph(gen)
-    counts: dict[bytes, int] = {}
-    for d, prev, level in _walk(gen):
-        for v in level:
-            nbrs = translated(gen.packed, left_table(v))
-            counts[v] = sum(counts[w] for w in nbrs if w in prev) if d else 1
-    return {unpack(v): c for v, c in counts.items()}
+    distance: int
+    params: tuple[int, int, int]
+    geodesics: int
+
+
+def class_walk(n: int) -> dict[CycleType, ClassVertex]:
+    """The all-transpositions graph of degree n walked breadth-first by
+    conjugacy class from the identity's, with no distance formula.
+
+    Conjugation is an automorphism that fixes the identity and maps the
+    generators onto themselves, so distance, (c, a, b) and geodesic count
+    are constant on each class.  A class's neighbors are the classes of its
+    representative's neighbors (``class_representative``), and its (c, a, b)
+    counts them by level.  Its geodesic count sums its closer neighbors':
+    a geodesic to p spells a minimal factorization of p into
+    transpositions, so this is Dénes's count."""
+    gens = GeneratorSet.all_transpositions(n).packed
+    order = [cycle_type(IDENT[n])]
+    dist = {order[0]: 0}
+    out: dict[CycleType, ClassVertex] = {}
+    for ct in order:  # the classes found are appended: a breadth-first queue
+        d = dist[ct]
+        rep = pack(class_representative(ct))
+        nbrs = [cycle_type(w) for w in translated(gens, left_table(rep))]
+        for w in nbrs:
+            if w not in dist:
+                dist[w] = d + 1
+                order.append(w)
+        steps = Counter(dist[w] - d for w in nbrs)
+        geodesics = sum(out[w].geodesics for w in nbrs if dist[w] < d) if d else 1
+        out[ct] = ClassVertex(d, (steps[-1], steps[0], steps[1]), geodesics)
+    return out
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from .cayley import (
     GeneratorSet,
     _shared_region,
     ball_of_identity,
+    ball_size,
     overlap_of_identity,
     witness_vertices,
 )
@@ -127,9 +128,12 @@ def generate_patterns(x: Perm, spec: ChannelSpec, m: int) -> list[Perm]:
     If rejection stalls (tiny balls), the full ball is enumerated and
     shuffled by the stream ``derive_seed(seed, 2^32)`` so progress is
     guaranteed.  Asking for more distinct patterns than the ball holds is
-    an error."""
+    an error, raised by the ball's closed-form size before any draw."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    size = ball_size(spec.gen, spec.max_errors)
+    if m > size:
+        raise ValueError(f"requested {m} distinct patterns but the ball has only {size}")
     out: list[bytes] = []
     seen: set[bytes] = set()
     for y in itertools.islice(_draws(pack(x), spec), max(60 * m, 600)):
@@ -140,11 +144,6 @@ def generate_patterns(x: Perm, spec: ChannelSpec, m: int) -> list[Perm]:
                 return list(map(unpack, out))
     members = ball_of_identity(spec.gen, spec.max_errors).packed
     ball_list = sorted(translated(members, left_table(pack(x))))
-    if m > len(ball_list):
-        raise ValueError(
-            f"requested {m} distinct patterns but the ball has only "
-            f"{len(ball_list)}"
-        )
     SplitMix64(derive_seed(spec.seed, 1 << 32)).shuffle(ball_list)
     out += [y for y in ball_list if y not in seen][: m - len(out)]
     return list(map(unpack, out))

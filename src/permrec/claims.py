@@ -35,13 +35,12 @@ from .cayley import (
     GeneratorSet,
     ball_overlap,
     bfs_levels,
+    class_walk,
     complete_bipartite_count,
     diameter,
-    geodesic_counts,
     girth_cycle_check,
     is_distance_regular,
     lambda_mu,
-    local_params_all,
     overlap_of_identity,
     witness_label,
 )
@@ -51,7 +50,6 @@ from .perms import (
     CycleType,
     class_representative,
     conjugacy_class_size,
-    cycle_type,
     cycle_types,
     enumerate_class,
     identity,
@@ -198,28 +196,27 @@ def suite_local_params(cfg: SuiteConfig):
         "every vertex at distance i has (c, a, b) = "
         "((sum j^2 h_j - n)/2, 0, (n^2 - sum j^2 h_j)/2) (all transpositions)"
     )
-    for n in cfg.span(3, 6):
+    for n in cfg.span(3, MAX_DEGREE):
         def measure():
-            measured = local_params_all(GeneratorSet.all_transpositions(n))
             bad = 0
-            for p, (c, a, b) in measured.items():
-                ect, ebt = formulas.local_params_formula(cycle_type(p))
-                if (c, a, b) != (ect, 0, ebt):
-                    bad += 1
+            for ct, found in class_walk(n).items():
+                ec, eb = formulas.local_params_formula(ct)
+                if found.params != (ec, 0, eb):
+                    bad += conjugacy_class_size(ct)
             return "all conform", "all conform" if bad == 0 else f"{bad} mismatches"
         yield "localparams.T", stmt, f"n={n}", measure
 
 
 def suite_factorizations(cfg: SuiteConfig):
     stmt = "minimal transposition factorizations = i! prod (j^(j-2)/(j-1)!)^h_j"
-    for n in cfg.span(3, 8):
-        # one walk serves every class of this degree; it runs on the first
-        # measure, so a capacity skip still skips row by row
-        counts = cache(partial(geodesic_counts, GeneratorSet.all_transpositions(n)))
+    for n in cfg.span(3, MAX_DEGREE):
+        # one class walk serves every class of this degree; it runs on the
+        # first measure
+        walk = cache(partial(class_walk, n))
         for ct in cycle_types(n):
             if ct.min_transpositions:
                 yield "denes.count", stmt, f"n={n},ct={ct}", lambda: (
-                    minimal_factorization_count(ct), counts()[class_representative(ct)]
+                    minimal_factorization_count(ct), walk()[ct].geodesics
                 )
 
 
@@ -233,17 +230,12 @@ def suite_classes(cfg: SuiteConfig):
     stmt_sphere = (
         "distance-i sphere = union of classes with n-i cycles (all transpositions)"
     )
-    for n in cfg.span(3, 6):
+    # the walk's distance is constant on each class, so each sphere is the
+    # union of the classes the walk puts at its distance
+    for n in cfg.span(3, MAX_DEGREE):
         def measure():
-            levels = bfs_levels(GeneratorSet.all_transpositions(n))
-            ok = True
-            for i, level in enumerate(levels):
-                union = set()
-                for ct in cycle_types(n):
-                    if ct.min_transpositions == i:
-                        union |= enumerate_class(ct)
-                if set(level) != union:
-                    ok = False
+            walked = {ct: found.distance for ct, found in class_walk(n).items()}
+            ok = walked == {ct: ct.min_transpositions for ct in cycle_types(n)}
             return "spheres match", "spheres match" if ok else "mismatch"
         yield "class.sphere-partition", stmt_sphere, f"n={n}", measure
 

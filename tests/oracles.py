@@ -78,6 +78,17 @@ def bfs_dist(adj: dict, src) -> dict:
     return dist
 
 
+def shortest_path_counts(adj: dict, src) -> dict:
+    """The number of shortest paths from src to every vertex: each vertex,
+    taken in order of distance, sums the counts of its neighbors one step
+    closer."""
+    dist = bfs_dist(adj, src)
+    counts = {}
+    for u in sorted(dist, key=dist.get):
+        counts[u] = sum(counts[w] for w in adj[u] if dist[w] < dist[u]) if u != src else 1
+    return counts
+
+
 def ball_members(adj: dict, center, r: int) -> set:
     return {p for p, d in bfs_dist(adj, center).items() if d <= r}
 

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+from collections import Counter
 from functools import partial
 from itertools import permutations
 from math import comb, factorial
@@ -15,15 +16,14 @@ from permrec.cayley import (
     ball_overlap,
     bfs_levels,
     build_graph_report,
+    class_walk,
     complete_bipartite_count,
     diameter,
     distance,
-    geodesic_counts,
     girth_cycle_check,
     is_distance_regular,
     lambda_mu,
     local_params,
-    local_params_all,
     max_ball_intersection,
     max_ball_intersection_at,
     clear_ball_memo,
@@ -34,6 +34,7 @@ from permrec.errors import CapacityError
 from permrec.perms import (
     class_representative,
     compose,
+    conjugacy_class_size,
     cycle_count,
     cycle_type,
     cycle_types,
@@ -512,9 +513,10 @@ class TestLocalParams:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_closed_form_everywhere(self, n):
         g = GeneratorSet.all_transpositions(n)
-        for p, (c, a, b) in local_params_all(g).items():
+        walk = class_walk(n)
+        for p in permutations(range(n)):
             ec, eb = formulas.local_params_formula(cycle_type(p))
-            assert (c, a, b) == (ec, 0, eb)
+            assert walk[cycle_type(p)].params == local_params(p, g) == (ec, 0, eb)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_class_constant_overlap(self, n):
@@ -531,14 +533,11 @@ class TestLocalParams:
         g, adj = oracle_graph(kind)
         e = identity(g.n)
         dist = oracles.bfs_dist(adj, e)
-        every = local_params_all(g)
-        assert set(every) == set(dist) - {e}
         for p, d in dist.items():
             want = tuple(sum(dist[w] == d + step for w in adj[p]) for step in (-1, 0, 1))
             assert local_params(p, g) == want
-            assert every.get(p, want) == want
-        # T, t and st are bipartite, so no vertex has neighbors on its own level
-        assert not any(a for _, a, _ in every.values())
+            # T, t and st are bipartite, so no vertex has neighbors on its own level
+            assert want[1] == 0
 
 
 class TestWholeGraph:
@@ -562,7 +561,7 @@ class TestWholeGraph:
     def test_whole_graph_cap(self, monkeypatch):
         clear_ball_memo()
         monkeypatch.setattr(cayley, "WHOLE_GRAPH_MAX_N", 5)
-        sweeps = (bfs_levels, local_params_all, is_distance_regular, geodesic_counts)
+        sweeps = (bfs_levels, is_distance_regular)
         for sweep in sweeps:
             sweep(GeneratorSet.adjacent(5))
             with pytest.raises(CapacityError, match="^whole-graph search capped at degree 5$"):
@@ -591,19 +590,19 @@ class TestWholeGraph:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_geodesic_counts_are_factorization_counts(self, n):
-        counts = geodesic_counts(GeneratorSet.all_transpositions(n))
-        assert len(counts) == factorial(n)
-        assert counts[identity(n)] == 1
+        walk = class_walk(n)
+        assert walk[cycle_type(identity(n))].geodesics == 1
         for ct in cycle_types(n):
             if ct.min_transpositions:
                 target = class_representative(ct)
                 want = oracles.factorization_count(n, target, ct.min_transpositions)
-                assert counts[target] == want
+                assert walk[ct].geodesics == want
 
     def test_reversal_geodesics_are_reduced_words(self):
-        # reduced words of the longest element: Stanley's count
+        # the oracle's shortest-path count on the adjacent swaps, against
+        # the reduced words of the longest element: Stanley's count
         for n, want in zip(range(3, 7), (2, 16, 768, 292864)):
-            counts = geodesic_counts(GeneratorSet.adjacent(n))
+            counts = oracles.shortest_path_counts(oracles.sym_adjacency("t", n), identity(n))
             assert counts[tuple(reversed(range(n)))] == want
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -622,6 +621,25 @@ class TestWholeGraph:
         for i in range(4):
             sph = b.spheres[i] if i < len(b.spheres) else frozenset()
             assert by_products[i] == sph
+
+
+class TestClassWalk:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_every_member_matches_the_oracles(self, n):
+        adj = oracles.sym_adjacency("T", n)
+        dist = oracles.bfs_dist(adj, identity(n))
+        paths = oracles.shortest_path_counts(adj, identity(n))
+        walk = class_walk(n)
+        assert set(walk) == set(cycle_types(n))
+        for ct, found in walk.items():
+            for p in enumerate_class(ct):
+                d = dist[p]
+                params = tuple(sum(dist[w] == d + step for w in adj[p]) for step in (-1, 0, 1))
+                assert (found.distance, found.params, found.geodesics) == (d, params, paths[p])
+        by_distance = Counter()
+        for ct, found in walk.items():
+            by_distance[found.distance] += conjugacy_class_size(ct)
+        assert by_distance == Counter(dist.values())
 
 
 class TestDistanceRegularity:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from permrec import cayley, channel
 from permrec.cache import overlap_of_identity_cached
 from permrec.cayley import (
     GeneratorSet,
@@ -149,6 +150,19 @@ class TestGeneratePatterns:
         spec = spec_for("t", 3, 1, seed=1)
         with pytest.raises(ValueError):
             generate_patterns(identity(3), spec, 4)  # ball holds 3
+
+    @pytest.mark.parametrize("kind, n, r, size", [("t", 5, 1, 5), ("T", 6, 2, 101), ("st", 4, 9, 24)])
+    def test_more_than_ball_refused_before_any_draw(self, monkeypatch, kind, n, r, size):
+        # by the ball's closed-form size: no draw, and no ball is built
+        def forbidden(*args):
+            raise AssertionError("drew or walked")
+
+        clear_ball_memo()
+        monkeypatch.setattr(channel, "_draws", forbidden)
+        monkeypatch.setattr(cayley, "_levels", forbidden)
+        msg = f"^requested {size + 1} distinct patterns but the ball has only {size}$"
+        with pytest.raises(ValueError, match=msg):
+            generate_patterns(identity(n), spec_for(kind, n, r), size + 1)
 
     def test_patterns_lie_in_source_ball(self):
         spec = spec_for("st", 5, 2, seed=13)

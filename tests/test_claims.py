@@ -39,3 +39,17 @@ def test_probe_scans_each_profile_once(scans):
     assert doc["distance2_value_at_two_errors"] == doc["distance2_value_at_r_errors"]
     assert sorted(scans) == [("T", 7, 2, s) for s in range(1, 5)]
     assert set(scans.values()) == {1}
+
+
+def test_class_suites_need_no_whole_graph_walk(monkeypatch):
+    # the three suites read only the class walk, so they reach degree 12
+    monkeypatch.setattr(cayley, "_levels", None)
+    monkeypatch.setattr(cayley, "WHOLE_GRAPH_MAX_N", 2)
+    rows = claims.run_suites(
+        ["local-params", "factorizations", "classes"], claims.SuiteConfig(max_n=12)
+    )
+    walked = {"localparams.T", "denes.count", "class.sphere-partition"}
+    assert {row.instance.split(",")[0] for row in rows if row.claim_id in walked} == {
+        f"n={n}" for n in range(3, 13)
+    }
+    assert all(row.verdict == "pass" for row in rows)

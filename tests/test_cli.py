@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from permrec import cache, cayley, claims, cli, smallgraphs
+from permrec import cache, cayley, channel, claims, cli, smallgraphs
 from permrec.cache import cache_path, load_ball, load_overlap, overlap_path
 from test_cache import fail_writes_halfway
 
@@ -298,6 +298,16 @@ def test_simulate_refuses_m_below_one(m, adversarial, files, capsys):
     argv = ["simulate", "--graph", "st", "--n", "5", "--r", "2", "--trials", "2",
             "--seed", "1", "--m", str(m), *(["--adversarial"] if adversarial else [])]
     check_refused_before_any_work(argv, "--m must be >= 1", True, files, capsys)
+
+
+def test_simulate_refuses_m_past_the_ball_before_any_draw(files, capsys, monkeypatch):
+    # the t n=5 r=1 ball holds 5 patterns; drawing toward 100000 took seconds
+    monkeypatch.setattr(channel, "_draws", None)
+    argv = ["simulate", "--graph", "t", "--n", "5", "--r", "1", "--trials", "1", "--seed", "1",
+            "--m", "100000"]
+    assert run_cli(argv, files) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "error: requested 100000 distinct patterns but the ball has only 5\n"
 
 
 @pytest.mark.parametrize("cached", [False, True])
