@@ -511,6 +511,58 @@ class IntersectionMax:
         return {sm.s: sm.witnesses for sm in self.per_s if sm.value == self.value}
 
 
+def extended_profile(best: IntersectionMax, r: int) -> IntersectionMax:
+    """``best``, a profile at or past the diameter D, at radius r >= its own.
+    Past D every ball is the whole graph, so the profile at r is D's with
+    the distances 2D+1..2r, at which no two vertices lie, added as absent."""
+    absent = tuple(SphereMax(s, None) for s in range(2 * best.radius + 1, 2 * r + 1))
+    return IntersectionMax(r, best.value, best.per_s + absent) if absent else best
+
+
+@dataclass(frozen=True)
+class MetricReport:
+    """What a Cayley-graph and a small-graph report share: the order, the
+    valency (None if the graph is not regular), lambda, mu, the diameter D
+    and the overlap profiles.  ``per_radius`` holds radii 1 to min(r, D)
+    for the report's radius r, and every radius past D reads D's profile
+    (:func:`extended_profile`), so a report past D costs what one at D does."""
+
+    v: int
+    k: int | None
+    lam: int
+    mu: int
+    diameter: int | None
+    r: int
+    per_radius: tuple[IntersectionMax, ...]
+
+    def n_value(self, r: int) -> int:
+        return self.per_radius[min(r, len(self.per_radius)) - 1].value
+
+    def profile(self, r: int) -> IntersectionMax:
+        return extended_profile(self.per_radius[min(r, len(self.per_radius)) - 1], r)
+
+    @property
+    def final(self) -> IntersectionMax:
+        return self.profile(self.r)
+
+    def _doc(self, labels) -> dict:
+        """The document's shared keys, the witnesses of each attaining
+        distance's ``SphereMax`` listed by ``labels``."""
+        final = self.final
+        return {
+            "v": self.v,
+            "k": self.k,
+            "lambda": self.lam,
+            "mu": self.mu,
+            "diameter": self.diameter,
+            "n_s": {str(sm.s): sm.value for sm in final.per_s},
+            "n_r": {str(rr): self.n_value(rr) for rr in range(1, self.r + 1)},
+            "witnesses": {
+                "n_s": {str(sm.s): labels(sm) for sm in final.per_s if sm.value == final.value}
+            },
+        }
+
+
 def _shared_region(members: frozenset[bytes], y: bytes) -> frozenset[bytes]:
     """B ∩ yB for the packed ball B = ``members`` around e and packed y;
     B_r(x) ∩ B_r(xy) is x times it, by left translation."""
@@ -616,18 +668,14 @@ _overlap_memo: dict[tuple[GeneratorSet, int], IntersectionMax] = {}
 
 def overlap_of_identity(gen: GeneratorSet, r: int) -> IntersectionMax:
     """:func:`max_ball_intersection`, memoized per (generator set,
-    :func:`ball_radius`).  Past the diameter D every ball is the whole
-    group, so the profile at r is D's with the distances 2D+1..2r, at which
-    no two vertices lie, added as absent."""
+    :func:`ball_radius`) and extended past the diameter by
+    :func:`extended_profile`."""
     radius = ball_radius(gen, r)
     key = (gen, radius)
     got = _overlap_memo.get(key)
     if got is None:
         got = _overlap_memo[key] = max_ball_intersection(gen, radius)
-    if radius == r:
-        return got
-    absent = tuple(SphereMax(s, None) for s in range(2 * radius + 1, 2 * r + 1))
-    return IntersectionMax(r, got.value, got.per_s + absent)
+    return extended_profile(got, r)
 
 
 def prime_overlap(gen: GeneratorSet, best: IntersectionMax) -> None:
@@ -859,43 +907,21 @@ def complete_bipartite_count(gen: GeneratorSet, p: int, q: int, at: Perm) -> int
 
 
 @dataclass(frozen=True)
-class GraphReport:
+class GraphReport(MetricReport):
     """Computed metric profile of one Cayley graph instance."""
 
     kind: str
     n: int
-    v: int
-    k: int
-    lam: int
-    mu: int
-    diameter: int | None
-    per_radius: tuple[IntersectionMax, ...]
     notes: tuple[str, ...] = ()
 
-    @property
-    def final(self) -> IntersectionMax:
-        return self.per_radius[-1]
-
     def to_doc(self) -> dict:
-        final = self.final
         gen = GeneratorSet(self.kind, self.n)
         return {
             "n": self.n,
             "generator_kind": self.kind,
-            "v": self.v,
-            "k": self.k,
-            "lambda": self.lam,
-            "mu": self.mu,
-            "diameter": self.diameter,
-            "n_s": {str(sm.s): sm.value for sm in final.per_s},
-            "n_r": {str(im.radius): im.value for im in self.per_radius},
-            "witnesses": {
-                "n_s": {
-                    str(sm.s): sorted(witness_label(gen, y) for y in witness_vertices(gen, sm))
-                    for sm in final.per_s
-                    if sm.value == final.value
-                }
-            },
+            **self._doc(
+                lambda sm: sorted(witness_label(gen, y) for y in witness_vertices(gen, sm))
+            ),
             "notes": list(self.notes),
         }
 
@@ -905,6 +931,9 @@ def build_graph_report(gen: GeneratorSet, r: int, with_diameter: bool = True) ->
     return GraphReport(
         kind=gen.kind, n=gen.n, v=factorial(gen.n), k=gen.k, lam=lam, mu=mu,
         diameter=diameter(gen) if with_diameter else None,
-        per_radius=tuple(overlap_of_identity(gen, rr) for rr in range(1, r + 1)),
+        r=r,
+        per_radius=tuple(
+            overlap_of_identity(gen, rr) for rr in range(1, ball_radius(gen, r) + 1)
+        ),
         notes=() if with_diameter else ("diameter skipped: disabled",),
     )

@@ -6,10 +6,11 @@ distinct erroneous patterns as the intersection of the balls around them;
 one pattern more than the graph's maximum ball overlap always suffices.
 Every intersection starts from one pairwise region: B_r(p1) ∩ B_r(p2) is
 p1 (B_r(e) ∩ q B_r(e)) for q = p1^-1 p2, and ``cayley._shared_region`` is
-B_r(e) ∩ q B_r(e), the overlap the scans maximise.  ``reconstruct`` and
-the min-prefix diagnostic walk that region for the first later pattern
-that drops each member; the adversarial pool is the region of the
-identity and the overlap witness.
+B_r(e) ∩ q B_r(e), the overlap the scans maximise.  One walk of that
+region finds the candidates and, for each member dropped, the first later
+pattern that drops it, so one decode gives a trial both its status and its
+min-prefix diagnostic.  The adversarial pool is the region of the identity
+and the overlap witness.
 
 Error counts are uniform on 0..max_errors by default ("at most r" errors);
 an exact-r mode is available since any policy staying inside the ball keeps
@@ -42,6 +43,7 @@ sort before converting back, so no output depends on set iteration order.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
@@ -57,7 +59,6 @@ from .perms import (
     IDENT,
     PAD,
     Perm,
-    compose,
     format_perm,
     identity,
     left_inverse_table,
@@ -175,14 +176,14 @@ def reconstruct(patterns, r: int, gen: GeneratorSet) -> ReconstructionResult:
     if any(len(p) != gen.n for p in patterns):
         raise ValueError("pattern degree mismatch")
     found, _ = _intersection(ball_of_identity(gen, r).packed, patterns)
-    candidates = tuple(map(unpack, sorted(found)))
-    if len(candidates) == 1:
-        status = STATUS_UNIQUE
-    elif candidates:
-        status = STATUS_AMBIGUOUS
-    else:
-        status = STATUS_INCONSISTENT
-    return ReconstructionResult(candidates, status, len(patterns))
+    return ReconstructionResult(
+        tuple(map(unpack, sorted(found))), _status(len(found)), len(patterns)
+    )
+
+
+def _status(count: int) -> str:
+    """The verdict on an intersection of ``count`` members."""
+    return STATUS_UNIQUE if count == 1 else STATUS_AMBIGUOUS if count else STATUS_INCONSISTENT
 
 
 def _intersection(members: frozenset[bytes], patterns: list) -> tuple[list[bytes], int]:
@@ -294,21 +295,6 @@ class ExperimentSummary:
         }
 
 
-def _min_prefix_for_unique(members: frozenset[bytes], patterns: list[Perm]) -> int:
-    """The least k such that the first k patterns' balls share one member,
-    for patterns whose balls all share exactly one; len(patterns) for any
-    others.  ``members`` is the packed B_r(e).
-
-    Each member of the first ball but the shared one is dropped by a first
-    pattern i, and the prefix is unique from the largest such i on: 2 (1
-    if the ball is one vertex) or the largest first miss in B_r(p1) ∩
-    B_r(p2)."""
-    found, last_miss = _intersection(members, patterns)
-    if len(found) != 1:
-        return len(patterns)
-    return max(last_miss, 2 if len(members) > 1 else 1)
-
-
 def run_experiment(
     gen: GeneratorSet,
     r: int,
@@ -325,13 +311,17 @@ def run_experiment(
     In adversarial mode the patterns come only from a maximal shared region,
     which holds exactly the overlap maximum, so m defaults to that maximum
     and every trial demonstrates ambiguity.  Per-trial streams are derived
-    from (seed, trial), so a transcript depends only on its arguments."""
+    from (seed, trial), so a transcript depends only on its arguments.
+
+    One walk per trial gives the decode and a unique trial's
+    ``min_unique_m``, the least k whose first k patterns pin the source:
+    each other member of the first ball is dropped by a first pattern i,
+    so that is 2 (1 if the ball is one vertex) or the largest such i."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    shared = None
     if adversarial:
         # the region of e and the overlap witness holds the overlap maximum
-        shared = ambiguity_witness(gen, r)[2]
+        shared = list(map(pack, ambiguity_witness(gen, r)[2]))
         threshold = len(shared)
     else:
         threshold = overlap_of_identity(gen, r).value
@@ -349,23 +339,22 @@ def run_experiment(
         if adversarial:
             # translate the witness pair by the source and draw patterns
             # only from the region their balls share
-            pool = sorted(compose(source, z) for z in shared)
-            patterns = _sample_distinct(rng, pool, m)
+            pool = sorted(translated(shared, left_table(pack(source))))
+            patterns = list(map(unpack, _sample_distinct(rng, pool, m)))
         else:
             spec = ChannelSpec(
                 gen, r, derive_seed(seed, (trial << 1) + 1), exact_errors=exact_errors
             )
             patterns = generate_patterns(source, spec, m)
-        result = reconstruct(patterns, r, gen)
-        if not adversarial and source not in result.candidates:
+        found, last_miss = _intersection(members, patterns)
+        if not adversarial and pack(source) not in found:
             raise AssertionError("honest source fell outside the candidate set")
-        min_unique = (_min_prefix_for_unique(members, patterns)
-                      if result.status == STATUS_UNIQUE else None)
-        records.append(TrialRecord(trial, source, tuple(patterns), result.status,
-                                   len(result.candidates), min_unique))
-    unique = sum(1 for t in records if t.status == STATUS_UNIQUE)
-    ambiguous = sum(1 for t in records if t.status == STATUS_AMBIGUOUS)
-    inconsistent = trials - unique - ambiguous
+        status = _status(len(found))
+        min_unique = (max(last_miss, 2 if len(members) > 1 else 1)
+                      if status == STATUS_UNIQUE else None)
+        records.append(TrialRecord(trial, source, tuple(patterns), status,
+                                   len(found), min_unique))
+    counts = Counter(t.status for t in records)
     mins = [t.min_unique_m for t in records if t.min_unique_m is not None]
     return ExperimentSummary(
         gen_kind=gen.kind,
@@ -376,9 +365,9 @@ def run_experiment(
         threshold=threshold,
         seed=seed,
         adversarial=adversarial,
-        unique=unique,
-        ambiguous=ambiguous,
-        inconsistent=inconsistent,
+        unique=counts[STATUS_UNIQUE],
+        ambiguous=counts[STATUS_AMBIGUOUS],
+        inconsistent=counts[STATUS_INCONSISTENT],
         min_unique_m_max=max(mins) if mins else None,
         min_unique_m_mean=(sum(mins) / len(mins)) if mins else None,
         records=tuple(records),

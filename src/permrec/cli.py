@@ -498,13 +498,14 @@ def _cmd_graph_import(args, settings) -> _Result:
 
 _NOT_TABULAR = ("json", "pretty")
 
-# the least value of each option a command checks before any work; an
-# option left at its default of None is not checked
-_LEAST = {
-    "report": {"r": 1},
-    "reconstruct": {"r": 0},
-    "simulate": {"r": 1, "trials": 1, "m": 1},
-    "graph-import": {"r": 1},
+# the (least, greatest or None) value of each option a command checks before
+# any work; an option left at its default of None is not checked.  Seeds
+# are 64-bit: ``rng`` would alias any other to one of them.
+_BOUNDS = {
+    "report": {"r": (1, None)},
+    "reconstruct": {"r": (0, None)},
+    "simulate": {"r": (1, None), "trials": (1, None), "m": (1, None), "seed": (0, 2**64 - 1)},
+    "graph-import": {"r": (1, None)},
 }
 
 
@@ -551,10 +552,12 @@ def main(argv=None) -> int:
             raise UsageError(
                 f"{args.command} supports --format {' or '.join(command.formats)}"
             )
-        for option, low in _LEAST.get(args.command, {}).items():
+        for option, (low, high) in _BOUNDS.get(args.command, {}).items():
             value = getattr(args, option)
-            if value is not None and value < low:
-                raise UsageError(f"--{option} must be >= {low}")
+            if value is None or low <= value and (high is None or value <= high):
+                continue
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise UsageError(f"--{option} must be {bound}")
         result = command.run(args, settings)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 
-from .cayley import IntersectionMax, RegularityResult, RegularityWitness, SphereMax
+from .cayley import IntersectionMax, MetricReport, RegularityResult, RegularityWitness, SphereMax
 from .errors import CapacityError
 
 # small_graph_report lists every vertex pair and intersects two v-bit balls
@@ -164,42 +164,15 @@ def complete_multipartite_graph(parts: int, part_size: int) -> SmallGraph:
 
 
 @dataclass(frozen=True)
-class SmallGraphReport:
+class SmallGraphReport(MetricReport):
     """Exhaustively measured metric profile of an explicit graph."""
 
     graph: str
-    v: int
-    k: int | None
-    lam: int
-    mu: int
-    diameter: int
-    per_radius: tuple[IntersectionMax, ...]
-
-    @property
-    def final(self) -> IntersectionMax:
-        return self.per_radius[-1]
-
-    def n_value(self, r: int) -> int:
-        return self.per_radius[r - 1].value
 
     def to_doc(self) -> dict:
-        final = self.final
         return {
             "graph": self.graph,
-            "v": self.v,
-            "k": self.k,
-            "lambda": self.lam,
-            "mu": self.mu,
-            "diameter": self.diameter,
-            "n_s": {str(sm.s): sm.value for sm in final.per_s},
-            "n_r": {str(im.radius): im.value for im in self.per_radius},
-            "witnesses": {
-                "n_s": {
-                    str(sm.s): list(sm.witnesses)
-                    for sm in final.per_s
-                    if sm.value == final.value
-                }
-            },
+            **self._doc(lambda sm: list(sm.witnesses)),
             "notes": [],
         }
 
@@ -254,14 +227,17 @@ def small_graph_report(graph: SmallGraph, r: int) -> SmallGraphReport:
     adj, spheres = _spheres(graph)
     if graph.v == 1:
         raise ValueError("no vertex pairs at any distance in 1..2r")
-    pairs = {s: _pairs(spheres, s) for s in range(1, 2 * r + 1)}
+    diam = max(map(len, spheres)) - 1
+    # past the diameter each profile is the diameter's (see MetricReport)
+    top = min(r, diam)
+    pairs = {s: _pairs(spheres, s) for s in range(1, 2 * top + 1)}
     lam, mu = (
         max(((adj[u] & adj[w]).bit_count() for u, w in pairs[s]), default=0)
         for s in (1, 2)
     )
 
     per_radius = []
-    for rr in range(1, r + 1):
+    for rr in range(1, top + 1):
         # spheres are disjoint, so their sum is their union
         balls = [sum(rows[: rr + 1]) for rows in spheres]
         per_s = []
@@ -279,7 +255,8 @@ def small_graph_report(graph: SmallGraph, r: int) -> SmallGraphReport:
         k=graph.valency,
         lam=lam,
         mu=mu,
-        diameter=max(map(len, spheres)) - 1,
+        diameter=diam,
+        r=r,
         per_radius=tuple(per_radius),
     )
 

@@ -334,6 +334,7 @@ def small_graph_report(graph, r: int):
         lam=lam,
         mu=mu,
         diameter=diam,
+        r=r,
         per_radius=tuple(per_radius),
     )
 

@@ -770,6 +770,19 @@ class TestGraphReport:
         assert doc["v"] == 24 and doc["k"] == 6
         assert doc["witnesses"]["n_s"] == {"2": ["1^1 3^1"]}
 
+    @pytest.mark.parametrize("kind", ["T", "t", "st"])
+    def test_radius_past_the_diameter_scans_only_to_it(self, kind):
+        # every radius past the diameter reads its profile, which a scan at
+        # that radius finds too
+        g = GeneratorSet.of_kind(kind, 4)
+        d = diameter(g)
+        report = build_graph_report(g, d + 3)
+        assert len(report.per_radius) == d
+        for rr in range(1, d + 4):
+            assert report.profile(rr) == max_ball_intersection(g, rr)
+            assert report.n_value(rr) == max_ball_intersection(g, rr).value
+        assert report.final == report.profile(d + 3)
+
     def test_diameter_skip_note(self):
         for n in (4, 9):
             g = GeneratorSet.adjacent(n)

@@ -1,3 +1,4 @@
+import functools
 import json
 from math import factorial
 from pathlib import Path
@@ -19,7 +20,6 @@ from permrec.cayley import (
 )
 from permrec.channel import (
     ChannelSpec,
-    _min_prefix_for_unique,
     ambiguity_witness,
     distort,
     generate_patterns,
@@ -369,34 +369,52 @@ class TestExperiments:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("r", [1, 2, pytest.param(None, id="diameter")])
     def test_min_prefix_matches_the_stepwise_oracle(self, kind, r):
-        # honest patterns, so the source always survives: every pattern set
-        # is unique or ambiguous, and the diagnostic answers len(patterns)
-        # for an ambiguous one.  At the diameter every ball is the whole
-        # group, so pattern 2 drops nothing and every set is ambiguous.
+        # honest runs at every m from 1 to the threshold, so the source
+        # always survives and every trial is unique or ambiguous.  At the
+        # diameter every ball is the whole group, so pattern 2 drops nothing
+        # and every trial is ambiguous.
         g = GeneratorSet.of_kind(kind, 6)
         at_diameter = r is None
         r = diameter(g) if at_diameter else r
         members = ball_of_identity(g, r).packed
         # 42, the largest threshold at r <= 2, keeps the lists short at the
         # diameter, where the threshold is 6!
-        threshold = min(overlap_of_identity(g, r).value, 42)
-        rng = SplitMix64(100 + r)
+        threshold = min(overlap_of_identity(g, r).value, 42) + 1
         seen = set()
-        for trial in range(50 if at_diameter else 200):
-            source = unrank(6, rng.below(factorial(6)))
-            m = 1 + rng.below(threshold + 1)
-            spec = ChannelSpec(g, r, derive_seed(r, trial))
-            patterns = generate_patterns(source, spec, m)
-            want = oracles.min_prefix_for_unique_stepwise(members, patterns)
-            assert _min_prefix_for_unique(members, patterns) == want
-            status = reconstruct(patterns, r, g).status
-            assert status != "inconsistent"
-            seen.add((status, want < m))
+        for m in range(1, threshold + 1):
+            trials = (50 if at_diameter else 200) // threshold + 1
+            summary = run_experiment(g, r, trials, 100 * m + r, m=m)
+            for record in summary.records:
+                want = reconstruct(record.patterns, r, g)
+                assert (record.status, record.candidate_count) == (
+                    want.status, len(want.candidates)
+                )
+                stepwise = oracles.min_prefix_for_unique_stepwise(members, record.patterns)
+                if record.status == "unique":
+                    assert record.min_unique_m == stepwise
+                else:
+                    assert record.min_unique_m is None and stepwise == m
+                seen.add((record.status, stepwise < m))
         if at_diameter:
             assert seen == {("ambiguous", False)}
         else:
             # unique at a shorter prefix and at the whole list, and ambiguous
             assert {("unique", True), ("unique", False), ("ambiguous", False)} <= seen
+
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["honest", "adversarial"])
+    def test_one_walk_per_trial(self, monkeypatch, adversarial):
+        # status, candidate count and min-prefix all come from one decode
+        walks = []
+        walk = channel._intersection
+
+        def counted(members, patterns):
+            walks.append(len(patterns))
+            return walk(members, patterns)
+
+        monkeypatch.setattr(channel, "_intersection", counted)
+        summary = run_experiment(GeneratorSet.of_kind("T", 6), 2, 12, 7, adversarial=adversarial)
+        assert walks == [summary.m] * 12
+        assert summary.unique == (0 if adversarial else 12)
 
     def test_record_documents(self):
         g = GeneratorSet.adjacent(4)
@@ -461,9 +479,68 @@ class TestPinnedDraws:
             draw_case(name)
 
 
+# name -> (kind, n, r, mode, m): run_experiment summaries and transcripts
+# pinned byte for byte in tests/golden/channel_trials.json, for honest, exact
+# and adversarial runs at the default m (None), 2 and 3.  T5_r4 is at the
+# diameter, where an honest run's default m is past the whole group.  A run
+# the package refuses is pinned by its message.
+TRIAL_CASES = {
+    f"{kind}{n}_r{r}_{mode}_m{m or 'default'}": (kind, n, r, mode, m)
+    for kind, n, r in [(k, n, r) for k in KINDS for n in (5, 9) for r in (1, 2)] + [("T", 5, 4)]
+    for mode in ("honest", "exact", "adversarial")
+    for m in (None, 2, 3)
+}
+TRIALS_GOLDEN = DRAWS_GOLDEN.with_name("channel_trials.json")
+
+
+def trial_case(name: str) -> dict:
+    """A three-trial run's summary and transcript as the CLI writes them,
+    or the message of the ValueError that refuses the run."""
+    kind, n, r, mode, m = TRIAL_CASES[name]
+    try:
+        summary = run_experiment(
+            GeneratorSet.of_kind(kind, n), r, 3, 100 + 37 * n + r, m=m,
+            adversarial=mode == "adversarial", exact_errors=mode == "exact",
+        )
+    except ValueError as exc:
+        return {"error": str(exc)}
+    return {
+        "summary": json.dumps(summary.to_doc(), sort_keys=True),
+        "transcript": [json.dumps(t.to_doc(), sort_keys=True) for t in summary.records],
+    }
+
+
+@functools.cache
+def trials_golden() -> dict:
+    return json.loads(TRIALS_GOLDEN.read_text())
+
+
+class TestPinnedTrials:
+    """Trial records, pinned before a trial's decode and min-prefix came
+    from one walk of the pairwise region."""
+
+    @pytest.mark.parametrize("name", sorted(TRIAL_CASES))
+    def test_trials_match_golden(self, name):
+        assert trial_case(name) == trials_golden()[name]
+
+    def test_every_status_and_refusal_is_pinned(self):
+        statuses = {
+            json.loads(line)["status"]
+            for case in trials_golden().values()
+            for line in case.get("transcript", ())
+        }
+        assert statuses == {"unique", "ambiguous"}
+        refused = {name for name, case in trials_golden().items() if "error" in case}
+        assert "T5_r4_honest_mdefault" in refused
+        assert "t5_r1_adversarial_m3" in refused
+
+
 if __name__ == "__main__":
-    # rewrite the pinned draws from the package on sys.path; only when a
-    # change to the draws is intended
+    # rewrite the pinned draws and trials from the package on sys.path; only
+    # when a change to them is intended
     DRAWS_GOLDEN.write_text(
         json.dumps({name: draw_case(name) for name in sorted(DRAW_CASES)}, indent=1) + "\n"
+    )
+    TRIALS_GOLDEN.write_text(
+        json.dumps({name: trial_case(name) for name in sorted(TRIAL_CASES)}, indent=1) + "\n"
     )

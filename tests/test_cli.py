@@ -334,10 +334,24 @@ def test_radius_below_the_least_is_a_usage_error(argv, low, cached, files, capsy
      "--trials must be >= 1"),
     (["factorizations", "--n", "13"], "degree must be in 1..12, got 13"),
     (["classes", "--n", "0"], "degree must be in 1..12, got 0"),
+    # rng would reduce these mod 2^64, to the seeds 2^64 - 1 and 0
+    (["simulate", "--graph", "t", "--n", "5", "--r", "1", "--trials", "2", "--seed", "-1"],
+     "--seed must be in 0..18446744073709551615"),
+    (["simulate", "--graph", "t", "--n", "5", "--r", "1", "--trials", "2",
+      "--seed", "18446744073709551616"],
+     "--seed must be in 0..18446744073709551615"),
 ], ids=["report_n13", "report_n5_13", "simulate_n1", "simulate_trials0",
-        "factorizations_n13", "classes_n0"])
+        "factorizations_n13", "classes_n0", "simulate_seed-1", "simulate_seed2^64"])
 def test_value_out_of_range_is_a_usage_error(argv, message, cached, files, capsys):
     check_refused_before_any_work(argv, message, cached, files, capsys)
+
+
+def test_every_64_bit_seed_runs(files):
+    for seed in ("0", "18446744073709551615"):
+        argv = ["simulate", "--graph", "t", "--n", "5", "--r", "1", "--trials", "2",
+                "--seed", seed]
+        code, out = run_cli(argv, files)
+        assert code == 0 and json.loads(out)["summary"]["seed"] == int(seed)
 
 
 def check_refused_before_any_work(argv, message, cached, files, capsys):

@@ -124,6 +124,18 @@ class TestReport:
         wit = report.final.per_s[1].witnesses
         assert wit  # same-part pairs attain the maximum
 
+    @pytest.mark.parametrize("r", [3, 4000])
+    def test_radius_past_the_diameter_scans_only_to_it(self, r):
+        # the 4-cycle's diameter is 2, so every radius past it reads r=2's
+        # profile with the distances 5..2r absent
+        square = parse_edge_list("0 1\n1 2\n2 3\n3 0\n")
+        report = small_graph_report(square, r)
+        assert len(report.per_radius) == 2
+        assert report.to_doc()["n_r"] == {str(rr): 2 if rr == 1 else 4 for rr in range(1, r + 1)}
+        assert report.final.per_s[:4] == small_graph_report(square, 2).final.per_s
+        assert {sm.value for sm in report.final.per_s[4:]} == {None}
+        assert len(report.final.per_s) == 2 * r
+
     def test_single_vertex_has_no_pairs(self):
         with pytest.raises(ValueError, match="no vertex pairs at any distance in 1..2r"):
             small_graph_report(SmallGraph("one", (frozenset(),)), 1)
@@ -172,6 +184,11 @@ IRREGULAR = [
 ]
 
 
+def whole(report):
+    """A report's document and its profile at every radius up to its own."""
+    return report.to_doc(), [report.profile(rr) for rr in range(1, report.r + 1)]
+
+
 def outcome(fn, *args):
     """fn's result, or the text of the ValueError it raised."""
     try:
@@ -200,8 +217,9 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("graph", SUITE_GRAPHS + IRREGULAR, ids=lambda g: g.name)
     def test_suite_graphs(self, graph):
-        for r in (1, 2, 3):
-            assert small_graph_report(graph, r) == oracles.small_graph_report(graph, r)
+        for r in (1, 2, 3, 6):
+            want = whole(oracles.small_graph_report(graph, r))
+            assert whole(small_graph_report(graph, r)) == want
         assert small_graph_is_distance_regular(graph) == (
             oracles.small_graph_is_distance_regular(graph)
         )
@@ -210,8 +228,9 @@ class TestAgainstOracle:
         disconnected = 0
         for i, graph in enumerate(random_graphs(240, seed=2024)):
             r = 1 + i % 3
-            got = outcome(small_graph_report, graph, r)
-            assert got == outcome(oracles.small_graph_report, graph, r), graph.name
+            got = outcome(lambda *a: whole(small_graph_report(*a)), graph, r)
+            want = outcome(lambda *a: whole(oracles.small_graph_report(*a)), graph, r)
+            assert got == want, graph.name
             assert outcome(small_graph_is_distance_regular, graph) == (
                 outcome(oracles.small_graph_is_distance_regular, graph)
             ), graph.name
