@@ -28,8 +28,11 @@ platform.  The order of the draws is the contract a transcript replays:
 * if the draws stall, the ball is shuffled by the stream
   ``derive_seed(channel seed, 2^32)``.
 
-Pattern generation runs on the packed form and converts once at the end;
-``distort`` is one of its draws with tuples in and out.
+``rng.channel_draws`` reads the pattern streams 64 at a time, and every
+draw equals its own stream's scalar reading, so this order is the whole
+contract.  Pattern generation runs on the packed form and converts once at
+the end; ``distort`` is one of its draws with tuples in and out, and
+computes a whole batch of 64 draws for that one.
 
 The overlap maximum, which fixes the default pattern count and the
 adversarial pool, comes from ``cayley.overlap_of_identity``, so one process
@@ -68,7 +71,7 @@ from .perms import (
     unpack,
     unrank,
 )
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, channel_draws, derive_seed
 
 STATUS_UNIQUE = "unique"
 STATUS_AMBIGUOUS = "ambiguous"
@@ -99,26 +102,26 @@ def _draws(x: bytes, spec: ChannelSpec, start: int = 0):
     Each draw has its own stream ``SplitMix64(derive_seed(seed, index))``
     and takes from it, in order, the error count j (uniform on
     0..max_errors, not drawn in exact mode) and then one generator index
-    per error.  The output is x times those j generators on the right; the
-    product y*g is ``g.translate(left_table(y))``."""
+    per error; ``rng.channel_draws`` reads those streams 64 at a time.  The
+    output is x times those j generators on the right; the product y*g is
+    ``g.translate(left_table(y))``."""
     if len(x) != spec.gen.n:
         raise ValueError("degree mismatch between input and channel")
     gens = spec.gen.packed
-    k = len(gens)
     pad = PAD[len(x)]
-    seed, errors, exact = spec.seed, spec.max_errors, spec.exact_errors
-    for index in itertools.count(start):
-        rng = SplitMix64(derive_seed(seed, index))
+    for indices in channel_draws(spec.seed, spec.max_errors, len(gens), spec.exact_errors, start):
         y = x
-        for _ in range(errors if exact else rng.below(errors + 1)):
-            y = gens[rng.below(k)].translate(y + pad)  # y + pad is left_table(y)
+        for i in indices:
+            y = gens[i].translate(y + pad)  # y + pad is left_table(y)
         yield y
 
 
 def distort(x: Perm, spec: ChannelSpec, draw_index: int = 0) -> Perm:
     """One channel use: apply j random generators to x, where j is uniform
     on 0..max_errors (or exactly max_errors).  Deterministic in
-    (seed, draw_index): it is draw ``draw_index`` of ``generate_patterns``."""
+    (seed, draw_index): it is draw ``draw_index`` of ``generate_patterns``.
+    It computes the whole batch of 64 draws that starts there and keeps
+    the first."""
     return unpack(next(_draws(pack(x), spec, draw_index)))
 
 

@@ -28,6 +28,7 @@ shared options and its own, with ``prog`` "permrec <command>".  Only a call
 that names none (help, version, an unknown name) builds the parser of
 every command, so that its messages list them all.  Both give the same
 help and usage messages for a command, and no parser outlives the call.
+Each parser reads the terminal width once, for all of its formatters.
 
 ``reconstruct`` reads its pattern file on one of two paths.  A file in
 plain form (one literal per line, all of one degree, ASCII digits, spaces
@@ -45,6 +46,7 @@ import argparse
 import csv
 import json
 import re
+import shutil
 import struct
 import sys
 from collections.abc import Sequence
@@ -89,6 +91,19 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parser that raises its usage errors and reads the terminal width
+    once: argparse builds a help formatter for every option declared, and
+    each formatter left to itself asks the terminal for its size."""
+
+    def __init__(self, *args, **kwargs):
+        # the width a HelpFormatter given none computes; set first, since
+        # the base class declares -h through _get_formatter
+        self._width = shutil.get_terminal_size().columns - 2
+        super().__init__(*args, **kwargs)
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=self._width)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -129,9 +144,8 @@ def _full_parser() -> _Parser:
 def _parse_arguments(argv) -> argparse.Namespace:
     """``argv`` parsed, ``command`` naming the command.  A call that names a
     command builds that command's parser alone: each option declared builds
-    argparse a help formatter, which asks for the terminal size, so one
-    command's parser costs a fraction of all eight commands' parsers.  No
-    parser outlives the call."""
+    argparse a help formatter, so one command's parser costs a fraction of
+    all eight commands' parsers.  No parser outlives the call."""
     if argv and argv[0] in _COMMANDS:
         return _command_parser(argv[0]).parse_args(
             argv[1:], argparse.Namespace(command=argv[0])

@@ -12,13 +12,15 @@ overlap maximum always decodes uniquely) with the engine's own balls,
 over many more pattern sets than a decode would see.  The
 full overlap scan reads, for adjacent and prefix swaps, every vertex of
 every sphere of the engine's radius-2r ball: the reference for the
-engine's scan by orbits, witness order included.
+engine's scan by orbits, witness order included.  The scalar channel
+draws are ``channel._draws`` as it stood before its streams were computed
+64 at a time: one ``SplitMix64`` per draw, the reference for the lanes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 
 # result types only, so the small-graph oracles compare as whole results
 from permrec.cayley import (
@@ -32,6 +34,7 @@ from permrec.cayley import GeneratorSet, ball, ball_of_identity, overlap_of_iden
 from permrec.channel import _sample_distinct
 from permrec.cli import UsageError
 from permrec.perms import (
+    PAD,
     class_representative,
     cycle_types,
     identity,
@@ -42,7 +45,7 @@ from permrec.perms import (
     translated,
     unpack,
 )
-from permrec.rng import SplitMix64
+from permrec.rng import SplitMix64, derive_seed
 from permrec.smallgraphs import SmallGraphReport
 
 PAIRS = {
@@ -442,6 +445,24 @@ def min_prefix_for_unique_stepwise(members: frozenset[bytes], patterns) -> int:
         if len(cands) == 1:
             return i
     return len(patterns)
+
+
+def scalar_draws(x: bytes, spec, start: int = 0):
+    """The channel's packed outputs for packed x at draw indices start,
+    start+1, ...: draw i reads its own stream
+    ``SplitMix64(derive_seed(seed, i))`` as the error count j (uniform on
+    0..max_errors, not drawn in exact mode), then one generator index per
+    error, and right-multiplies x by those j generators."""
+    gens = spec.gen.packed
+    k = len(gens)
+    pad = PAD[len(x)]
+    seed, errors, exact = spec.seed, spec.max_errors, spec.exact_errors
+    for index in count(start):
+        rng = SplitMix64(derive_seed(seed, index))
+        y = x
+        for _ in range(errors if exact else rng.below(errors + 1)):
+            y = gens[rng.below(k)].translate(y + pad)  # y + pad is left_table(y)
+        yield y
 
 
 def _subset_is_unique(

@@ -1,11 +1,12 @@
 import functools
+import itertools
 import json
 from math import factorial
 from pathlib import Path
 
 import pytest
 
-from permrec import cayley, channel
+from permrec import cayley, channel, rng
 from permrec.cache import overlap_of_identity_cached
 from permrec.cayley import (
     GeneratorSet,
@@ -31,6 +32,7 @@ from permrec.perms import (
     format_perm,
     identity,
     inverse,
+    pack,
     parse_perm,
     unrank,
 )
@@ -477,6 +479,116 @@ class TestPinnedDraws:
             draw_case("T4_r2_exact_fallback")
         for name in ("T9_r2_honest", "st9_r2_exact"):
             draw_case(name)
+
+
+def scalar_indices(seed: int, errors: int, k: int, exact: bool, index: int) -> tuple:
+    """Draw ``index``'s generator indices read from its own stream."""
+    stream = SplitMix64(derive_seed(seed, index))
+    return tuple(stream.below(k) for _ in range(errors if exact else stream.below(errors + 1)))
+
+
+_MIX_FACTORS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = 2**64 - 1
+
+
+def unmix(z: int) -> int:
+    """The inverse of splitmix64's mix: each xor-shift undone, and each
+    odd factor undone by its inverse mod 2^64."""
+    def unshift(z: int, s: int) -> int:
+        x = z
+        for _ in range(64 // s):  # each pass fixes s more bits
+            x = z ^ x >> s
+        return x
+
+    first, second = (pow(c, -1, 2**64) for c in _MIX_FACTORS)
+    z = unshift(z, 31) * second & _MASK
+    z = unshift(z, 27) * first & _MASK
+    return unshift(z, 30)
+
+
+def seed_with_output(index: int, step: int, value: int) -> int:
+    """A channel seed whose draw ``index`` reads ``value`` as output
+    ``step`` (1 for the first) of its stream: stream seed s gives
+    mix(s + step * gamma), and derive_seed(seed, index) is
+    mix(seed + (index + 1) * gamma)."""
+    stream = unmix(value) - step * _GAMMA & _MASK
+    return unmix(stream) - (index + 1) * _GAMMA & _MASK
+
+
+class TestLaneDraws:
+    """``rng.channel_draws`` reads 64 streams at a time; each draw must
+    equal the scalar reading that ``oracles.scalar_draws`` keeps."""
+
+    @pytest.mark.parametrize("mode", ["honest", "exact"])
+    @pytest.mark.parametrize("radius", ["1", "2", "diameter"])
+    @pytest.mark.parametrize("n", [5, 9])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_lanes_match_the_scalar_reading(self, kind, n, radius, mode):
+        g = GeneratorSet.of_kind(kind, n)
+        r = diameter(g) if radius == "diameter" else int(radius)
+        x = pack(unrank(n, 4321 % factorial(n)))
+        for seed in (0, 1, 2**64 - 1):
+            spec = ChannelSpec(g, r, seed, exact_errors=mode == "exact")
+            for start in (0, 63, 64, 65):
+                got = list(itertools.islice(channel._draws(x, spec, start), 300))
+                assert got == list(itertools.islice(oracles.scalar_draws(x, spec, start), 300))
+
+    def test_unmix_inverts_the_mix(self):
+        for z in (0, 1, 2**63, _MASK, 0x0123456789ABCDEF):
+            assert unmix(rng._mix(z)) == z
+        stream = SplitMix64(derive_seed(seed_with_output(5, 3, 77), 5))
+        assert [stream.next_u64() for _ in range(3)][2] == 77
+
+    def check_rejected(self, monkeypatch, seed, errors, k, exact, index, step):
+        """Draw ``index`` has a rejected output at ``step``: it, the lanes
+        around it and its whole batch equal the scalar reading, and only
+        that lane is read again from its own stream."""
+        stream = SplitMix64(derive_seed(seed, index))
+        out = [stream.next_u64() for _ in range(step)][-1]
+        bound = k if exact or step > 1 else errors + 1
+        assert out >= 2**64 - 2**64 % bound  # below(bound) rejects it
+        reread = []
+        scalar = rng._stream_draw
+        monkeypatch.setattr(rng, "_stream_draw", lambda *a: reread.append(1) or scalar(*a))
+        # a batch starts at the first index asked for: lanes 0, 2 and 63
+        for begin in (index, max(index - 2, 0), max(index - 63, 0)):
+            reread.clear()
+            got = list(itertools.islice(rng.channel_draws(seed, errors, k, exact, begin), 64))
+            want = [scalar_indices(seed, errors, k, exact, i) for i in range(begin, begin + 64)]
+            assert got == want
+            assert reread == [1]
+
+    @pytest.mark.parametrize("index", [0, 37, 63, 64, 100])
+    def test_rejected_error_count_is_read_again(self, monkeypatch, index):
+        # 2^64 - 1 is the one output below(3) rejects
+        seed = seed_with_output(index, 1, _MASK)
+        self.check_rejected(monkeypatch, seed, 2, 8, False, index, 1)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("index", [0, 63, 64, 130])
+    def test_rejected_generator_index_is_read_again(self, monkeypatch, index, exact):
+        # below(36) rejects any output >= 2^64 - 16; in honest mode pick
+        # one whose draw counts at least one error
+        step = 1 if exact else 2
+        for value in range(2**64 - 16, 2**64):
+            seed = seed_with_output(index, step, value)
+            if exact or SplitMix64(derive_seed(seed, index)).below(3):
+                break
+        self.check_rejected(monkeypatch, seed, 2, 36, exact, index, step)
+
+    def test_rejected_draw_matches_through_the_channel(self):
+        index = 70
+        spec = spec_for("T", 9, 2, seed=seed_with_output(index, 1, _MASK))
+        x = pack(unrank(9, 99))
+        got = list(itertools.islice(channel._draws(x, spec, 60), 20))
+        assert got == list(itertools.islice(oracles.scalar_draws(x, spec, 60), 20))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_budget_past_the_lanes_reads_each_stream(self, exact):
+        errors = rng._LANE_MAX_ERRORS + 1
+        got = [tuple(d) for d in itertools.islice(rng.channel_draws(3, errors, 6, exact, 62), 4)]
+        assert got == [scalar_indices(3, errors, 6, exact, i) for i in range(62, 66)]
 
 
 # name -> (kind, n, r, mode, m): run_experiment summaries and transcripts

@@ -12,6 +12,7 @@ must also hold with ``--cache-dir``, on an empty cache directory and then
 on the one that run filled, except for the echoed directory.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -93,6 +94,16 @@ GOLDEN_CASES = {
         "simulate", "--graph", "st", "--n", "6", "--r", "2", "--trials", "5",
         "--seed", "3", "--exact-errors", "--transcript", "{dir}/trials.jsonl",
     ],
+    # the largest seed, whose per-draw streams wrap mod 2^64 in every lane
+    **{
+        f"simulate_{kind}7_seed_max_{mode}": [
+            "simulate", "--graph", kind, "--n", "7", "--r", "2", "--trials", "3",
+            "--seed", str(2**64 - 1), *(["--exact-errors"] if mode == "exact" else []),
+            "--transcript", "{dir}/trials.jsonl",
+        ]
+        for kind in ("T", "t", "st")
+        for mode in ("honest", "exact")
+    },
     "graph_import_petersen": ["graph-import", "--edges", "{dir}/petersen.edges", "--r", "2"],
     "graph_import_cycle12": ["graph-import", "--edges", "{dir}/cycle12.edges", "--r", "2"],
     # degrees past the whole-graph cap, whose diameters come from the formula
@@ -780,6 +791,30 @@ def test_parser_for_one_command_matches_the_full_parser(name, monkeypatch):
 
 def parse_with_the_full_parser(argv):
     return cli._full_parser().parse_args(argv)
+
+
+def stock_parser(name):
+    """The parser of command ``name`` (or of every command, for None) built
+    by the same declare functions on argparse's own parser class."""
+    if name is None:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_Parser", argparse.ArgumentParser)
+            return cli._full_parser()
+    parser = argparse.ArgumentParser(prog=f"permrec {name}")
+    cli._shared_arguments(parser)
+    cli._COMMANDS[name].declare(parser)
+    return parser
+
+
+@pytest.mark.parametrize("columns", [40, 80, 200])
+@pytest.mark.parametrize("name", [None, *cli._COMMANDS])
+def test_parser_formats_as_argparse_does(name, columns, monkeypatch):
+    # the width read once per parser is the one each formatter would read
+    monkeypatch.setenv("COLUMNS", str(columns))
+    ours = cli._full_parser() if name is None else cli._command_parser(name)
+    stock = stock_parser(name)
+    assert ours.format_help() == stock.format_help()
+    assert ours.format_usage() == stock.format_usage()
 
 
 def test_parser_declares_only_the_named_command(monkeypatch):
