@@ -29,14 +29,17 @@ the identity; the engine leans on this throughout.
 * each generator is a transposition, an odd permutation, so every edge
   flips the sign and no cycle has odd length: :func:`girth_cycle_check`
   answers odd lengths without a search;
-* the overlap scans build no ball but the radius-r one.  They scan one
-  vertex per orbit of the automorphisms that fix the identity: the
-  conjugacy classes for all transpositions and, for prefix swaps, the
-  cycle types with the length of the cycle through 0 (Akers and
-  Krishnamurthy's automorphisms of the star graph), neither of which
-  enumerates a sphere; for adjacent swaps, the orbits of reversal
-  conjugation and inversion on the sphere, which is enumerated from
-  inversion tables (Knuth, TAOCP vol. 3, 5.1.1) without a walk.
+* the overlap maxima of all transpositions build no ball at all.  There
+  B_r(e) is a union of conjugacy classes, so the overlap is constant on
+  each class and comes from the character table of S_n (the
+  Murnaghan-Nakayama rule, memoized per degree), at every radius;
+* the overlap scans of the other two families build no ball but the
+  radius-r one.  They scan one vertex per orbit of the automorphisms that
+  fix the identity: for prefix swaps, the cycle types with the length of
+  the cycle through 0 (Akers and Krishnamurthy's automorphisms of the star
+  graph), which enumerates no sphere; for adjacent swaps, the orbits of
+  reversal conjugation and inversion on the sphere, which is enumerated
+  from inversion tables (Knuth, TAOCP vol. 3, 5.1.1) without a walk.
 
 The capacity caps are module constants: ``MAX_BALL_SIZE`` vertices held
 at once, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
@@ -44,13 +47,15 @@ at once, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
 raises ``CapacityError`` instead of thrashing.  Every check reads the
 constant when it runs, before the work it guards, on sizes by closed
 form: a ball's sphere sizes (class sizes, orbit sizes and the Mahonian
-numbers) before the walk, every adjacent-swap sphere up to 2r before an
-overlap scan at radius r, and the witnesses' orbit sizes before
-:func:`witness_vertices` expands them.  Since the caps never vary, one
-memo entry per (generator set, radius) serves every call.  Radii are
-capped at the diameter, past which every ball is the whole group:
-:func:`ball_radius` is the one radius at which a ball or an overlap
-profile is built, memoized and cached.
+numbers) before the walk, the radius-r ball and every adjacent-swap
+sphere up to 2r before an overlap scan at radius r, and the witnesses'
+orbit sizes before :func:`witness_vertices` expands them.  An
+all-transpositions overlap profile holds no vertex set, only one value
+per class (77 classes at degree 12), so ``MAX_BALL_SIZE`` does not bound
+it.  Since the caps never vary, one memo entry per (generator set,
+radius) serves every call.  Radii are capped at the diameter, past which
+every ball is the whole group: :func:`ball_radius` is the one radius at
+which a ball or an overlap profile is built, memoized and cached.
 
 Every public function takes and returns permutation tuples; the
 expansion and the overlap scans run on the packed form of ``perms``
@@ -61,15 +66,15 @@ for them.  The hot paths (reconstruction, overlap scans, the disk cache)
 never do.
 
 The overlap maximum comes in two forms.  :func:`max_ball_intersection`
-(per distance, :func:`max_ball_intersection_at`) is the scan itself, never
-memoized: the benchmark times it and the tests' oracles call it.  Every
-caller in the package reads :func:`overlap_of_identity`, the same answer
-memoized per (generator set, ball radius), as :func:`ball_of_identity`
-memoizes :func:`ball`.
+(per distance, :func:`max_ball_intersection_at`) computes it, by a scan or
+from the class algebra, and is never memoized: the benchmark times it and
+the tests' oracles check it.  Every caller in the package reads
+:func:`overlap_of_identity`, the same answer memoized per (generator set,
+ball radius), as :func:`ball_of_identity` memoizes :func:`ball`.
 
-The overlap witnesses are vertices: a scan keeps one representative per
-attaining orbit, in scan order, as a permutation tuple, and the disk cache
-stores them packed.  Only where a witness is printed or used
+The overlap witnesses are vertices: a profile keeps one representative
+per attaining orbit, in scan order, as a permutation tuple, and the disk
+cache stores them packed.  Only where a witness is printed or used
 (``GraphReport.to_doc``, ``channel.ambiguity_witness``) does
 :func:`witness_vertices` expand them into the vertices they stand for, and
 only at the distances that attain the maximum.  :func:`witness_label` names
@@ -84,6 +89,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import combinations, islice
 from math import comb, factorial
+from operator import mul
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .parallel import run_mapped
@@ -93,7 +100,6 @@ from .perms import (
     CycleType,
     Perm,
     class_representative,
-    compose,
     conjugacy_class_size,
     cycle_count,
     cycle_type,
@@ -148,6 +154,11 @@ _DIAMETER = {
 }
 
 
+def _lengths(ct: CycleType) -> tuple[int, ...]:
+    """ct's cycle lengths, longest first."""
+    return tuple(j for j in range(ct.degree, 0, -1) for _ in range(ct.counts[j - 1]))
+
+
 @cache
 def _star_orbits(n: int) -> tuple[tuple[int, bytes], ...]:
     """(distance, representative) for each orbit of S_n under
@@ -157,7 +168,7 @@ def _star_orbits(n: int) -> tuple[tuple[int, bytes], ...]:
     others on consecutive blocks after it."""
     out = []
     for ct in cycle_types(n):
-        lengths = [j for j in range(n, 0, -1) for _ in range(ct.counts[j - 1])]
+        lengths = _lengths(ct)
         for length in dict.fromkeys(lengths):
             others = list(lengths)
             others.remove(length)
@@ -224,29 +235,113 @@ def _reversal_orbit(y: bytes) -> set[bytes]:
     return {y, inv, y[::-1].translate(w0), inv[::-1].translate(w0)}
 
 
-# Each family's overlap candidates at distance s from the identity, one per
-# orbit of automorphisms that fix it (see max_ball_intersection_at), then
-# the size of a candidate's orbit and the orbit itself, as
+# The overlap candidates at distance s from the identity of the families
+# whose overlaps are scanned, one per orbit of automorphisms that fix it
+# (see max_ball_intersection_at).
+_CANDIDATES = {
+    KIND_ADJACENT: _reversal_representatives,
+    KIND_PREFIX: lambda n, s: [y for d, y in _star_orbits(n) if d == s],
+}
+
+# Each family's size of a witness's orbit and the orbit itself, as
 # witness_vertices expands it.  All transpositions name a witness by its
 # class, so a class representative stands for itself.
 _ORBITS = {
-    KIND_ALL: (
-        lambda n, s: [
-            pack(class_representative(ct)) for ct in cycle_types(n)
-            if ct.min_transpositions == s
-        ],
-        lambda y: 1,
-        lambda y: (y,),
-    ),
-    KIND_ADJACENT: (
-        _reversal_representatives, lambda y: len(_reversal_orbit(y)), _reversal_orbit,
-    ),
-    KIND_PREFIX: (
-        lambda n, s: [y for d, y in _star_orbits(n) if d == s],
-        _star_orbit_size,
-        _star_orbit,
-    ),
+    KIND_ALL: (lambda y: 1, lambda y: (y,)),
+    KIND_ADJACENT: (lambda y: len(_reversal_orbit(y)), _reversal_orbit),
+    KIND_PREFIX: (_star_orbit_size, _star_orbit),
 }
+
+
+class _ClassTable(NamedTuple):
+    """The conjugacy classes of S_n in ``cycle_types`` order: each class's
+    size, its distance from the identity in the all-transpositions graph,
+    its packed representative, and the character table.  Row i of
+    ``characters`` is the irreducible character of the shape whose parts
+    are the cycle lengths of class i; entry j is its value on class j."""
+
+    types: tuple[CycleType, ...]
+    sizes: tuple[int, ...]
+    distances: tuple[int, ...]
+    representatives: tuple[bytes, ...]
+    characters: tuple[tuple[int, ...], ...]
+
+
+@cache
+def _class_characters(n: int) -> _ClassTable:
+    """S_n's classes and character table, by the Murnaghan-Nakayama rule
+    on beta-sets (Sagan, *The Symmetric Group*, GTM 203), in integers.
+
+    A shape with parts λ_1 >= ... >= λ_m is the bead set {λ_i + m - i},
+    held as a bitmask.  Removing a rim hook of length k moves one bead from
+    b to an empty b - k, with the sign (-1)^(beads strictly between).  The
+    value on a class with cycle lengths k_1 >= k_2 >= ... sums, over the
+    hooks of length k_1, the sign times the value of what is left on
+    k_2, ...; each (beads, lengths left) is computed once per table."""
+    types = tuple(cycle_types(n))
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def value(beads: int, lengths: tuple[int, ...]) -> int:
+        if not lengths:
+            return 1
+        got = memo.get((beads, lengths))
+        if got is None:
+            k, rest = lengths[0], lengths[1:]
+            got = 0
+            for b in range(k, beads.bit_length()):
+                if beads >> b & 1 and not beads >> (b - k) & 1:
+                    between = beads >> (b - k + 1) & ((1 << (k - 1)) - 1)
+                    sign = -1 if between.bit_count() & 1 else 1
+                    got += sign * value(beads ^ (1 << b) ^ (1 << (b - k)), rest)
+            memo[(beads, lengths)] = got
+        return got
+
+    def beads(parts: tuple[int, ...]) -> int:
+        m = len(parts)
+        return sum(1 << (part + m - 1 - i) for i, part in enumerate(parts))
+
+    classes = list(map(_lengths, types))
+    return _ClassTable(
+        types,
+        tuple(map(conjugacy_class_size, types)),
+        tuple(ct.min_transpositions for ct in types),
+        tuple(pack(class_representative(ct)) for ct in types),
+        tuple(tuple(value(beads(shape), mu) for mu in classes) for shape in classes),
+    )
+
+
+def _exact_quotient(num: int, den: int) -> int:
+    """num / den, which the algebra says is an integer; raises
+    ``ArithmeticError`` if it is not."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{num} is not a multiple of {den}")
+    return q
+
+
+def _class_overlaps(n: int, r: int) -> tuple[int, ...]:
+    """|B_r(e) ∩ B_r(y)| in the all-transpositions graph for y in each
+    class of S_n, in ``cycle_types`` order, from the character table.
+
+    B_r(e) is a union of classes, so its indicator F is central in the
+    group algebra, and the overlap at y is the coefficient of y in F²:
+    N(y) = (1/n!) Σ_λ χ^λ(1) ω_λ² χ^λ(y), where
+    ω_λ = Σ_{C ⊆ B_r} |C| χ^λ(C) / χ^λ(1) is F's central character
+    (products in a group counted through characters, as in Zagier's
+    appendix to Lando and Zvonkin).  Both quotients are integers, and each
+    is checked to be one."""
+    table = _class_characters(n)
+    one = table.distances.index(0)
+    inside = [c for c, d in enumerate(table.distances) if d <= r]
+    weights = []
+    for row in table.characters:
+        omega = _exact_quotient(sum(table.sizes[c] * row[c] for c in inside), row[one])
+        weights.append(row[one] * omega * omega)
+    order = factorial(n)
+    return tuple(
+        _exact_quotient(sum(map(mul, weights, column)), order)
+        for column in zip(*table.characters)
+    )
 
 
 def _check_capacity(size: int, what: str) -> None:
@@ -464,14 +559,11 @@ def lambda_mu(gen: GeneratorSet) -> tuple[int, int]:
     representation counts of elements inside, respectively outside, the
     generator set (excluding the identity).  No graph traversal is needed.
     """
-    gen_set = set(gen.gens)
-    e = identity(gen.n)
-    reps: Counter[Perm] = Counter()
-    for a in gen.gens:
-        for b in gen.gens:
-            prod = compose(a, b)
-            if prod != e:
-                reps[prod] += 1
+    gen_set = set(gen.packed)
+    reps: Counter[bytes] = Counter()
+    for a in gen.packed:
+        reps.update(translated(gen.packed, left_table(a)))
+    del reps[IDENT[gen.n]]
     lam = max((c for p, c in reps.items() if p in gen_set), default=0)
     mu = max((c for p, c in reps.items() if p not in gen_set), default=0)
     return lam, mu
@@ -482,11 +574,14 @@ class SphereMax:
     """Largest r-ball overlap over center pairs at one distance s.
 
     ``value`` is None when the sphere is empty (s beyond the diameter), which
-    is reported as absent rather than zero.  A Cayley-graph scan stores in
-    ``witnesses`` one permutation tuple per attaining orbit, in scan order
-    (see :func:`max_ball_intersection_at`); :func:`witness_vertices` gives
-    every attaining vertex they stand for.  A small-graph report
-    (``smallgraphs``) stores its ``"u-w"`` pair labels, already output text.
+    is reported as absent rather than zero.  A Cayley-graph profile stores
+    in ``witnesses`` one permutation tuple per attaining orbit, in scan
+    order (see :func:`max_ball_intersection_at`); for all transpositions,
+    whose values come from the class algebra and not a scan, these are the
+    attaining class representatives in ``perms.cycle_types`` order.
+    :func:`witness_vertices` gives every attaining vertex they stand for.
+    A small-graph report (``smallgraphs``) stores its ``"u-w"`` pair
+    labels, already output text.
     """
 
     s: int
@@ -576,7 +671,7 @@ def _overlap_count(members: frozenset[bytes], y: bytes) -> int:
 
 def witness_label(gen: GeneratorSet, y: Perm) -> str:
     """The output label of the overlap witness y: its conjugacy class
-    (``1^2 3^1``) for all transpositions, whose scan reads one
+    (``1^2 3^1``) for all transpositions, whose profile keeps one
     representative per class, and the vertex itself (``[2,1,3]``)
     otherwise."""
     if gen.kind == KIND_ALL:
@@ -585,7 +680,12 @@ def witness_label(gen: GeneratorSet, y: Perm) -> str:
 
 
 def ball_overlap(gen: GeneratorSet, r: int, other: Perm) -> int:
-    """|B_r(e) ∩ B_r(other)| without materializing the second ball."""
+    """|B_r(e) ∩ B_r(other)| without materializing the second ball; for
+    all transpositions, the value of other's class, with no ball at all."""
+    _check_vertex(other, gen)
+    if gen.kind == KIND_ALL:
+        values = _class_overlaps(gen.n, ball_radius(gen, r))
+        return values[_class_characters(gen.n).types.index(cycle_type(other))]
     return _overlap_count(ball_of_identity(gen, r).packed, pack(other))
 
 
@@ -597,51 +697,63 @@ def max_ball_intersection_at(
     By vertex-transitivity x is fixed at the identity.  An automorphism
     that fixes the identity maps B_r(y) to the ball around y's image, and
     |B_r(e) ∩ B_r(y)| = |B_r(y^-1) ∩ B_r(e)| by left translation, so the
-    overlap is the same across y's orbit and one representative per orbit
-    is scanned against B_r, the only ball read:
+    overlap is the same across y's orbit and one value per orbit is
+    needed:
 
     * all transpositions: conjugation by any permutation, so the orbits
-      are the conjugacy classes;
+      are the conjugacy classes, and every class's value comes from the
+      character table of S_n (:func:`_class_overlaps`), with no ball;
     * prefix swaps: conjugation by a permutation fixing 0, so an orbit is a
       cycle type with the length of the cycle through 0;
     * adjacent swaps: conjugation by the reversal, and inversion, so an
       orbit holds at most four vertices of the sphere, which is enumerated
       from inversion tables.
 
-    The witnesses are the scanned representatives that attain the
-    maximum, in scan order: ``perms.cycle_types`` order for all
+    The last two scan one representative per orbit against B_r, the only
+    ball read.  The witnesses are the representatives that attain the
+    maximum, in scan order: the class representatives of
+    ``perms.class_representative`` in ``perms.cycle_types`` order for all
     transpositions, the prefix-swap orbits in the same order with the
     cycle through 0 longest first, and the first vertex met of each orbit
     in inversion-table order for adjacent swaps.  Nothing is expanded here;
     :func:`witness_vertices` does that where a witness is used.
-    ``CapacityError`` is raised before an adjacent-swap scan if any sphere
-    it or a sibling scan at radius r enumerates is past ``MAX_BALL_SIZE``.
+    ``CapacityError`` is raised before a scan if B_r is past
+    ``MAX_BALL_SIZE``, and before an adjacent-swap scan if any sphere it or
+    a sibling scan at radius r enumerates is; an all-transpositions
+    profile never raises it.  ``workers`` maps a scan's representatives
+    to that many processes; the class algebra ignores it.
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
     if not 1 <= s <= 2 * r:
         raise ValueError(f"need 1 <= s <= 2r, got s={s}, r={r}")
-    members = ball_of_identity(gen, r).packed
-    if gen.kind == KIND_ADJACENT:
-        # the scans at radius r enumerate spheres 1..2r; refuse before any
-        for d, size in enumerate(_SPHERE_SIZES[KIND_ADJACENT](gen.n)[1:2 * r + 1], 1):
-            _check_capacity(size, f"sphere {d}")
-    cands = _ORBITS[gen.kind][0](gen.n, s)
+    if gen.kind == KIND_ALL:
+        table, values = _class_characters(gen.n), _class_overlaps(gen.n, r)
+        at_s = [c for c, d in enumerate(table.distances) if d == s]
+        cands = [table.representatives[c] for c in at_s]
+        counts = [values[c] for c in at_s]
+    else:
+        members = ball_of_identity(gen, r).packed
+        if gen.kind == KIND_ADJACENT:
+            # the scans at radius r enumerate spheres 1..2r; refuse before any
+            for d, size in enumerate(_SPHERE_SIZES[KIND_ADJACENT](gen.n)[1:2 * r + 1], 1):
+                _check_capacity(size, f"sphere {d}")
+        cands = _CANDIDATES[gen.kind](gen.n, s)
+        counts = run_mapped(partial(_overlap_count, members), cands, workers)
     if not cands:
         return SphereMax(s, None, ())
-    counts = run_mapped(partial(_overlap_count, members), cands, workers)
     best = max(counts)
     return SphereMax(s, best, tuple(unpack(y) for y, c in zip(cands, counts) if c == best))
 
 
 def witness_vertices(gen: GeneratorSet, sm: SphereMax) -> tuple[Perm, ...]:
-    """Every attaining vertex the witnesses of a scan's ``sm`` stand for:
+    """Every attaining vertex the witnesses of a profile's ``sm`` stand for:
     the class representatives themselves, in scan order, for all
     transpositions, whose witnesses are named by class, and every vertex of
     the witnesses' orbits, sorted, otherwise.  ``CapacityError`` is raised,
     by the orbits' sizes and before any is expanded, if they hold more than
     ``MAX_BALL_SIZE`` vertices."""
-    _, size, orbit = _ORBITS[gen.kind]
+    size, orbit = _ORBITS[gen.kind]
     packed = list(map(pack, sm.witnesses))
     _check_capacity(sum(map(size, packed)), f"witnesses at distance {sm.s}")
     wits = [v for y in packed for v in orbit(y)]

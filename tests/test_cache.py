@@ -311,10 +311,14 @@ class TestOverlapMemo:
         best = overlap_of_identity(g, 2)
         assert best == max_ball_intersection(g, 2)
         assert overlap_of_identity(g, 2) is best
-        # the scan reads the radius-2 ball alone
         size = ball_of_identity(g, 2).size
         clear_ball_memo()
         monkeypatch.setattr(cayley, "MAX_BALL_SIZE", size - 1)
+        if kind == "T":
+            # the class algebra holds no ball, so the ball cap does not bind
+            assert overlap_of_identity(g, 2) == best
+            return
+        # the scan reads the radius-2 ball alone
         with pytest.raises(CapacityError):
             overlap_of_identity(g, 2)
 

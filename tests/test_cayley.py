@@ -3,7 +3,8 @@ import time
 from collections import Counter
 from functools import partial
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import mul
 
 import pytest
 
@@ -304,6 +305,19 @@ class TestIntersection:
             assert len(ball(cx, 2, g).members & ball(cy, 2, g).members) == want
         assert ball_overlap(g, 2, compose(inverse(x), y)) == want
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_vertex_matches_the_oracle(self, kind):
+        # all transpositions read the value of the vertex's class
+        g, adj = oracle_graph(kind)
+        for p in permutations(range(5)):
+            assert ball_overlap(g, 2, p) == oracles.intersection_size(adj, identity(5), p, 2), p
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [(0, 0, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 5)])
+    def test_non_permutation_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="not a permutation"):
+            ball_overlap(GeneratorSet.of_kind(kind, 5), 2, bad)
+
 
 class TestLambdaMu:
     @pytest.mark.parametrize("n", range(3, 9))
@@ -372,12 +386,21 @@ class TestOverlapMaxima:
                 )
                 assert got == oracles.full_overlap_scan(g, r), (n, r)
 
+    @pytest.mark.parametrize("n, r", [(4, 5), (9, 1), (9, 2), (9, 3), (10, 4)])
+    def test_class_algebra_matches_the_ball_scan(self, n, r):
+        # past the degrees above: values, witnesses and their order, as B_r
+        # against one translate per class representative
+        g = GeneratorSet.all_transpositions(n)
+        got = tuple(max_ball_intersection_at(g, r, s) for s in range(1, 2 * r + 1))
+        assert got == oracles.full_overlap_scan(g, r)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_scan_reads_only_the_radius_r_ball(self, kind):
+        # all transpositions read the class algebra and build no ball
         g = GeneratorSet.of_kind(kind, 6)
         clear_ball_memo()
         max_ball_intersection(g, 2)
-        assert list(cayley._ball_memo) == [(g, 2)]
+        assert list(cayley._ball_memo) == ([] if kind == "T" else [(g, 2)])
 
     def test_adjacent_scan_refuses_a_sphere_past_the_cap(self, monkeypatch):
         # t n=6: B_2 has 1+5+14 = 20 vertices, sphere 3 has 29
@@ -486,6 +509,48 @@ class TestOverlapMaxima:
             max_ball_intersection_at(g, 0, 1)
         with pytest.raises(ValueError):
             max_ball_intersection_at(g, 1, 3)
+
+
+class TestClassCharacters:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_columns_are_orthogonal(self, n):
+        # sum over shapes of X(C) X(C') is n!/|C| if C = C', 0 otherwise
+        table = cayley._class_characters(n)
+        assert table.types == tuple(cycle_types(n))
+        assert table.sizes == tuple(map(conjugacy_class_size, cycle_types(n)))
+        assert sum(table.sizes) == factorial(n)
+        columns = list(zip(*table.characters))
+        for i, a in enumerate(columns):
+            for j, b in enumerate(columns):
+                want = factorial(n) // table.sizes[i] if i == j else 0
+                assert sum(map(mul, a, b)) == want, (n, i, j)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rows_match_their_shapes(self, n):
+        # the degree by the hook length formula, and the value on a
+        # transposition by Frobenius: |T| X(t) / X(1) is the content sum,
+        # which tells a shape from its conjugate
+        table = cayley._class_characters(n)
+        one, swap = table.distances.index(0), table.distances.index(1)
+        for ct, row in zip(table.types, table.characters):
+            shape = [j for j in range(n, 0, -1) for _ in range(ct.counts[j - 1])]
+            cols = [sum(part > j for part in shape) for j in range(shape[0])]
+            cells = [(i, j) for i, part in enumerate(shape) for j in range(part)]
+            hooks = prod(shape[i] - j + cols[j] - i - 1 for i, j in cells)
+            assert row[one] == factorial(n) // hooks, shape
+            assert comb(n, 2) * row[swap] == row[one] * sum(j - i for i, j in cells), shape
+
+    def test_representatives_are_the_classes(self):
+        table = cayley._class_characters(7)
+        assert table.representatives == tuple(
+            pack(class_representative(ct)) for ct in cycle_types(7)
+        )
+        assert table.distances == tuple(ct.min_transpositions for ct in cycle_types(7))
+
+    def test_a_division_that_leaves_a_remainder_raises(self):
+        assert cayley._exact_quotient(12, 4) == 3
+        with pytest.raises(ArithmeticError, match="13 is not a multiple of 4"):
+            cayley._exact_quotient(13, 4)
 
 
 class TestLocalParams:

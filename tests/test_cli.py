@@ -111,6 +111,9 @@ GOLDEN_CASES = {
     # prefix swaps at r=3: about 10^5 vertices lie at distance 1..6, and
     # the overlap scan reads one per orbit
     "report_st10_r3": ["report", "--graph", "st", "--n", "10", "--r", "3"],
+    # B_5 of all transpositions at n=12 is past the ball cap; the probe
+    # reads the class algebra and builds no ball
+    "probe_conjecture_n12_r5": ["probe-conjecture", "--n", "12", "--r", "5"],
 }
 # the csv and pretty formats, pinned as .txt goldens
 GOLDEN_CASES.update(
