@@ -8,7 +8,7 @@ directory.
 Both kinds of file hold the same record layout (little-endian):
 
     magic    4s   b"PBAL" for a ball, b"POVL" for an overlap maximum
-    version  H    format version (currently 3)
+    version  H    format version (currently 4)
     kind     B    0 = all transpositions, 1 = adjacent, 2 = prefix
     n        B    degree
     radius   B    ``cayley.ball_radius`` of the request, so one file serves
@@ -26,9 +26,11 @@ vertex.  A value of -1 means absent.
   vertices, sorted ascending.
 * Overlap files, ``overlap_<kind>_n<n>_r<radius>.bin``: one section per
   center distance s = 1..2*radius, whose value is the maximum overlap at s
-  (absent beyond the diameter) and whose records are its witnesses, one
-  vertex per attaining orbit in scan order, as
-  ``cayley.max_ball_intersection_at`` keeps them.
+  (absent beyond the diameter) and whose records are its witnesses, as
+  ``cayley.max_ball_intersection_at`` keeps them: one vertex per attaining
+  orbit in scan order for prefix swaps, one representative per attaining
+  class for all transpositions, and every attaining vertex, sorted, for
+  adjacent swaps.
 
 One reader serves both loaders.  It rejects a file whose magic, version or
 request (kind, degree, radius, section count) does not match, that is
@@ -42,8 +44,10 @@ by one ``perms.all_permutations`` call over the whole file.
 whose records are unsorted; ``load_overlap`` rejects a file with no value
 at all.  Older files fail these checks and are rewritten: version 1 and 2
 ball files, which stored ranks or had no per-sphere value, fail the
-version check.  The JSON overlap files of earlier versions had another
-name and are never read.
+version check, as do the version 3 files of both kinds, since the
+version is shared: a version 3 adjacent-swap overlap file holds one
+witness per orbit, which would now read as the whole list.  The JSON
+overlap files of earlier versions had another name and are never read.
 
 The cache is an optimization: a missing, mismatched or malformed file is
 reported via CacheError and callers recompute and rewrite it.  The checks
@@ -80,7 +84,7 @@ from .perms import all_permutations, identity, pack, unpack
 
 _BALL_MAGIC = b"PBAL"
 _OVERLAP_MAGIC = b"POVL"
-_VERSION = 3
+_VERSION = 4
 _HEADER = struct.Struct("<4sHBBBB")
 _SECTION = struct.Struct("<iI")
 _ABSENT = -1

@@ -33,13 +33,14 @@ the identity; the engine leans on this throughout.
   B_r(e) is a union of conjugacy classes, so the overlap is constant on
   each class and comes from the character table of S_n (the
   Murnaghan-Nakayama rule, memoized per degree), at every radius;
-* the overlap scans of the other two families build no ball but the
-  radius-r one.  They scan one vertex per orbit of the automorphisms that
-  fix the identity: for prefix swaps, the cycle types with the length of
-  the cycle through 0 (Akers and Krishnamurthy's automorphisms of the star
-  graph), which enumerates no sphere; for adjacent swaps, the orbits of
-  reversal conjugation and inversion on the sphere, which is enumerated
-  from inversion tables (Knuth, TAOCP vol. 3, 5.1.1) without a walk.
+* the overlap scan of prefix swaps builds no ball but the radius-r one.
+  It scans one vertex per orbit of the automorphisms that fix the
+  identity, the cycle types with the length of the cycle through 0 (Akers
+  and Krishnamurthy's automorphisms of the star graph), and enumerates no
+  sphere;
+* the overlap profile of adjacent swaps comes from one self-convolution of
+  the radius-r ball: counting the products of its pairs gives every
+  vertex's overlap at distance 1..2r at once, from B_r alone.
 
 The capacity caps are module constants: ``MAX_BALL_SIZE`` vertices held
 at once, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
@@ -47,15 +48,16 @@ at once, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
 raises ``CapacityError`` instead of thrashing.  Every check reads the
 constant when it runs, before the work it guards, on sizes by closed
 form: a ball's sphere sizes (class sizes, orbit sizes and the Mahonian
-numbers) before the walk, the radius-r ball and every adjacent-swap
-sphere up to 2r before an overlap scan at radius r, and the witnesses'
-orbit sizes before :func:`witness_vertices` expands them.  An
-all-transpositions overlap profile holds no vertex set, only one value
-per class (77 classes at degree 12), so ``MAX_BALL_SIZE`` does not bound
-it.  Since the caps never vary, one memo entry per (generator set,
-radius) serves every call.  Radii are capped at the diameter, past which
-every ball is the whole group: :func:`ball_radius` is the one radius at
-which a ball or an overlap profile is built, memoized and cached.
+numbers) before the walk, the radius-r ball before a prefix-swap overlap
+scan at radius r and the radius-2r ball, whose vertices the convolution
+counts, before an adjacent-swap one, and the witnesses' orbit sizes
+before :func:`witness_vertices` expands them.  An all-transpositions
+overlap profile holds no vertex set, only one value per class (77
+classes at degree 12), so ``MAX_BALL_SIZE`` does not bound it.  Since the
+caps never vary, one memo entry per (generator set, radius) serves every
+call.  Radii are capped at the diameter, past which every ball is the
+whole group: :func:`ball_radius` is the one radius at which a ball or an
+overlap profile is built, memoized and cached.
 
 Every public function takes and returns permutation tuples; the
 expansion and the overlap scans run on the packed form of ``perms``
@@ -66,20 +68,23 @@ for them.  The hot paths (reconstruction, overlap scans, the disk cache)
 never do.
 
 The overlap maximum comes in two forms.  :func:`max_ball_intersection`
-(per distance, :func:`max_ball_intersection_at`) computes it, by a scan or
-from the class algebra, and is never memoized: the benchmark times it and
-the tests' oracles check it.  Every caller in the package reads
+(per distance, :func:`max_ball_intersection_at`) computes it, by a scan,
+a convolution or the class algebra, and is never memoized: the benchmark
+times it and the tests' oracles check it.  Every caller in the package reads
 :func:`overlap_of_identity`, the same answer memoized per (generator set,
 ball radius), as :func:`ball_of_identity` memoizes :func:`ball`.
 
-The overlap witnesses are vertices: a profile keeps one representative
-per attaining orbit, in scan order, as a permutation tuple, and the disk
-cache stores them packed.  Only where a witness is printed or used
+The overlap witnesses are vertices, as permutation tuples, which the disk
+cache stores packed: an all-transpositions profile keeps one
+representative per attaining class, a prefix-swap profile one per
+attaining orbit, in scan order, and an adjacent-swap profile every
+attaining vertex, sorted.  Only where a witness is printed or used
 (``GraphReport.to_doc``, ``channel.ambiguity_witness``) does
-:func:`witness_vertices` expand them into the vertices they stand for, and
-only at the distances that attain the maximum.  :func:`witness_label` names
-a vertex where text is written (the conjugacy class for all
-transpositions, the vertex otherwise); nothing reads a label back.
+:func:`witness_vertices` expand the prefix-swap orbits into the vertices
+they stand for, and only at the distances that attain the maximum.
+:func:`witness_label` names a vertex where text is written (the
+conjugacy class for all transpositions, the vertex otherwise); nothing
+reads a label back.
 """
 
 from __future__ import annotations
@@ -87,9 +92,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import combinations, islice
+from itertools import combinations, islice, starmap
 from math import comb, factorial
-from operator import mul
+from operator import gt, mul
 from typing import NamedTuple
 
 from .errors import CapacityError
@@ -140,7 +145,7 @@ _SWAPS = {
 # adds its length and one to the prefix-swap sum, which is m + c.
 _DISTANCE = {
     KIND_ALL: lambda p: len(p) - cycle_count(p),
-    KIND_ADJACENT: lambda p: sum(a > b for a, b in combinations(p, 2)),
+    KIND_ADJACENT: lambda p: sum(starmap(gt, combinations(p, 2))),
     KIND_PREFIX: lambda p: (
         sum(len(cyc) + 1 for cyc in cycles(p) if len(cyc) > 1) - 2 * (p[0] != 0)
     ),
@@ -193,64 +198,6 @@ def _star_orbit(y: bytes) -> list[bytes]:
     """Every vertex with y's cycle type and y's length of the cycle through
     0."""
     return list(map(pack, iter_class(cycle_type(y), first=len(cycles(y)[0]))))
-
-
-def _inversion_sphere(n: int, s: int) -> list[bytes]:
-    """The packed permutations of degree n with s inversions, from their
-    inversion tables: symbol m-1 placed with c of the symbols below it
-    after it adds c inversions to a permutation of those symbols.  The
-    symbols m..n-1 add at most (n(n-1) - m(m-1))/2 more, so only counts
-    that can still reach s are kept, and each step holds at most as many
-    permutations as the sphere."""
-    by_count = {0: [b""]}
-    for m in range(1, n + 1):
-        top = bytes([m - 1])
-        low = s - (n * (n - 1) - m * (m - 1)) // 2
-        # at position k, m-1 has m-1-k smaller symbols after it
-        by_count = {
-            t: [q[:k] + top + q[k:] for k in range(max(0, m - 1 - t), m)
-                for q in by_count.get(t - (m - 1 - k), ())]
-            for t in range(max(0, low), s + 1)
-        }
-    return by_count.get(s, [])
-
-
-def _reversal_representatives(n: int, s: int) -> list[bytes]:
-    """The first vertex met of each :func:`_reversal_orbit` on the
-    adjacent-swap sphere s."""
-    seen: set[bytes] = set()
-    reps = []
-    for y in _inversion_sphere(n, s):
-        if y not in seen:
-            reps.append(y)
-            seen |= _reversal_orbit(y)
-    return reps
-
-
-def _reversal_orbit(y: bytes) -> set[bytes]:
-    """y, its inverse, and both conjugated by the reversal w0, which maps
-    the adjacent swaps onto themselves: (w0 y w0)(i) = n-1-y(n-1-i)."""
-    inv = left_inverse_table(y)[:len(y)]
-    w0 = left_table(IDENT[len(y)][::-1])
-    return {y, inv, y[::-1].translate(w0), inv[::-1].translate(w0)}
-
-
-# The overlap candidates at distance s from the identity of the families
-# whose overlaps are scanned, one per orbit of automorphisms that fix it
-# (see max_ball_intersection_at).
-_CANDIDATES = {
-    KIND_ADJACENT: _reversal_representatives,
-    KIND_PREFIX: lambda n, s: [y for d, y in _star_orbits(n) if d == s],
-}
-
-# Each family's size of a witness's orbit and the orbit itself, as
-# witness_vertices expands it.  All transpositions name a witness by its
-# class, so a class representative stands for itself.
-_ORBITS = {
-    KIND_ALL: (lambda y: 1, lambda y: (y,)),
-    KIND_ADJACENT: (lambda y: len(_reversal_orbit(y)), _reversal_orbit),
-    KIND_PREFIX: (_star_orbit_size, _star_orbit),
-}
 
 
 class _ClassTable(NamedTuple):
@@ -575,11 +522,12 @@ class SphereMax:
 
     ``value`` is None when the sphere is empty (s beyond the diameter), which
     is reported as absent rather than zero.  A Cayley-graph profile stores
-    in ``witnesses`` one permutation tuple per attaining orbit, in scan
-    order (see :func:`max_ball_intersection_at`); for all transpositions,
-    whose values come from the class algebra and not a scan, these are the
-    attaining class representatives in ``perms.cycle_types`` order.
-    :func:`witness_vertices` gives every attaining vertex they stand for.
+    in ``witnesses`` permutation tuples (see
+    :func:`max_ball_intersection_at`): the attaining class representatives
+    in ``perms.cycle_types`` order for all transpositions, one vertex per
+    attaining orbit in scan order for prefix swaps, and every attaining
+    vertex, sorted, for adjacent swaps.  :func:`witness_vertices` gives
+    every attaining vertex they stand for.
     A small-graph report (``smallgraphs``) stores its ``"u-w"`` pair
     labels, already output text.
     """
@@ -689,6 +637,37 @@ def ball_overlap(gen: GeneratorSet, r: int, other: Perm) -> int:
     return _overlap_count(ball_of_identity(gen, r).packed, pack(other))
 
 
+def _adjacent_profile(gen: GeneratorSet, r: int) -> tuple[SphereMax, ...]:
+    """Every distance's :class:`SphereMax` for adjacent swaps at radius r,
+    s = 1..2r, from one self-convolution of the packed B = B_r(e).
+
+    |B ∩ yB| = #{(w, z) ∈ B × B : w^-1 z = y}, since B is closed under
+    inversion, so counting w^-1 B over every w in B gives the value of every
+    y at distance 1..2r at once; the keys are grouped by inversion count.
+    The counter holds B_2r, so ``CapacityError`` is raised by its
+    closed-form size before any ball is built."""
+    _check_capacity(ball_size(gen, 2 * r), "ball")
+    members = ball_of_identity(gen, r).packed
+    counts: Counter[bytes] = Counter()
+    for w in members:
+        counts.update(translated(members, left_inverse_table(w)))
+    del counts[IDENT[gen.n]]
+    top: dict[int, int] = {}
+    attaining: dict[int, list[bytes]] = {}
+    dist = _DISTANCE[KIND_ADJACENT]
+    for y, c in counts.items():
+        s = dist(y)
+        if c > top.get(s, 0):
+            top[s], attaining[s] = c, [y]
+        elif c == top[s]:
+            attaining[s].append(y)
+    return tuple(
+        SphereMax(s, top[s], tuple(map(unpack, sorted(attaining[s])))) if s in top
+        else SphereMax(s, None, ())
+        for s in range(1, 2 * r + 1)
+    )
+
+
 def max_ball_intersection_at(
     gen: GeneratorSet, r: int, s: int, workers: int = 1
 ) -> SphereMax:
@@ -697,36 +676,35 @@ def max_ball_intersection_at(
     By vertex-transitivity x is fixed at the identity.  An automorphism
     that fixes the identity maps B_r(y) to the ball around y's image, and
     |B_r(e) ∩ B_r(y)| = |B_r(y^-1) ∩ B_r(e)| by left translation, so the
-    overlap is the same across y's orbit and one value per orbit is
-    needed:
+    overlap is the same across y's orbit:
 
     * all transpositions: conjugation by any permutation, so the orbits
       are the conjugacy classes, and every class's value comes from the
       character table of S_n (:func:`_class_overlaps`), with no ball;
     * prefix swaps: conjugation by a permutation fixing 0, so an orbit is a
-      cycle type with the length of the cycle through 0;
-    * adjacent swaps: conjugation by the reversal, and inversion, so an
-      orbit holds at most four vertices of the sphere, which is enumerated
-      from inversion tables.
+      cycle type with the length of the cycle through 0, and one
+      representative per orbit is scanned against B_r, the only ball read;
+    * adjacent swaps: every distance comes from one pass over pairs of B_r
+      (:func:`_adjacent_profile`), which this runs whole for distance s.
 
-    The last two scan one representative per orbit against B_r, the only
-    ball read.  The witnesses are the representatives that attain the
-    maximum, in scan order: the class representatives of
-    ``perms.class_representative`` in ``perms.cycle_types`` order for all
-    transpositions, the prefix-swap orbits in the same order with the
-    cycle through 0 longest first, and the first vertex met of each orbit
-    in inversion-table order for adjacent swaps.  Nothing is expanded here;
+    The witnesses are the class representatives that attain the maximum,
+    in ``perms.cycle_types`` order (``perms.class_representative``), for all
+    transpositions; the attaining prefix-swap orbits in the same order,
+    with the cycle through 0 longest first; and every attaining vertex,
+    sorted, for adjacent swaps.  Nothing is expanded here;
     :func:`witness_vertices` does that where a witness is used.
-    ``CapacityError`` is raised before a scan if B_r is past
-    ``MAX_BALL_SIZE``, and before an adjacent-swap scan if any sphere it or
-    a sibling scan at radius r enumerates is; an all-transpositions
-    profile never raises it.  ``workers`` maps a scan's representatives
-    to that many processes; the class algebra ignores it.
+    ``CapacityError`` is raised before a prefix-swap scan if B_r is past
+    ``MAX_BALL_SIZE``, and before an adjacent-swap pass if B_2r is; an
+    all-transpositions profile never raises it.  ``workers`` maps a
+    prefix-swap scan's representatives to that many processes; the other
+    two families ignore it.
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
     if not 1 <= s <= 2 * r:
         raise ValueError(f"need 1 <= s <= 2r, got s={s}, r={r}")
+    if gen.kind == KIND_ADJACENT:
+        return _adjacent_profile(gen, r)[s - 1]
     if gen.kind == KIND_ALL:
         table, values = _class_characters(gen.n), _class_overlaps(gen.n, r)
         at_s = [c for c, d in enumerate(table.distances) if d == s]
@@ -734,11 +712,7 @@ def max_ball_intersection_at(
         counts = [values[c] for c in at_s]
     else:
         members = ball_of_identity(gen, r).packed
-        if gen.kind == KIND_ADJACENT:
-            # the scans at radius r enumerate spheres 1..2r; refuse before any
-            for d, size in enumerate(_SPHERE_SIZES[KIND_ADJACENT](gen.n)[1:2 * r + 1], 1):
-                _check_capacity(size, f"sphere {d}")
-        cands = _CANDIDATES[gen.kind](gen.n, s)
+        cands = [y for d, y in _star_orbits(gen.n) if d == s]
         counts = run_mapped(partial(_overlap_count, members), cands, workers)
     if not cands:
         return SphereMax(s, None, ())
@@ -748,27 +722,30 @@ def max_ball_intersection_at(
 
 def witness_vertices(gen: GeneratorSet, sm: SphereMax) -> tuple[Perm, ...]:
     """Every attaining vertex the witnesses of a profile's ``sm`` stand for:
-    the class representatives themselves, in scan order, for all
-    transpositions, whose witnesses are named by class, and every vertex of
-    the witnesses' orbits, sorted, otherwise.  ``CapacityError`` is raised,
-    by the orbits' sizes and before any is expanded, if they hold more than
-    ``MAX_BALL_SIZE`` vertices."""
-    size, orbit = _ORBITS[gen.kind]
+    the witnesses themselves, as the profile keeps them, for all
+    transpositions, whose witnesses are named by class, and for adjacent
+    swaps, whose profile keeps every attaining vertex; every vertex of the
+    witnesses' orbits, sorted, for prefix swaps.  ``CapacityError`` is
+    raised, by the orbits' sizes and before any is expanded, if they hold
+    more than ``MAX_BALL_SIZE`` vertices."""
+    if gen.kind != KIND_PREFIX:
+        return sm.witnesses
     packed = list(map(pack, sm.witnesses))
-    _check_capacity(sum(map(size, packed)), f"witnesses at distance {sm.s}")
-    wits = [v for y in packed for v in orbit(y)]
-    if gen.kind != KIND_ALL:
-        wits.sort()
-    return tuple(map(unpack, wits))
+    _check_capacity(sum(map(_star_orbit_size, packed)), f"witnesses at distance {sm.s}")
+    return tuple(map(unpack, sorted(v for y in packed for v in _star_orbit(y))))
 
 
 def max_ball_intersection(gen: GeneratorSet, r: int, workers: int = 1) -> IntersectionMax:
     """Max |B_r(x) ∩ B_r(y)| over all pairs of distinct centers.
 
-    Overlapping balls force d(x, y) <= 2r, so the scan covers s = 1..2r;
-    one more erroneous pattern than this value always pins down an unknown
-    center."""
-    per_s = tuple(max_ball_intersection_at(gen, r, s, workers) for s in range(1, 2 * r + 1))
+    Overlapping balls force d(x, y) <= 2r, so the profile covers s = 1..2r:
+    one adjacent-swap pass, or one :func:`max_ball_intersection_at` per s
+    for the other families.  One more erroneous pattern than this value
+    always pins down an unknown center."""
+    if gen.kind == KIND_ADJACENT:
+        per_s = _adjacent_profile(gen, r)
+    else:
+        per_s = tuple(max_ball_intersection_at(gen, r, s, workers) for s in range(1, 2 * r + 1))
     values = [sm.value for sm in per_s if sm.value is not None]
     if not values:
         raise ValueError("no vertex pairs at any distance in 1..2r")
@@ -1044,8 +1021,10 @@ def build_graph_report(gen: GeneratorSet, r: int, with_diameter: bool = True) ->
         kind=gen.kind, n=gen.n, v=factorial(gen.n), k=gen.k, lam=lam, mu=mu,
         diameter=diameter(gen) if with_diameter else None,
         r=r,
-        per_radius=tuple(
-            overlap_of_identity(gen, rr) for rr in range(1, ball_radius(gen, r) + 1)
-        ),
+        # the largest radius first, so one past a cap is refused before the
+        # others are computed
+        per_radius=tuple(reversed([
+            overlap_of_identity(gen, rr) for rr in range(ball_radius(gen, r), 0, -1)
+        ])),
         notes=() if with_diameter else ("diameter skipped: disabled",),
     )

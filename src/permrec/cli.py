@@ -242,8 +242,9 @@ def _cmd_report(args, settings) -> _Result:
     gens = [_checked(GeneratorSet.of_kind, args.graph, n) for n in args.n]
     reports = []
     for gen in gens:
-        # past the diameter every radius reads the diameter's profile
-        for rr in range(1, ball_radius(gen, args.r) + 1):
+        # past the diameter every radius reads the diameter's profile; the
+        # largest radius comes first, as in build_graph_report
+        for rr in range(ball_radius(gen, args.r), 0, -1):
             _warm(settings, overlap_of_identity_cached, gen, rr)
         report = build_graph_report(gen, args.r, with_diameter=not args.no_diameter)
         reports.append(report.to_doc())

@@ -12,7 +12,8 @@ overlap maximum always decodes uniquely) with the engine's own balls,
 over many more pattern sets than a decode would see.  The
 full overlap scan reads, for adjacent and prefix swaps, every vertex of
 every sphere of the engine's radius-2r ball: the reference for the
-engine's scan by orbits, witness order included.  For all transpositions
+engine's one-pass adjacent-swap profile and for its prefix-swap scan by
+orbits, witness order included.  For all transpositions
 it intersects the engine's B_r with one translate per class
 representative, the scan the engine ran before it read the class
 algebra: the reference for the character-table values.  The scalar channel

@@ -179,7 +179,7 @@ _SECTION = struct.Struct("<iI")
 _KIND_CODES = {"T": 0, "t": 1, "st": 2}
 
 
-def record_blob(magic, gen, radius, sections, version=3) -> bytes:
+def record_blob(magic, gen, radius, sections, version=4) -> bytes:
     """A record file holding ``sections``, (value, records) pairs in file
     order, under a header for ``gen`` and ``radius``, with no checks.  A
     value of None writes the count alone, as ball files of versions 1 and
@@ -192,7 +192,7 @@ def record_blob(magic, gen, radius, sections, version=3) -> bytes:
     return b"".join(chunks)
 
 
-def ball_blob(gen, radius, spheres, version=3) -> bytes:
+def ball_blob(gen, radius, spheres, version=4) -> bytes:
     """A ball file holding ``spheres`` (lists of encoded records, in file
     order), each with its distance as its value from version 3 on."""
     values = range(len(spheres)) if version >= 3 else [None] * len(spheres)
@@ -323,18 +323,19 @@ class TestOverlapMemo:
             overlap_of_identity(g, 2)
 
     def test_scan_stays_unmemoized(self, monkeypatch):
+        # an adjacent-swap profile is one pass over B_2, for every distance
         g = GeneratorSet.adjacent(5)
         first = overlap_of_identity(g, 2)
         scanned = []
-        real_at = cayley.max_ball_intersection_at
+        real_pass = cayley._adjacent_profile
         monkeypatch.setattr(
-            cayley, "max_ball_intersection_at",
-            lambda *a, **k: scanned.append(a[2]) or real_at(*a, **k),
+            cayley, "_adjacent_profile",
+            lambda *a: scanned.append(a[1:]) or real_pass(*a),
         )
         assert overlap_of_identity(g, 2) is first
         assert scanned == []
         assert max_ball_intersection(g, 2) == first
-        assert scanned == [1, 2, 3, 4]
+        assert scanned == [(2,)]
 
     @pytest.mark.parametrize("kind", ["T", "t", "st"])
     def test_profile_past_the_diameter_scans_only_the_diameter(self, kind, monkeypatch):
@@ -343,15 +344,18 @@ class TestOverlapMemo:
         want = {r: max_ball_intersection(g, r) for r in (d + 1, d + 3)}
         clear_ball_memo()
         scanned = []
-        real_at = cayley.max_ball_intersection_at
-        monkeypatch.setattr(
-            cayley, "max_ball_intersection_at",
-            lambda *a, **k: scanned.append(a[1:3]) or real_at(*a, **k),
-        )
+        # adjacent swaps make one pass for every distance; the others scan
+        # one distance at a time
+        name = "_adjacent_profile" if kind == "t" else "max_ball_intersection_at"
+        real = getattr(cayley, name)
+        monkeypatch.setattr(cayley, name, lambda *a, **k: scanned.append(a[1:3]) or real(*a, **k))
         for r, best in want.items():
             assert overlap_of_identity(g, r) == best
         # one scan of the profile at the diameter serves both radii
-        assert scanned == [(d, s) for s in range(1, 2 * d + 1)]
+        if kind == "t":
+            assert scanned == [(d,)]
+        else:
+            assert scanned == [(d, s) for s in range(1, 2 * d + 1)]
 
     def test_clear_forgets_overlaps(self):
         g = GeneratorSet.prefix(5)
@@ -437,11 +441,11 @@ class TestOverlapFile:
         best = overlap_of_identity(g, 1)
         path = overlap_path(tmp_path, g, 1)
         save_overlap(path, g, best)
-        # s=1: one vertex per attaining orbit, [1,2,4,3] (whose orbit holds
-        # [2,1,3,4]) and [1,3,2,4]; s=2: [2,1,4,3]
+        # every attaining vertex, sorted: s=1: [1,2,4,3], [1,3,2,4] and
+        # [2,1,3,4]; s=2: [2,1,4,3]
         assert path.read_bytes() == b"".join([
-            _HEADER.pack(b"POVL", 3, 1, 4, 1, 2),
-            _SECTION.pack(2, 2), bytes([0, 1, 3, 2, 0, 2, 1, 3]),
+            _HEADER.pack(b"POVL", 4, 1, 4, 1, 2),
+            _SECTION.pack(2, 3), bytes([0, 1, 3, 2, 0, 2, 1, 3, 1, 0, 2, 3]),
             _SECTION.pack(2, 1), bytes([1, 0, 3, 2]),
         ])
 
@@ -478,7 +482,7 @@ class TestOverlapFile:
     @pytest.mark.parametrize("defect", [
         # overlap files, refused by the reader both loaders share
         "garbage", "empty", "truncated", "truncated_section_header", "trailing_bytes",
-        "other_degree", "other_radius", "other_kind", "wrong_version", "missing_key",
+        "other_degree", "other_radius", "other_kind", "wrong_version", "version_3", "missing_key",
         "not_an_object", "version_1", "version_2", "json_version_3",
         "entry_count", *[d for d in SECTION_DEFECTS if not d.startswith("ball_")],
         # ball files
@@ -521,7 +525,9 @@ class TestOverlapFile:
                 "other_degree": lambda: saved_overlap(g.kind, 6, 2),
                 "other_radius": lambda: saved_overlap(g.kind, 5, 1),
                 "other_kind": lambda: saved_overlap("t", 5, 2),
-                "wrong_version": lambda: good[:4] + struct.pack("<H", 4) + good[6:],
+                "wrong_version": lambda: good[:4] + struct.pack("<H", 5) + good[6:],
+                # the layout of version 3, whose witnesses meant other vertices
+                "version_3": lambda: good[:4] + struct.pack("<H", 3) + good[6:],
                 # the header alone, promising sections the file lacks
                 "missing_key": lambda: good[: _HEADER.size],
                 "entry_count": lambda: record_blob(magic, g, 2, sections[:-1]),

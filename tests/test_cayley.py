@@ -376,8 +376,9 @@ class TestOverlapMaxima:
     @pytest.mark.parametrize("kind", KINDS)
     def test_orbit_scan_matches_full_scan(self, kind):
         # values, and witnesses expanded into the vertices they stand for,
-        # order included, as a scan of every vertex, at every distance
-        for n in range(2, 9):
+        # order included, as a scan of every vertex, at every distance; the
+        # adjacent-swap pass is cheap enough to check at degree 9 too
+        for n in range(2, 10 if kind == "t" else 9):
             g = GeneratorSet.of_kind(kind, n)
             for r in (1, 2, 3):
                 got = tuple(
@@ -385,6 +386,11 @@ class TestOverlapMaxima:
                     for sm in map(partial(max_ball_intersection_at, g, r), range(1, 2 * r + 1))
                 )
                 assert got == oracles.full_overlap_scan(g, r), (n, r)
+
+    def test_adjacent_pass_matches_the_full_scan_at_degree_10(self):
+        # one pass gives every distance: values and every attaining vertex, sorted
+        g = GeneratorSet.adjacent(10)
+        assert max_ball_intersection(g, 3).per_s == oracles.full_overlap_scan(g, 3)
 
     @pytest.mark.parametrize("n, r", [(4, 5), (9, 1), (9, 2), (9, 3), (10, 4)])
     def test_class_algebra_matches_the_ball_scan(self, n, r):
@@ -402,23 +408,24 @@ class TestOverlapMaxima:
         max_ball_intersection(g, 2)
         assert list(cayley._ball_memo) == ([] if kind == "T" else [(g, 2)])
 
-    def test_adjacent_scan_refuses_a_sphere_past_the_cap(self, monkeypatch):
-        # t n=6: B_2 has 1+5+14 = 20 vertices, sphere 3 has 29
+    def test_adjacent_pass_refuses_a_radius_2r_ball_past_the_cap(self, monkeypatch):
+        # t n=6: B_2 has 1+5+14 = 20 vertices and B_4, whose vertices the
+        # pass counts, 1+5+14+29+49 = 98
         g = GeneratorSet.adjacent(6)
+        want = max_ball_intersection(g, 2)
         clear_ball_memo()
-        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", 28)
-
-        def no_enumeration(*args):
-            raise AssertionError("enumerated")
-
-        monkeypatch.setattr(cayley, "_inversion_sphere", no_enumeration)
-        message = "^sphere 3 exceeds budget of 28 vertices$"
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", 97)
+        monkeypatch.setattr(cayley, "_levels", None)
+        message = "^ball exceeds budget of 97 vertices$"
         with pytest.raises(CapacityError, match=message):
             max_ball_intersection(g, 2)
-        # every scan at radius 2 refuses, the one at s=1 included
+        # every distance at radius 2 refuses, s=1 included, before any walk
         with pytest.raises(CapacityError, match=message):
             max_ball_intersection_at(g, 2, 1)
-        assert list(cayley._ball_memo) == [(g, 2)]
+        assert cayley._ball_memo == {}
+        monkeypatch.undo()
+        monkeypatch.setattr(cayley, "MAX_BALL_SIZE", 98)
+        assert max_ball_intersection(g, 2) == want
 
     def test_prefix_scan_refuses_witnesses_past_the_cap(self, monkeypatch):
         # st n=7: B_2 has 37 vertices; one orbit of 30 vertices attains at
@@ -440,14 +447,26 @@ class TestOverlapMaxima:
         with pytest.raises(CapacityError, match="^witnesses at distance 4 exceeds budget of 40 vertices$"):
             witness_vertices(g, want[4])
 
-    def test_large_adjacent_radius_refused_at_once(self):
-        # t n=12: B_9 is under the cap, sphere 17 is past it; only B_9 is
-        # built before the refusal
+    def test_adjacent_radius_past_the_cap_refused_before_any_ball(self, monkeypatch):
+        # t n=12: B_14 holds 2,097,484 vertices, past the cap, and is refused
+        # by its closed-form size with no ball built; B_12 holds 762,007, so
+        # radius 6 passes the check and goes on to build B_6
         g = GeneratorSet.adjacent(12)
+        assert (cayley.ball_size(g, 14), cayley.ball_size(g, 12)) == (2_097_484, 762_007)
         clear_ball_memo()
-        with pytest.raises(CapacityError, match="^sphere 17 exceeds"):
-            max_ball_intersection(g, 9)
-        assert list(cayley._ball_memo) == [(g, 9)]
+        built = []
+
+        def no_ball(gen, radius):
+            built.append(radius)
+            raise LookupError("built")
+
+        monkeypatch.setattr(cayley, "ball_of_identity", no_ball)
+        with pytest.raises(CapacityError, match="^ball exceeds budget of 2000000 vertices$"):
+            max_ball_intersection(g, 7)
+        assert built == []
+        with pytest.raises(LookupError, match="built"):
+            max_ball_intersection(g, 6)
+        assert built == [6]
 
     def test_absent_sphere_reports_none(self):
         g = GeneratorSet.all_transpositions(3)  # diameter 2
@@ -468,11 +487,11 @@ class TestOverlapMaxima:
         assert [cayley.witness_label(g, y) for y in sm.witnesses] == ["1^1 4^1", "2^1 3^1"]
 
     def test_witnesses_are_vertices_for_adjacent(self):
-        # the scan keeps one vertex per attaining orbit: [2,1,3,4] is the
-        # reversal conjugate of [1,2,4,3], and [1,3,2,4] is its own
+        # the pass keeps every attaining vertex, sorted, and nothing expands them
         g = GeneratorSet.adjacent(4)
         sm = max_ball_intersection_at(g, 1, 1)
-        assert sm.witnesses == ((0, 1, 3, 2), (0, 2, 1, 3))
+        assert sm.witnesses == ((0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3))
+        assert witness_vertices(g, sm) == sm.witnesses
         assert [cayley.witness_label(g, y) for y in witness_vertices(g, sm)] == [
             "[1,2,4,3]", "[1,3,2,4]", "[2,1,3,4]",
         ]
@@ -498,7 +517,8 @@ class TestOverlapMaxima:
                     assert parse_perm(label) == y, (n, label)
 
     def test_workers_do_not_change_results(self):
-        g = GeneratorSet.adjacent(5)
+        # prefix swaps are the one family whose scan maps to workers
+        g = GeneratorSet.prefix(5)
         serial = max_ball_intersection(g, 2, workers=1)
         parallel = max_ball_intersection(g, 2, workers=2)
         assert serial == parallel

@@ -11,15 +11,22 @@ from permrec import cayley, claims
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The (kind, n, r, s) of every per-distance scan, from a cleared memo."""
+    """The (kind, n, r, s) of every per-distance scan, and the (kind, n, r)
+    of every adjacent-swap pass, which gives all distances at once, from a
+    cleared memo."""
     seen = Counter()
-    scan = cayley.max_ball_intersection_at
+    scan, profile = cayley.max_ball_intersection_at, cayley._adjacent_profile
 
     def counted(gen, r, s, workers=1):
         seen[gen.kind, gen.n, r, s] += 1
         return scan(gen, r, s, workers)
 
+    def counted_pass(gen, r):
+        seen[gen.kind, gen.n, r] += 1
+        return profile(gen, r)
+
     monkeypatch.setattr(cayley, "max_ball_intersection_at", counted)
+    monkeypatch.setattr(cayley, "_adjacent_profile", counted_pass)
     # a copy imported beside the memo would scan uncounted, so it is counted too
     monkeypatch.setattr(claims, "max_ball_intersection_at", counted, raising=False)
     cayley.clear_ball_memo()
@@ -30,7 +37,11 @@ def scans(monkeypatch):
 def test_suites_scan_each_profile_once(scans):
     rows = claims.run_suites(["all"], claims.SuiteConfig(max_n=6))
     assert rows and all(row.verdict != "fail" for row in rows)
-    assert len(scans) == 66
+    # 42 scans of T and st, and one pass per adjacent-swap profile
+    assert len(scans) == 50
+    assert sorted(key for key in scans if key[0] == "t") == [
+        ("t", n, r) for n in range(3, 7) for r in (1, 2)
+    ]
     assert set(scans.values()) == {1}
 
 

@@ -29,7 +29,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 from permrec import cache, cayley, channel, claims, cli, smallgraphs
 from permrec.cache import cache_path, load_ball, load_overlap, overlap_path
-from test_cache import fail_writes_halfway
+from permrec.errors import CacheError
+from permrec.perms import inverse, pack
+from test_cache import fail_writes_halfway, record_blob
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "docs" / "schemas"
@@ -111,6 +113,13 @@ GOLDEN_CASES = {
     # prefix swaps at r=3: about 10^5 vertices lie at distance 1..6, and
     # the overlap scan reads one per orbit
     "report_st10_r3": ["report", "--graph", "st", "--n", "10", "--r", "3"],
+    # adjacent swaps at r=3, whose witnesses are every attaining vertex
+    "report_t9_10_r3": ["report", "--graph", "t", "--n", "9", "10", "--r", "3"],
+    # an adversarial run expands its witness pair from the adjacent-swap profile
+    "simulate_t9_adversarial": [
+        "simulate", "--graph", "t", "--n", "9", "--r", "3", "--trials", "3",
+        "--seed", "1", "--adversarial", "--transcript", "{dir}/trials.jsonl",
+    ],
     # B_5 of all transpositions at n=12 is past the ball cap; the probe
     # reads the class algebra and builds no ball
     "probe_conjecture_n12_r5": ["probe-conjecture", "--n", "12", "--r", "5"],
@@ -283,6 +292,57 @@ def test_cached_stdout_is_byte_identical_to_golden(name, files, monkeypatch):
         assert out == (GOLDEN / golden_name(name)).read_text(), run
         if transcript.exists():
             assert transcript.read_text() == (GOLDEN / f"{name}.jsonl").read_text(), run
+
+
+def reversal_orbit_representatives(vertices) -> list:
+    """The first of ``vertices`` met in each orbit of inversion and
+    conjugation by the reversal, which map the adjacent swaps onto
+    themselves: the one witness per orbit a version 3 overlap file kept."""
+    seen, reps = set(), []
+    for y in vertices:
+        if y not in seen:
+            reps.append(y)
+            n = len(y)
+            for p in (y, inverse(y)):
+                seen |= {p, tuple(n - 1 - p[n - 1 - i] for i in range(n))}
+    return reps
+
+
+def test_version_3_adjacent_overlap_file_is_refused_and_rewritten(files):
+    g = cayley.GeneratorSet.adjacent(9)
+    cayley.clear_ball_memo()
+    best = cayley.max_ball_intersection(g, 3)
+    sections = [(sm.value, list(map(pack, reversal_orbit_representatives(sm.witnesses))))
+                for sm in best.per_s]
+    path = overlap_path(files / "cache", g, 3)
+    path.parent.mkdir()
+    # read as this version's files, one witness per orbit would stand for
+    # the whole list and print fewer vertices
+    path.write_bytes(record_blob(b"POVL", g, 3, sections))
+    assert load_overlap(path, g, 3) != best
+    path.write_bytes(record_blob(b"POVL", g, 3, sections, version=3))
+    with pytest.raises(CacheError, match="wrong magic/version"):
+        load_overlap(path, g, 3)
+    _, out = run_cli_cached(GOLDEN_CASES["report_t9_10_r3"], files, files / "cache")
+    assert out == (GOLDEN / "report_t9_10_r3.json").read_text()
+    assert path.read_bytes()[4:6] == (4).to_bytes(2, "little")
+    assert load_overlap(path, g, 3) == best
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_adjacent_report_past_the_cap_fails_at_once(files, capsys, monkeypatch, cached):
+    # t n=12 r=7 counts the vertices of B_14, 2,097,484 of them, past the
+    # cap: refused by its closed-form size before any radius is computed,
+    # so no walk starts and no file is written
+    argv = ["report", "--graph", "t", "--n", "12", "--r", "7", "--no-diameter"]
+    cache_dir = files / "cache"
+    cayley.clear_ball_memo()
+    monkeypatch.setattr(cayley, "_levels", None)
+    code, out = run_cli_cached(argv, files, cache_dir) if cached else run_cli(argv, files)
+    err = capsys.readouterr().err
+    assert (code, out, err) == (1, "", "error: ball exceeds budget of 2000000 vertices\n")
+    assert cayley._ball_memo == {}
+    assert not cache_dir.exists() or not any(cache_dir.iterdir())
 
 
 def test_simulate_cap_fails_on_cold_and_warm_cache(files, capsys, monkeypatch):
@@ -564,7 +624,8 @@ def test_report_past_the_diameter_warms_each_capped_radius_once(files, monkeypat
         cache, "load_overlap", lambda *a: loaded.append(a[2]) or real_load(*a)
     )
     assert run_cli_cached(argv, files, cache_dir) == want
-    assert loaded == [1, 2, 3]
+    # the largest radius first, so one past a cap is refused before the others
+    assert loaded == [3, 2, 1]
 
 
 def test_processes_sharing_a_cache_dir(files):
