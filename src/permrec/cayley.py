@@ -32,7 +32,9 @@ the identity; the engine leans on this throughout.
 * the overlap maxima of all transpositions build no ball at all.  There
   B_r(e) is a union of conjugacy classes, so the overlap is constant on
   each class and comes from the character table of S_n (the
-  Murnaghan-Nakayama rule, memoized per degree), at every radius;
+  Murnaghan-Nakayama rule, memoized per degree), at every radius.  A
+  profile asks for each class's value at that class's distance only, so
+  it sums each class's character column once;
 * the overlap scan of prefix swaps builds no ball but the radius-r one.
   It scans one vertex per orbit of the automorphisms that fix the
   identity, the cycle types with the length of the cycle through 0 (Akers
@@ -40,7 +42,11 @@ the identity; the engine leans on this throughout.
   sphere;
 * the overlap profile of adjacent swaps comes from one self-convolution of
   the radius-r ball: counting the products of its pairs gives every
-  vertex's overlap at distance 1..2r at once, from B_r alone.
+  vertex's overlap at distance 1..2r at once, from B_r alone.  The
+  products' inversion counts, their distances, come from one bit-sliced
+  pass with one byte lane per product: each position of every product
+  is one big integer, and one subtraction per pair of positions tests
+  every product's pair at once.
 
 The capacity caps are module constants: ``MAX_BALL_SIZE`` vertices held
 at once, degree ``WHOLE_GRAPH_MAX_N`` for a whole-graph sweep and
@@ -266,9 +272,10 @@ def _exact_quotient(num: int, den: int) -> int:
     return q
 
 
-def _class_overlaps(n: int, r: int) -> tuple[int, ...]:
+def _class_overlaps(n: int, r: int, classes) -> tuple[int, ...]:
     """|B_r(e) ∩ B_r(y)| in the all-transpositions graph for y in each
-    class of S_n, in ``cycle_types`` order, from the character table.
+    class of S_n whose index in ``cycle_types`` order is in ``classes``,
+    in that order, from the character table.
 
     B_r(e) is a union of classes, so its indicator F is central in the
     group algebra, and the overlap at y is the coefficient of y in F²:
@@ -276,7 +283,11 @@ def _class_overlaps(n: int, r: int) -> tuple[int, ...]:
     ω_λ = Σ_{C ⊆ B_r} |C| χ^λ(C) / χ^λ(1) is F's central character
     (products in a group counted through characters, as in Zagier's
     appendix to Lando and Zvonkin).  Both quotients are integers, and each
-    is checked to be one."""
+    is checked to be one.
+
+    Each class's value is one sum over its character column, so a profile,
+    which asks at each distance for the classes at that distance
+    (:func:`max_ball_intersection_at`), sums each column once."""
     table = _class_characters(n)
     one = table.distances.index(0)
     inside = [c for c, d in enumerate(table.distances) if d <= r]
@@ -284,10 +295,10 @@ def _class_overlaps(n: int, r: int) -> tuple[int, ...]:
     for row in table.characters:
         omega = _exact_quotient(sum(table.sizes[c] * row[c] for c in inside), row[one])
         weights.append(row[one] * omega * omega)
-    order = factorial(n)
+    order, columns = factorial(n), list(zip(*table.characters))
     return tuple(
-        _exact_quotient(sum(map(mul, weights, column)), order)
-        for column in zip(*table.characters)
+        _exact_quotient(sum(map(mul, weights, columns[c])), order)
+        for c in classes
     )
 
 
@@ -632,9 +643,31 @@ def ball_overlap(gen: GeneratorSet, r: int, other: Perm) -> int:
     all transpositions, the value of other's class, with no ball at all."""
     _check_vertex(other, gen)
     if gen.kind == KIND_ALL:
-        values = _class_overlaps(gen.n, ball_radius(gen, r))
-        return values[_class_characters(gen.n).types.index(cycle_type(other))]
+        c = _class_characters(gen.n).types.index(cycle_type(other))
+        return _class_overlaps(gen.n, ball_radius(gen, r), [c])[0]
     return _overlap_count(ball_of_identity(gen, r).packed, pack(other))
+
+
+def _inversion_counts(keys: list[bytes], n: int) -> bytes:
+    """Byte i is the inversion count of ``keys[i]``, a packed permutation
+    of degree n, from one bit-sliced pass over every key (inversions as in
+    Knuth, Vol. 3, §5.1.1).
+
+    Column j is every key's entry j, one byte per key, as one integer.  For
+    positions a < b, byte i of (col_a | H) - col_b - ONES, H being 0x80 in
+    every byte and ONES 0x01, is 0x80 + y[a] - y[b] - 1 for key y, which
+    has its high bit set iff y[a] > y[b].  n <= 12, so every entry is below
+    0x80 and no byte borrows from the next; shifted to the low bit and
+    summed over the C(n, 2) pairs, byte i holds key i's count, at most
+    66 < 256, so no byte carries into the next either."""
+    ones = int.from_bytes(b"\x01" * len(keys), "little")
+    high = ones << 7
+    blob = b"".join(keys)
+    cols = [int.from_bytes(blob[j::n], "little") for j in range(n)]
+    total = 0
+    for a, b in combinations(range(n), 2):
+        total += (((cols[a] | high) - cols[b] - ones) & high) >> 7
+    return total.to_bytes(len(keys), "little")
 
 
 def _adjacent_profile(gen: GeneratorSet, r: int) -> tuple[SphereMax, ...]:
@@ -643,9 +676,11 @@ def _adjacent_profile(gen: GeneratorSet, r: int) -> tuple[SphereMax, ...]:
 
     |B ∩ yB| = #{(w, z) ∈ B × B : w^-1 z = y}, since B is closed under
     inversion, so counting w^-1 B over every w in B gives the value of every
-    y at distance 1..2r at once; the keys are grouped by inversion count.
-    The counter holds B_2r, so ``CapacityError`` is raised by its
-    closed-form size before any ball is built."""
+    y at distance 1..2r at once.  The keys are grouped by inversion count,
+    every key's from one bit-sliced pass with a byte lane per key
+    (:func:`_inversion_counts`).  The counter holds B_2r, so
+    ``CapacityError`` is raised by its closed-form size before any ball is
+    built."""
     _check_capacity(ball_size(gen, 2 * r), "ball")
     members = ball_of_identity(gen, r).packed
     counts: Counter[bytes] = Counter()
@@ -654,9 +689,8 @@ def _adjacent_profile(gen: GeneratorSet, r: int) -> tuple[SphereMax, ...]:
     del counts[IDENT[gen.n]]
     top: dict[int, int] = {}
     attaining: dict[int, list[bytes]] = {}
-    dist = _DISTANCE[KIND_ADJACENT]
-    for y, c in counts.items():
-        s = dist(y)
+    keys = list(counts)
+    for y, c, s in zip(keys, counts.values(), _inversion_counts(keys, gen.n)):
         if c > top.get(s, 0):
             top[s], attaining[s] = c, [y]
         elif c == top[s]:
@@ -679,8 +713,9 @@ def max_ball_intersection_at(
     overlap is the same across y's orbit:
 
     * all transpositions: conjugation by any permutation, so the orbits
-      are the conjugacy classes, and every class's value comes from the
-      character table of S_n (:func:`_class_overlaps`), with no ball;
+      are the conjugacy classes, and the value of each class at distance
+      s comes from the character table of S_n (:func:`_class_overlaps`),
+      with no ball;
     * prefix swaps: conjugation by a permutation fixing 0, so an orbit is a
       cycle type with the length of the cycle through 0, and one
       representative per orbit is scanned against B_r, the only ball read;
@@ -706,10 +741,10 @@ def max_ball_intersection_at(
     if gen.kind == KIND_ADJACENT:
         return _adjacent_profile(gen, r)[s - 1]
     if gen.kind == KIND_ALL:
-        table, values = _class_characters(gen.n), _class_overlaps(gen.n, r)
+        table = _class_characters(gen.n)
         at_s = [c for c, d in enumerate(table.distances) if d == s]
         cands = [table.representatives[c] for c in at_s]
-        counts = [values[c] for c in at_s]
+        counts = _class_overlaps(gen.n, r, at_s)
     else:
         members = ball_of_identity(gen, r).packed
         cands = [y for d, y in _star_orbits(gen.n) if d == s]

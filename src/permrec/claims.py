@@ -25,7 +25,7 @@ per process however many claims quote it.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache, partial
 from math import comb, factorial
 
@@ -78,7 +78,17 @@ class ClaimRow:
     note: str = ""
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        # every field is a string, so a plain dict, in field order
+        return {
+            "suite": self.suite,
+            "claim_id": self.claim_id,
+            "statement": self.statement,
+            "instance": self.instance,
+            "expected": self.expected,
+            "measured": self.measured,
+            "verdict": self.verdict,
+            "note": self.note,
+        }
 
 
 CSV_COLUMNS = (

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import time
 from collections import Counter
 from functools import partial
@@ -312,6 +313,16 @@ class TestIntersection:
         for p in permutations(range(5)):
             assert ball_overlap(g, 2, p) == oracles.intersection_size(adj, identity(5), p, 2), p
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_all_transpositions_read_their_class_from_the_full_vector(self, n):
+        # radii past the diameter read the diameter's values
+        g = GeneratorSet.all_transpositions(n)
+        types = cayley._class_characters(n).types
+        for r in range(1, n + 2):
+            values = cayley._class_overlaps(n, cayley.ball_radius(g, r), range(len(types)))
+            for c, ct in enumerate(types):
+                assert ball_overlap(g, r, class_representative(ct)) == values[c], (n, r, ct)
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("bad", [(0, 0, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 5)])
     def test_non_permutation_rejected(self, kind, bad):
@@ -567,10 +578,56 @@ class TestClassCharacters:
         )
         assert table.distances == tuple(ct.min_transpositions for ct in cycle_types(7))
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_chosen_classes_read_the_full_vector(self, n):
+        # one class at a time, the classes at each distance as a profile
+        # asks for them, and every class in reverse order
+        table = cayley._class_characters(n)
+        every = range(len(table.types))
+        for r in range(1, n):
+            full = cayley._class_overlaps(n, r, every)
+            assert len(full) == len(table.types)
+            for c in every:
+                assert cayley._class_overlaps(n, r, [c]) == (full[c],), (n, r, c)
+            for s in range(1, 2 * r + 1):
+                at_s = [c for c in every if table.distances[c] == s]
+                assert cayley._class_overlaps(n, r, at_s) == tuple(full[c] for c in at_s)
+            assert cayley._class_overlaps(n, r, every[::-1]) == full[::-1]
+            assert cayley._class_overlaps(n, r, []) == ()
+
     def test_a_division_that_leaves_a_remainder_raises(self):
         assert cayley._exact_quotient(12, 4) == 3
         with pytest.raises(ArithmeticError, match="13 is not a multiple of 4"):
             cayley._exact_quotient(13, 4)
+
+
+class TestInversionCounts:
+    # the bit-sliced count against the scalar distance, key by key
+    @staticmethod
+    def scalar(keys):
+        return list(map(cayley._DISTANCE["t"], keys))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_permutation(self, n):
+        keys = list(map(bytes, permutations(range(n))))
+        assert list(cayley._inversion_counts(keys, n)) == self.scalar(keys)
+
+    def test_the_reversal_fills_its_lane_without_carrying(self):
+        # 66 inversions, the most at degree 12, between two 0-inversion keys
+        keys = [bytes(range(12)), bytes(range(11, -1, -1)), bytes(range(12))]
+        assert list(cayley._inversion_counts(keys, 12)) == [0, 66, 0]
+
+    def test_random_keys_of_degree_12(self):
+        rng = random.Random(2026)
+        keys = []
+        for _ in range(2000):
+            p = list(range(12))
+            rng.shuffle(p)
+            keys.append(bytes(p))
+        assert list(cayley._inversion_counts(keys, 12)) == self.scalar(keys)
+
+    def test_no_keys(self):
+        assert cayley._inversion_counts([], 12) == b""
 
 
 class TestLocalParams:

@@ -115,6 +115,12 @@ GOLDEN_CASES = {
     "report_st10_r3": ["report", "--graph", "st", "--n", "10", "--r", "3"],
     # adjacent swaps at r=3, whose witnesses are every attaining vertex
     "report_t9_10_r3": ["report", "--graph", "t", "--n", "9", "10", "--r", "3"],
+    # the adjacent-swap pass at r=4, which counts every vertex of B_8
+    "report_t11_r4": ["report", "--graph", "t", "--n", "11", "--r", "4", "--no-diameter"],
+    # the class algebra at r=5, each class's value computed once per radius
+    "report_T11_12_r5": [
+        "report", "--graph", "T", "--n", "11", "12", "--r", "5", "--no-diameter",
+    ],
     # an adversarial run expands its witness pair from the adjacent-swap profile
     "simulate_t9_adversarial": [
         "simulate", "--graph", "t", "--n", "9", "--r", "3", "--trials", "3",
